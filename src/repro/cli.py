@@ -52,11 +52,21 @@ from repro.records.trace import FailureTrace
 
 __all__ = ["main", "build_parser"]
 
-ARTIFACTS = (
-    "table1", "table2", "table3",
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-    "all",
-)
+class _Artifacts:
+    """``report --artifact`` choices: the paper's sections, then ``all``.
+
+    Read from :data:`repro.report.paper.SECTIONS` only when argparse
+    consults them, so commands other than ``report`` do not pay for
+    importing the report package.
+    """
+
+    def __iter__(self):
+        from repro.report.paper import SECTIONS
+
+        return iter(SECTIONS + ("all",))
+
+
+ARTIFACTS = _Artifacts()
 
 INGEST_MODES = ("strict", "lenient", "repair")
 
@@ -166,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "report":
             command.add_argument(
                 "--artifact", choices=ARTIFACTS, default="all",
-                help="which table/figure to render (default: all)",
+                metavar="ARTIFACT",
+                help="which table/figure to render: %(choices)s "
+                     "(default: all)",
             )
             command.add_argument(
                 "--workers", type=int, default=None, metavar="N",
@@ -835,48 +847,37 @@ def _report_from_store(args: argparse.Namespace) -> int:
             f"`repro store scrub {args.trace}`",
             file=sys.stderr,
         )
-    paper = result.report
-    if args.artifact == "all":
+    return _print_report(result.report, args.artifact, "store")
+
+
+def _print_report(paper, artifact: str, source: str) -> int:
+    """Print the report (or one section of it); exit 1 unless it rendered."""
+    if artifact == "all":
         print(paper.render())
         print("\n" + "=" * 78 + "\n")
         print(paper.diagnostics())
         return 0 if paper.ok else 1
-    section = next(s for s in paper.sections if s.name == args.artifact)
+    section = next(s for s in paper.sections if s.name == artifact)
     if section.ok:
         print(section.text)
         return 0
-    print(f"[{args.artifact} unavailable on this store: {section.error}]")
+    print(f"[{artifact} unavailable on this {source}: {section.error}]")
     return 1
 
 
 def _command_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro import report
+    from repro.report.paper import run_sections, trace_sections
 
     if args.trace and not args.synthetic and Path(args.trace).is_dir():
         return _report_from_store(args)
     trace, degraded = _load_trace(args)
-    if args.artifact == "all":
-        paper = report.run_paper_report(trace, degraded_read=degraded)
-        print(paper.render())
-        print("\n" + "=" * 78 + "\n")
-        print(paper.diagnostics())
-        return 0 if paper.ok else 1
-    renderers = {
-        "table1": lambda: report.render_table1(trace),
-        "table2": lambda: report.render_table2(trace),
-        "table3": report.render_table3,
-        "fig1": lambda: report.render_figure1(trace),
-        "fig2": lambda: report.render_figure2(trace),
-        "fig3": lambda: report.render_figure3(trace),
-        "fig4": lambda: report.render_figure4(trace),
-        "fig5": lambda: report.render_figure5(trace),
-        "fig6": lambda: report.render_figure6(trace.filter_systems([20])),
-        "fig7": lambda: report.render_figure7(trace),
-    }
-    print(renderers[args.artifact]())
-    return 0
+    renderers = trace_sections(trace)
+    if args.artifact != "all":
+        renderers = {args.artifact: renderers[args.artifact]}
+    paper = run_sections(renderers, degraded)
+    return _print_report(paper, args.artifact, "trace")
 
 
 def _command_summary(args: argparse.Namespace) -> int:

@@ -3,7 +3,7 @@
 A *campaign* runs a matrix of scenarios — {process chaos x data
 corruption x filesystem faults} x {workflows: generate, resumable
 generate, trace write, columnar-store write, store scrub/repair,
-store merge, ingest, report, live serving} — each in a fresh
+store merge, ingest, report, serve} — each in a fresh
 directory, and verifies
 **recovery invariants** after every drill:
 
@@ -11,7 +11,13 @@ directory, and verifies
   (the RNG-stream contract survives retries, resumes and degradation);
 * no partial/temporary artifacts remain on disk;
 * the shard journal's meta/journal/payload consistency holds;
-* report sections degrade (never crash) under corrupted input.
+* a store published under faults deep-verifies;
+* report sections degrade (never crash) under corrupted input;
+* the live service never answers 5xx or hangs.
+
+One drill loop runs every scenario: it arms the fault, retries the
+workflow up to :data:`MAX_ATTEMPTS` times, counts injections and
+collects the workflow's checks.
 
 Results aggregate into a ``robustness_scorecard.json`` artifact written
 atomically.  The scorecard is a pure function of ``(preset, seed)``:
@@ -21,15 +27,22 @@ two runs of the same campaign produce byte-identical scorecards — the
 file can be committed, diffed, and gated on in CI.
 
 This is the standing harness new storage/serving subsystems must pass:
-add a scenario per new write path and the invariants come for free.
+a new workflow is one row of ``_WORKFLOW_TABLE``, whose prepare
+function returns one attempt and its checks built from the shared
+``fault-injected``, ``journal-consistent``, ``store-verifies`` and
+``trace-identical`` helpers, plus a :class:`Scenario` per fault.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro import obs
 from repro.faults.chaos import chaos_roundtrip
@@ -37,7 +50,6 @@ from repro.faults.fsfaults import FsFaults, fsfaults_env
 from repro.faults.process_ops import ProcessChaos, chaos_env
 from repro.io.csv_format import write_lanl_csv
 from repro.io.jsonl_format import write_jsonl
-from repro.records.trace import FailureTrace
 from repro.resilience.atomic import atomic_write_json
 from repro.resilience.journal import ShardJournal
 from repro.synth.generator import SupervisionConfig, TraceGenerator
@@ -54,16 +66,10 @@ __all__ = [
 SCORECARD_NAME = "robustness_scorecard.json"
 TIMINGS_NAME = "campaign_timings.json"
 
-#: Workflows a scenario can drill.
-WORKFLOWS = (
-    "generate", "write-csv", "write-jsonl", "write-store",
-    "scrub-store", "merge-store", "ingest", "report", "serve",
-)
-
 #: Fault classes a scenario can arm (``none`` = clean baseline).
 FAULT_KINDS = ("none", "fs", "process", "corruption")
 
-#: Ceiling on generate attempts (first try + resumes) per scenario.
+#: Ceiling on attempts (first try + retries/resumes) per scenario.
 MAX_ATTEMPTS = 4
 
 
@@ -79,7 +85,8 @@ class Scenario:
     workflow:
         One of :data:`WORKFLOWS`.
     fault:
-        One of :data:`FAULT_KINDS`.
+        One of :data:`FAULT_KINDS`.  A ``process`` fault runs generation
+        supervised, so the retry ladder absorbs the injected failures.
     operator:
         The fault operator (an fsfaults operator for ``fault="fs"``, a
         process operator for ``fault="process"``; unused otherwise).
@@ -96,10 +103,6 @@ class Scenario:
         System IDs the workflow generates (small ones keep drills fast).
     workers:
         Worker processes for the generate workflow.
-    supervised:
-        Run generation under :class:`SupervisionConfig` (retry ladder);
-        required for process-chaos scenarios, whose injected failures
-        must be absorbed rather than propagated.
     """
 
     name: str
@@ -114,7 +117,6 @@ class Scenario:
     mode: str = "lenient"
     systems: Tuple[int, ...] = (2, 13)
     workers: int = 1
-    supervised: bool = False
 
     def __post_init__(self) -> None:
         if self.workflow not in WORKFLOWS:
@@ -189,14 +191,7 @@ class CampaignResult:
                     "injections": outcome.injections,
                     "error": outcome.error,
                     "ok": outcome.ok,
-                    "invariants": [
-                        {
-                            "name": check.name,
-                            "passed": check.passed,
-                            "detail": check.detail,
-                        }
-                        for check in outcome.invariants
-                    ],
+                    "invariants": [asdict(check) for check in outcome.invariants],
                 }
             )
         checks = [c for o in self.outcomes for c in o.invariants]
@@ -240,6 +235,728 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
+# Drill engine
+# ----------------------------------------------------------------------
+
+
+def _scrub(text: str, root: Path) -> str:
+    """Make an error message path-free so scorecards stay deterministic."""
+    return text.replace(str(root), "<campaign>")
+
+
+def _check(name: str, passed: bool, detail: str) -> InvariantCheck:
+    """A verdict whose ``detail`` (what broke) is kept only on failure."""
+    return InvariantCheck(name, passed, "" if passed else detail)
+
+
+def _no_partials(directory: Path) -> InvariantCheck:
+    """No staged temp files may survive a drill, failed writes included."""
+    leftovers = sorted(
+        str(p.relative_to(directory)) for p in directory.rglob("*.tmp")
+    )
+    return _check(
+        "no-partial-artifacts",
+        not leftovers,
+        f"leftover temp files: {', '.join(leftovers)}",
+    )
+
+
+def _reference_csv(
+    seed: int, systems: Tuple[int, ...], cache: Dict[Tuple[int, ...], bytes],
+    workdir: Path,
+) -> bytes:
+    """Unfaulted serial reference trace as CSV bytes (cached per inventory)."""
+    if systems not in cache:
+        trace = TraceGenerator(seed=seed).generate(list(systems))
+        path = workdir / f"reference-{'-'.join(map(str, systems))}.csv"
+        write_lanl_csv(trace, path)
+        cache[systems] = path.read_bytes()
+    return cache[systems]
+
+
+class _Stop(Exception):
+    """A failed attempt retrying cannot change; its path-free text is kept."""
+
+
+@dataclass
+class _Drill:
+    """One scenario being drilled: its directory, reference and fault."""
+
+    scenario: Scenario
+    seed: int
+    dir: Path
+    reference: bytes
+    #: Faults actually injected: the loop reads the armed fault's claim
+    #: files; a corruption attempt sets it from its injector.
+    injections: int = 0
+
+    def __post_init__(self) -> None:
+        scenario = self.scenario
+        state_dir = str(self.dir / "fault-state")
+        self.fault: Union[FsFaults, ProcessChaos, None] = None
+        if scenario.fault == "fs":
+            self.fault = FsFaults(
+                operator=scenario.operator,
+                times=scenario.times,
+                state_dir=state_dir,
+                sites=scenario.sites,
+                path_contains=scenario.path_contains,
+                skip=scenario.skip,
+                seed=self.seed,
+                slow_seconds=0.01,
+            )
+        elif scenario.fault == "process":
+            self.fault = ProcessChaos(
+                operator=scenario.operator,
+                times=scenario.times,
+                state_dir=state_dir,
+            )
+
+    def armed(self):
+        """Context arming the scenario's fs or process fault, if any."""
+        arm = fsfaults_env if self.scenario.fault == "fs" else chaos_env
+        return arm(self.fault)
+
+    def describe(self, exc: BaseException) -> str:
+        return _scrub(f"{type(exc).__name__}: {exc}", self.dir)
+
+    def trace(self):
+        """The scenario's unfaulted trace, generated serially."""
+        return TraceGenerator(seed=self.seed).generate(list(self.scenario.systems))
+
+    def judge(self, name: str, problems: Callable[[], List[str]]) -> InvariantCheck:
+        """``name`` holds when ``problems()`` finds none; raising fails it."""
+        try:
+            found = problems()
+        except Exception as exc:
+            found = [self.describe(exc)]
+        return InvariantCheck(name, not found, "; ".join(found))
+
+    def fault_injected(self) -> Tuple[InvariantCheck, ...]:
+        """``fault-injected`` for a scenario that arms a fault (else none)."""
+        if self.scenario.fault == "none":
+            return ()
+        never = (
+            "injector corrupted zero rows"
+            if self.scenario.fault == "corruption"
+            else "armed fault never fired"
+        )
+        return (_check("fault-injected", self.injections >= 1, never),)
+
+
+def _trace_identical(produced: Path, expected: bytes, detail: str) -> InvariantCheck:
+    return _check("trace-identical", produced.read_bytes() == expected, detail)
+
+
+def _store_checks(
+    drill: _Drill, store_dir: Path, detail: str
+) -> Iterator[InvariantCheck]:
+    """``store-verifies`` and ``trace-identical`` for a published store."""
+    from repro.store import ColumnarStore, export_store, verify_store
+
+    problems = verify_store(store_dir, deep=True)
+    yield _check(
+        "store-verifies",
+        not problems,
+        "; ".join(_scrub(p, drill.dir) for p in problems),
+    )
+    # The armed env is restored by now, so this export cannot fault.
+    export_path = drill.dir / "trace.csv"
+    export_store(ColumnarStore(store_dir), export_path)
+    yield _trace_identical(export_path, drill.reference, detail)
+
+
+def _journaled(drill: _Drill, generator: TraceGenerator) -> Dict[str, Any]:
+    """Generate options for one attempt.
+
+    The journal resumes once an earlier attempt began it, and process
+    chaos runs supervised so the injected worker failures are absorbed.
+    """
+    run_dir = drill.dir / "run"
+    journal = ShardJournal(
+        run_dir,
+        meta=generator.journal_meta(),
+        resume=(run_dir / "meta.json").exists(),
+    )
+    supervision = SupervisionConfig() if drill.scenario.fault == "process" else None
+    return {
+        "workers": drill.scenario.workers,
+        "supervision": supervision,
+        "journal": journal,
+    }
+
+
+def _journal_consistent(drill: _Drill, generator: TraceGenerator) -> InvariantCheck:
+    return drill.judge("journal-consistent", lambda: ShardJournal(
+        drill.dir / "run", meta=generator.journal_meta(), resume=True
+    ).verify())
+
+
+# ----------------------------------------------------------------------
+# Workflows: prepare(drill) builds the inputs, fault not yet armed, and
+# returns (attempt, checks).  attempt() runs the workflow once and returns
+# its result; an exception is retried, _Stop is not.  checks(result)
+# yields the invariants in scorecard order; result is None if no attempt
+# completed.
+# ----------------------------------------------------------------------
+
+_Attempt = Callable[[], Any]
+_Checks = Callable[[Any], Iterable[InvariantCheck]]
+
+
+def _generate(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """A journaled generate run: fault, crash, resume, verify."""
+    generator = TraceGenerator(seed=drill.seed)
+
+    def attempt():
+        return generator.generate(
+            list(drill.scenario.systems), **_journaled(drill, generator)
+        )
+
+    def checks(trace) -> Iterator[InvariantCheck]:
+        yield from drill.fault_injected()
+        yield _journal_consistent(drill, generator)
+        if trace is not None:
+            # The armed env is restored by now, so this write cannot fault.
+            path = drill.dir / "trace.csv"
+            write_lanl_csv(trace, path)
+            yield _trace_identical(
+                path, drill.reference,
+                "recovered trace differs from unfaulted serial reference",
+            )
+
+    return attempt, checks
+
+
+def _write_store(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """A journaled columnar-store write: fault, resume, verify.
+
+    The recovery invariants are the store's crash-safety contract: a
+    faulted write never publishes a manifest over missing shards
+    (``store verify`` comes back clean after recovery), and the
+    resumed store exports byte-identically to an unfaulted serial run.
+    """
+    from repro.store import verify_store
+
+    generator = TraceGenerator(seed=drill.seed)
+    store_dir = drill.dir / "store"
+
+    def attempt():
+        try:
+            return generator.generate_store(
+                store_dir,
+                list(drill.scenario.systems),
+                **_journaled(drill, generator),
+            )
+        except Exception as exc:
+            # A faulted attempt must never present a complete store:
+            # either no manifest was published, or — when the fault hit
+            # a column file of an already-manifested directory —
+            # verification must catch the damage.
+            if verify_store(store_dir, deep=True):
+                raise
+            raise _Stop(
+                f"{drill.describe(exc)}; faulted store verified clean "
+                "before recovery"
+            ) from exc
+
+    def checks(manifest) -> Iterator[InvariantCheck]:
+        yield from drill.fault_injected()
+        yield _journal_consistent(drill, generator)
+        if manifest is not None:
+            yield from _store_checks(
+                drill, store_dir,
+                "recovered store exports differently from the unfaulted "
+                "serial reference",
+            )
+
+    return attempt, checks
+
+
+def _write(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """A trace-writer overwrite: the original must survive a fault."""
+    csv = drill.scenario.workflow == "write-csv"
+    write = write_lanl_csv if csv else write_jsonl
+    target = drill.dir / ("trace.csv" if csv else "trace.jsonl")
+    trace = drill.trace()
+    write(trace, target)  # pre-existing artifact the fault must not damage
+    original = target.read_bytes()
+    damaged: List[bool] = []
+
+    def attempt():
+        try:
+            write(trace, target)
+        except Exception:
+            damaged.append(target.read_bytes() != original)
+            raise
+        return target
+
+    def checks(written) -> Iterator[InvariantCheck]:
+        yield from drill.fault_injected()
+        yield _check(
+            "original-untouched",
+            not any(damaged),
+            "a failed write damaged the pre-existing artifact",
+        )
+        if written is not None:
+            yield _trace_identical(
+                target, drill.reference if csv else original,
+                "rewritten artifact differs from the unfaulted write",
+            )
+
+    return attempt, checks
+
+
+def _scrub_store(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """The self-healing loop under filesystem faults.
+
+    Build a store, damage two shards deterministically (deleted column
+    file + bit flip), scrub under the armed fault until the quarantine
+    ledger lands, then assert the contract: a degraded read completes
+    with exact skipped-row accounting even mid-heal, and repair from
+    the source trace restores the store to a byte-identical,
+    deep-verifying state.
+    """
+    from repro.store import (
+        ColumnarStore,
+        repair_store,
+        scrub_store,
+        store_from_trace,
+        summarize_store,
+    )
+
+    trace = drill.trace()
+    store_dir = drill.dir / "store"
+    store_from_trace(trace, store_dir, shard_rows=100)
+    shards = sorted(
+        p.name for p in (store_dir / "shards").glob("*-start_time.npy")
+    )
+    first = shards[0].split("-")[0]
+    second = shards[1].split("-")[0] if len(shards) > 1 else first
+    (store_dir / "shards" / f"{first}-node_id.npy").unlink()
+    victim = store_dir / "shards" / f"{second}-root_cause.npy"
+    payload = bytearray(victim.read_bytes())
+    payload[-1] ^= 0x01
+    victim.write_bytes(bytes(payload))
+    damaged = sorted({first, second})
+
+    # Even between a crashed scrub and its retry, a degraded read must
+    # complete and account for exactly the rows it could not reach.
+    def degraded_read() -> List[str]:
+        handle = ColumnarStore(store_dir, on_damage="skip")
+        rows = summarize_store(handle).rows
+        skipped = handle.degraded.rows_skipped
+        total = handle.manifest.row_count
+        if rows + skipped == total:
+            return []
+        return [f"rows {rows} + skipped {skipped} != manifest {total}"]
+
+    def repair_roundtrip() -> List[str]:
+        if not repair_store(store_dir, trace).ok:
+            return ["repair left shards quarantined"]
+        verdicts = _store_checks(
+            drill, store_dir,
+            "repaired store exports differently from the unfaulted serial "
+            "reference",
+        )
+        # Lazily: a store that fails to verify is not exported.
+        broken = next((check for check in verdicts if not check.passed), None)
+        return [broken.detail] if broken else []
+
+    def checks(report) -> Iterator[InvariantCheck]:
+        yield from drill.fault_injected()
+        yield drill.judge("degraded-read-completes", degraded_read)
+        if report is not None:
+            quarantined = sorted(report.quarantined)
+            yield _check(
+                "damage-quarantined",
+                quarantined == damaged,
+                f"expected shards {damaged} quarantined, got {quarantined}",
+            )
+            yield drill.judge("quarantine-repair-roundtrip", repair_roundtrip)
+
+    return (lambda: scrub_store(store_dir)), checks
+
+
+def _merge_store(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """A federated merge under filesystem faults.
+
+    Two single-system source stores merge into a new one while faults
+    tear column writes or the manifest publish.  The publish invariant
+    is checked after every failed attempt: if a manifest exists at all,
+    it must not reference missing shard files.  After recovery the
+    merged store must deep-verify and export byte-identically to the
+    unfaulted serial reference of the combined inventory.
+    """
+    from repro.store import merge_stores, store_from_trace, verify_store
+
+    trace = drill.trace()
+    sources = []
+    for index, system_id in enumerate(drill.scenario.systems):
+        source_dir = drill.dir / f"source-{index}"
+        store_from_trace(
+            trace.filter_systems([system_id]), source_dir, shard_rows=100
+        )
+        sources.append(source_dir)
+    merged_dir = drill.dir / "merged"
+    dangling: List[str] = []
+
+    def attempt():
+        try:
+            return merge_stores(merged_dir, sources, shard_rows=100)
+        except Exception:
+            if (merged_dir / "manifest.json").exists():
+                missing = [
+                    _scrub(p, drill.dir)
+                    for p in verify_store(merged_dir, deep=False)
+                    if "missing" in p
+                ]
+                if missing:
+                    dangling.append("; ".join(missing))
+            raise
+
+    def checks(manifest) -> Iterator[InvariantCheck]:
+        yield from drill.fault_injected()
+        yield _check(
+            "publish-never-references-missing",
+            not dangling,
+            "".join(dangling[-1:]),
+        )
+        if manifest is not None:
+            yield from _store_checks(
+                drill, merged_dir,
+                "merged store exports differently from the unfaulted serial "
+                "reference",
+            )
+
+    return attempt, checks
+
+
+def _serve(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """Drill the analytics service under live traffic.
+
+    Boots a real :class:`~repro.serve.server.ServerThread` over a
+    freshly built store and issues **sequential** HTTP requests (the
+    scorecard is byte-compared in CI, so every invariant must be a
+    deterministic boolean).  The serving contract under test:
+
+    * no request ever gets a 5xx or a hung connection — damage and
+      injected faults surface as degraded/stale answers or honest 429s;
+    * responses on an undamaged store are byte-identical to the
+      equivalent ``repro store analyze --json`` output;
+    * quarantining a shard mid-traffic (``mode="quarantine"``)
+      invalidates the result cache and flips responses to
+      degraded-with-coverage, never errors;
+    * repairing the store mid-traffic (``mode="repair"``) restores
+      complete, byte-identical answers;
+    * the SIGTERM-equivalent drain completes with in-flight work done.
+
+    The drill runs once and arms the fault only for phase B.
+    """
+    from repro.serve import ServeConfig, ServerThread
+    from repro.serve.client import get
+    from repro.store import (
+        ColumnarStore,
+        Predicate,
+        repair_store,
+        scrub_store,
+        store_from_trace,
+        summarize_store,
+    )
+
+    scenario = drill.scenario
+    trace = drill.trace()
+    store_dir = drill.dir / "store"
+    store_from_trace(trace, store_dir, shard_rows=100)
+    damages = scenario.mode in ("quarantine", "repair")
+
+    def dump(payload: dict) -> str:
+        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def summary(**kwargs) -> str:
+        return dump(summarize_store(ColumnarStore(store_dir), **kwargs).to_dict())
+
+    # (path, reference) pairs covering the full and per-system views,
+    # computed on the pristine store, before any damage.
+    queries = [("/v1/summary", summary())] + [
+        (
+            f"/v1/analyze?system={system}",
+            summary(predicate=Predicate.build(systems=[system])),
+        )
+        for system in scenario.systems
+    ]
+
+    # A long breaker cooldown keeps half-open probes (wall-clock
+    # dependent) out of the drill window, so the rung each request
+    # lands on is a pure function of the request sequence.
+    config = ServeConfig(
+        port=0, max_concurrency=2, max_queue=8, breaker_cooldown=600.0
+    )
+    # Every request as (phase, response or None after a connection
+    # error, reference body); the checks judge the traffic from it.
+    log: List[Tuple[str, Any, str]] = []
+    hung: List[str] = []
+    crashed: List[str] = []
+
+    def traffic(handle) -> None:
+        def request(phase: str, path: str, reference: str = "") -> None:
+            try:
+                response = get(handle.host, handle.port, path, timeout=60.0)
+            except OSError as exc:
+                hung.append(drill.describe(exc))
+                response = None
+            log.append((phase, response, reference))
+
+        # Phase A: clean traffic; warms the cache and the last-good
+        # stale fallback, and proves byte-identity with the batch path.
+        request("health", "/healthz")
+        request("health", "/readyz")
+        for path, reference in queries:
+            request("baseline", path, reference)
+
+        # Mid-traffic damage: quarantine the first shard while the
+        # service keeps answering.
+        if damages:
+            sorted((store_dir / "shards").glob("*-node_id.npy"))[0].unlink()
+            scrub_store(store_dir)
+
+        # Phase B: drilled traffic under the armed fault.  Two passes
+        # over the query mix exercise the ladder past the breaker
+        # threshold.
+        with drill.armed():
+            for pass_index in range(2):
+                if damages:
+                    # Re-issue the warmed queries: the rewritten ledger
+                    # must invalidate them, and the stale fallback
+                    # needs matching keys.
+                    paths = [path for path, _ in queries]
+                else:
+                    # Clean store, unchanged generation: bust the cache
+                    # with an all-admitting time window that varies per
+                    # pass, so every request really scans (and hits the
+                    # armed fault).
+                    window = f"t_min={-1.0 - pass_index:g}"
+                    paths = [f"/v1/analyze?{window}"] + [
+                        f"/v1/analyze?system={system}&{window}"
+                        for system in scenario.systems
+                    ]
+                for path in paths:
+                    request("drilled", path)
+
+        # Phase C: heal under live traffic, then answers must be
+        # complete and byte-identical again.
+        if scenario.mode == "repair":
+            repair_store(store_dir, trace)
+            for path, reference in queries:
+                request("repaired", path, reference)
+        request("stats", "/v1/stats")
+
+    def attempt():
+        try:
+            with ServerThread(store_dir, config) as handle:
+                traffic(handle)
+        except Exception as exc:
+            crashed.append(drill.describe(exc))
+        if hung or crashed:
+            raise _Stop("; ".join(hung + crashed))
+        return log
+
+    def answered(*phases: str) -> list:
+        """The responses received in ``phases``, in request order."""
+        return [r for phase, r, _ in log if phase in phases and r is not None]
+
+    def identical(response, reference: str) -> bool:
+        return (
+            response is not None
+            and response.status == 200
+            and dump(response.body.get("data", {})) == reference
+        )
+
+    def checks(_) -> Iterator[InvariantCheck]:
+        failures = hung + crashed
+        bad_statuses = sorted(
+            {r.status for _, r, _ in log if r is not None} - {200, 429}
+        )
+        yield _check(
+            "no-5xx-no-hangs",
+            not bad_statuses and not failures,
+            f"statuses {bad_statuses}; connection errors: {'; '.join(failures)}",
+        )
+        metas = [
+            r.meta() for r in answered("baseline", "drilled") if r.status == 200
+        ]
+        complete = [
+            m for m in metas
+            if all(key in m for key in ("degraded", "stale", "coverage"))
+        ]
+        yield _check(
+            "responses-well-formed",
+            len(complete) == len(metas),
+            "a 200 response lacked degraded/stale/coverage metadata",
+        )
+        yield _check(
+            "baseline-identical",
+            all(identical(r, ref) for p, r, ref in log if p == "baseline"),
+            "pristine-store responses differ from the batch analyze output",
+        )
+        yield _check(
+            "drain-clean",
+            not crashed,
+            "graceful drain failed: " + "; ".join(crashed),
+        )
+        yield from drill.fault_injected()
+        if damages:
+            yield _check(
+                "degraded-metadata",
+                any(
+                    m["stale"] or (
+                        m["degraded"]
+                        and isinstance(m["coverage"], dict)
+                        and any(v < 1.0 for v in m["coverage"].values())
+                    )
+                    for m in complete
+                ),
+                "no response carried degraded coverage or stale metadata "
+                "after mid-traffic quarantine",
+            )
+            # Quarantine rewrote the ledger, so the first drilled answer
+            # must not come from the pre-damage cache entry.
+            first = next(
+                (r for r in answered("drilled") if r.status in (200, 429)),
+                None,
+            )
+            yield _check(
+                "cache-invalidated",
+                first is None
+                or first.status != 200
+                or first.meta().get("cache") != "hit",
+                "a pre-quarantine cache entry served after the ledger changed",
+            )
+        if scenario.mode == "repair":
+            yield _check(
+                "repaired-identical",
+                all(
+                    identical(r, ref)
+                    and not (r.meta().get("degraded") or r.meta().get("stale"))
+                    for p, r, ref in log if p == "repaired"
+                ),
+                "post-repair responses are not complete and byte-identical",
+            )
+
+    return attempt, checks
+
+
+def _corrupt(drill: _Drill) -> Tuple[_Attempt, _Checks]:
+    """corrupt -> ingest (-> report), once: degrade, never crash."""
+    trace = drill.trace()
+    run_report = drill.scenario.workflow == "report"
+    roundtrips = []
+
+    def attempt():
+        try:
+            report = chaos_roundtrip(
+                trace,
+                seed=drill.seed,
+                rate=drill.scenario.rate,
+                mode=drill.scenario.mode,
+                workdir=drill.dir / "roundtrip",
+                run_report=run_report,
+            )
+        except Exception as exc:
+            raise _Stop(drill.describe(exc)) from exc
+        roundtrips.append(report)
+        drill.injections = report.corruption.n_corrupted
+        if not report.survived:
+            raise _Stop("")  # ingest-survives says why
+        return report
+
+    def checks(_) -> Iterator[InvariantCheck]:
+        if not roundtrips:  # the round trip crashed
+            return
+        report = roundtrips[0]
+        yield from drill.fault_injected()
+        yield _check(
+            "ingest-survives", report.survived, "ingest blew its error budget"
+        )
+        if run_report:
+            paper = report.paper
+            crashed = [] if paper is None else [
+                section.name for section in paper.sections
+                if section.status == "failed"
+            ]
+            yield _check(
+                "report-degrades",
+                paper is not None and not crashed,
+                "paper report did not run" if paper is None
+                else f"sections crashed: {', '.join(crashed)}",
+            )
+
+    return attempt, checks
+
+
+@dataclass(frozen=True)
+class _Workflow:
+    """One row of the workflow table.
+
+    ``needs_reference`` asks for the unfaulted serial reference CSV;
+    ``loop_arms`` is False where the attempt arms the fault itself.
+    """
+
+    prepare: Callable[[_Drill], Tuple[_Attempt, _Checks]]
+    needs_reference: bool = False
+    loop_arms: bool = True
+
+
+_WORKFLOW_TABLE: Dict[str, _Workflow] = {
+    "generate": _Workflow(_generate, needs_reference=True),
+    "write-csv": _Workflow(_write, needs_reference=True),
+    "write-jsonl": _Workflow(_write),
+    "write-store": _Workflow(_write_store, needs_reference=True),
+    "scrub-store": _Workflow(_scrub_store, needs_reference=True),
+    "merge-store": _Workflow(_merge_store, needs_reference=True),
+    "ingest": _Workflow(_corrupt),
+    "report": _Workflow(_corrupt),
+    "serve": _Workflow(_serve, loop_arms=False),
+}
+
+#: Workflows a scenario can drill.
+WORKFLOWS = tuple(_WORKFLOW_TABLE)
+
+
+def _drill_loop(
+    scenario: Scenario, seed: int, scenario_dir: Path, reference: bytes
+) -> ScenarioOutcome:
+    """The drill loop: prepare, arm, attempt until done, check."""
+    workflow = _WORKFLOW_TABLE[scenario.workflow]
+    drill = _Drill(scenario, seed, scenario_dir, reference)
+    attempt, checks = workflow.prepare(drill)
+    result = None
+    errors: List[str] = []
+    attempts = 0
+    with drill.armed() if workflow.loop_arms else nullcontext():
+        while result is None and attempts < MAX_ATTEMPTS:
+            attempts += 1
+            try:
+                result = attempt()
+            except _Stop as stop:
+                errors.append(str(stop))
+                break
+            except Exception as exc:
+                errors.append(drill.describe(exc))
+    if drill.fault is not None:
+        drill.injections = drill.fault.injections()
+    completed = result is not None
+    return ScenarioOutcome(
+        scenario=scenario,
+        attempts=attempts,
+        completed=completed,
+        injections=drill.injections,
+        error="" if completed else "; ".join(errors),
+        invariants=(_no_partials(scenario_dir), *checks(result)),
+    )
+
+
+# ----------------------------------------------------------------------
 # Presets
 # ----------------------------------------------------------------------
 
@@ -259,7 +976,7 @@ _SMOKE = (
     ),
     Scenario(
         "proc-flaky-shard", "generate", fault="process",
-        operator="flaky-shard", supervised=True,
+        operator="flaky-shard",
     ),
     Scenario(
         "fs-enospc-csv", "write-csv", fault="fs", operator="enospc",
@@ -319,7 +1036,7 @@ _FULL = _SMOKE + (
     ),
     Scenario(
         "proc-kill-worker", "generate", fault="process",
-        operator="kill-worker", workers=2, supervised=True,
+        operator="kill-worker", workers=2,
         systems=(2, 13, 20),
     ),
     Scenario(
@@ -360,907 +1077,6 @@ PRESETS: Dict[str, Tuple[Scenario, ...]] = {
 }
 
 
-# ----------------------------------------------------------------------
-# Engine
-# ----------------------------------------------------------------------
-
-
-def _scrub(text: str, root: Path) -> str:
-    """Make an error message path-free so scorecards stay deterministic."""
-    return text.replace(str(root), "<campaign>")
-
-
-def _no_partials(directory: Path) -> InvariantCheck:
-    """No staged temp files may survive a drill, failed writes included."""
-    leftovers = sorted(
-        str(p.relative_to(directory)) for p in directory.rglob("*.tmp")
-    )
-    return InvariantCheck(
-        "no-partial-artifacts",
-        not leftovers,
-        "" if not leftovers else f"leftover temp files: {', '.join(leftovers)}",
-    )
-
-
-def _reference_csv(
-    seed: int, systems: Tuple[int, ...], cache: Dict[Tuple[int, ...], bytes],
-    workdir: Path,
-) -> bytes:
-    """Unfaulted serial reference trace as CSV bytes (cached per inventory)."""
-    if systems not in cache:
-        trace = TraceGenerator(seed=seed).generate(list(systems))
-        path = workdir / f"reference-{'-'.join(map(str, systems))}.csv"
-        write_lanl_csv(trace, path)
-        cache[systems] = path.read_bytes()
-    return cache[systems]
-
-
-def _make_fs_spec(scenario: Scenario, seed: int, state_dir: Path) -> FsFaults:
-    return FsFaults(
-        operator=scenario.operator,
-        times=scenario.times,
-        state_dir=str(state_dir),
-        sites=scenario.sites,
-        path_contains=scenario.path_contains,
-        skip=scenario.skip,
-        seed=seed,
-        slow_seconds=0.01,
-    )
-
-
-def _run_generate(
-    scenario: Scenario, seed: int, scenario_dir: Path, reference: bytes
-) -> ScenarioOutcome:
-    """Drill a journaled generate run: fault, crash, resume, verify."""
-    run_dir = scenario_dir / "run"
-    state_dir = scenario_dir / "fault-state"
-    generator = TraceGenerator(seed=seed)
-    meta = generator.journal_meta()
-    supervision = SupervisionConfig() if scenario.supervised else None
-
-    fs_spec = process_spec = None
-    if scenario.fault == "fs":
-        fs_spec = _make_fs_spec(scenario, seed, state_dir)
-    elif scenario.fault == "process":
-        process_spec = ProcessChaos(
-            operator=scenario.operator,
-            times=scenario.times,
-            state_dir=str(state_dir),
-        )
-
-    trace: Optional[FailureTrace] = None
-    errors: List[str] = []
-    attempts = 0
-    with fsfaults_env(fs_spec), chaos_env(process_spec):
-        while trace is None and attempts < MAX_ATTEMPTS:
-            attempts += 1
-            resume = (run_dir / "meta.json").exists()
-            try:
-                journal = ShardJournal(run_dir, meta=meta, resume=resume)
-                trace = generator.generate(
-                    list(scenario.systems),
-                    workers=scenario.workers,
-                    supervision=supervision,
-                    journal=journal,
-                )
-            except Exception as exc:
-                errors.append(
-                    _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-                )
-
-    injections = 0
-    if fs_spec is not None:
-        injections = fs_spec.injections()
-    elif process_spec is not None:
-        injections = process_spec.injections()
-
-    invariants = [_no_partials(scenario_dir)]
-    if scenario.fault != "none":
-        invariants.append(
-            InvariantCheck(
-                "fault-injected",
-                injections >= 1,
-                "" if injections else "armed fault never fired",
-            )
-        )
-    journal_problems: List[str] = []
-    try:
-        journal_problems = ShardJournal(run_dir, meta=meta, resume=True).verify()
-    except Exception as exc:
-        journal_problems = [
-            _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-        ]
-    invariants.append(
-        InvariantCheck(
-            "journal-consistent",
-            not journal_problems,
-            "; ".join(journal_problems),
-        )
-    )
-    if trace is not None:
-        # The armed env is restored by now, so this write cannot fault.
-        trace_path = scenario_dir / "trace.csv"
-        write_lanl_csv(trace, trace_path)
-        identical = trace_path.read_bytes() == reference
-        invariants.append(
-            InvariantCheck(
-                "trace-identical",
-                identical,
-                "" if identical else "recovered trace differs from "
-                "unfaulted serial reference",
-            )
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=attempts,
-        completed=trace is not None,
-        injections=injections,
-        error="" if trace is not None else "; ".join(errors),
-        invariants=tuple(invariants),
-    )
-
-
-def _run_write(
-    scenario: Scenario, seed: int, scenario_dir: Path, reference: bytes
-) -> ScenarioOutcome:
-    """Drill a trace-writer overwrite: the original must survive a fault."""
-    trace = TraceGenerator(seed=seed).generate(list(scenario.systems))
-    write = write_lanl_csv if scenario.workflow == "write-csv" else write_jsonl
-    target = scenario_dir / (
-        "trace.csv" if scenario.workflow == "write-csv" else "trace.jsonl"
-    )
-    write(trace, target)  # pre-existing artifact the fault must not damage
-    original = target.read_bytes()
-
-    state_dir = scenario_dir / "fault-state"
-    fs_spec = _make_fs_spec(scenario, seed, state_dir)
-    attempts = 0
-    errors: List[str] = []
-    completed = False
-    original_survived = True
-    with fsfaults_env(fs_spec):
-        while not completed and attempts < MAX_ATTEMPTS:
-            attempts += 1
-            try:
-                write(trace, target)
-                completed = True
-            except Exception as exc:
-                errors.append(
-                    _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-                )
-                if target.read_bytes() != original:
-                    original_survived = False
-
-    injections = fs_spec.injections()
-    invariants = [
-        _no_partials(scenario_dir),
-        InvariantCheck(
-            "fault-injected",
-            injections >= 1,
-            "" if injections else "armed fault never fired",
-        ),
-        InvariantCheck(
-            "original-untouched",
-            original_survived,
-            "" if original_survived else "a failed write damaged the "
-            "pre-existing artifact",
-        ),
-    ]
-    if completed:
-        identical = target.read_bytes() == (
-            original if scenario.workflow == "write-jsonl" else reference
-        )
-        invariants.append(
-            InvariantCheck(
-                "trace-identical",
-                identical,
-                "" if identical else "rewritten artifact differs from the "
-                "unfaulted write",
-            )
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=attempts,
-        completed=completed,
-        injections=injections,
-        error="" if completed else "; ".join(errors),
-        invariants=tuple(invariants),
-    )
-
-
-def _run_write_store(
-    scenario: Scenario, seed: int, scenario_dir: Path, reference: bytes
-) -> ScenarioOutcome:
-    """Drill a journaled columnar-store write: fault, resume, verify.
-
-    The recovery invariants are the store's crash-safety contract: a
-    faulted write never publishes a manifest over missing shards
-    (``store verify`` comes back clean after recovery), and the
-    resumed store exports byte-identically to an unfaulted serial run.
-    """
-    from repro.store import ColumnarStore, export_store, verify_store
-
-    run_dir = scenario_dir / "run"
-    store_dir = scenario_dir / "store"
-    state_dir = scenario_dir / "fault-state"
-    generator = TraceGenerator(seed=seed)
-    meta = generator.journal_meta()
-    supervision = SupervisionConfig() if scenario.supervised else None
-
-    fs_spec = process_spec = None
-    if scenario.fault == "fs":
-        fs_spec = _make_fs_spec(scenario, seed, state_dir)
-    elif scenario.fault == "process":
-        process_spec = ProcessChaos(
-            operator=scenario.operator,
-            times=scenario.times,
-            state_dir=str(state_dir),
-        )
-
-    manifest = None
-    errors: List[str] = []
-    attempts = 0
-    with fsfaults_env(fs_spec), chaos_env(process_spec):
-        while manifest is None and attempts < MAX_ATTEMPTS:
-            attempts += 1
-            resume = (run_dir / "meta.json").exists()
-            try:
-                journal = ShardJournal(run_dir, meta=meta, resume=resume)
-                manifest = generator.generate_store(
-                    store_dir,
-                    list(scenario.systems),
-                    workers=scenario.workers,
-                    supervision=supervision,
-                    journal=journal,
-                )
-            except Exception as exc:
-                errors.append(
-                    _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-                )
-                # A faulted attempt must never present a complete store:
-                # either no manifest was published, or — when the fault
-                # hit a column file of an already-manifested directory —
-                # verification must catch the damage.
-                problems = verify_store(store_dir, deep=True)
-                if not problems:
-                    errors.append(
-                        "faulted store verified clean before recovery"
-                    )
-                    break
-
-    injections = 0
-    if fs_spec is not None:
-        injections = fs_spec.injections()
-    elif process_spec is not None:
-        injections = process_spec.injections()
-
-    invariants = [_no_partials(scenario_dir)]
-    if scenario.fault != "none":
-        invariants.append(
-            InvariantCheck(
-                "fault-injected",
-                injections >= 1,
-                "" if injections else "armed fault never fired",
-            )
-        )
-    journal_problems: List[str] = []
-    try:
-        journal_problems = ShardJournal(run_dir, meta=meta, resume=True).verify()
-    except Exception as exc:
-        journal_problems = [
-            _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-        ]
-    invariants.append(
-        InvariantCheck(
-            "journal-consistent",
-            not journal_problems,
-            "; ".join(journal_problems),
-        )
-    )
-    if manifest is not None:
-        problems = verify_store(store_dir, deep=True)
-        invariants.append(
-            InvariantCheck(
-                "store-verifies",
-                not problems,
-                "; ".join(_scrub(p, scenario_dir) for p in problems),
-            )
-        )
-        # The armed env is restored by now, so this export cannot fault.
-        export_path = scenario_dir / "trace.csv"
-        export_store(ColumnarStore(store_dir), export_path)
-        identical = export_path.read_bytes() == reference
-        invariants.append(
-            InvariantCheck(
-                "trace-identical",
-                identical,
-                "" if identical else "recovered store exports differently "
-                "from the unfaulted serial reference",
-            )
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=attempts,
-        completed=manifest is not None,
-        injections=injections,
-        error="" if manifest is not None else "; ".join(errors),
-        invariants=tuple(invariants),
-    )
-
-
-def _run_scrub_store(
-    scenario: Scenario, seed: int, scenario_dir: Path, reference: bytes
-) -> ScenarioOutcome:
-    """Drill the self-healing loop under filesystem faults.
-
-    Build a store, damage two shards deterministically (deleted column
-    file + bit flip), scrub under the armed fault until the quarantine
-    ledger lands, then assert the contract: a degraded read completes
-    with exact skipped-row accounting even mid-heal, and repair from
-    the source trace restores the store to a byte-identical,
-    deep-verifying state.
-    """
-    from repro.store import (
-        ColumnarStore,
-        export_store,
-        repair_store,
-        scrub_store,
-        store_from_trace,
-        summarize_store,
-        verify_store,
-    )
-
-    trace = TraceGenerator(seed=seed).generate(list(scenario.systems))
-    store_dir = scenario_dir / "store"
-    store_from_trace(trace, store_dir, shard_rows=100)
-    shards = sorted(
-        p.name for p in (store_dir / "shards").glob("*-start_time.npy")
-    )
-    first = shards[0].split("-")[0]
-    second = shards[1].split("-")[0] if len(shards) > 1 else first
-    (store_dir / "shards" / f"{first}-node_id.npy").unlink()
-    victim = store_dir / "shards" / f"{second}-root_cause.npy"
-    payload = bytearray(victim.read_bytes())
-    payload[-1] ^= 0x01
-    victim.write_bytes(bytes(payload))
-    damaged = sorted({first, second})
-
-    state_dir = scenario_dir / "fault-state"
-    fs_spec = _make_fs_spec(scenario, seed, state_dir)
-    attempts = 0
-    errors: List[str] = []
-    scrub_report = None
-    with fsfaults_env(fs_spec):
-        while scrub_report is None and attempts < MAX_ATTEMPTS:
-            attempts += 1
-            try:
-                scrub_report = scrub_store(store_dir)
-            except Exception as exc:
-                errors.append(
-                    _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-                )
-
-    injections = fs_spec.injections()
-    invariants = [_no_partials(scenario_dir)]
-    if scenario.fault != "none":
-        invariants.append(
-            InvariantCheck(
-                "fault-injected",
-                injections >= 1,
-                "" if injections else "armed fault never fired",
-            )
-        )
-    # Even between a crashed scrub and its retry, a degraded read must
-    # complete and account for exactly the rows it could not reach.
-    degraded_ok = False
-    degraded_detail = ""
-    try:
-        handle = ColumnarStore(store_dir, on_damage="skip")
-        summary = summarize_store(handle)
-        degraded_ok = (
-            summary.rows + handle.degraded.rows_skipped
-            == handle.manifest.row_count
-        )
-        if not degraded_ok:
-            degraded_detail = (
-                f"rows {summary.rows} + skipped "
-                f"{handle.degraded.rows_skipped} != manifest "
-                f"{handle.manifest.row_count}"
-            )
-    except Exception as exc:
-        degraded_detail = _scrub(
-            f"{type(exc).__name__}: {exc}", scenario_dir
-        )
-    invariants.append(
-        InvariantCheck("degraded-read-completes", degraded_ok, degraded_detail)
-    )
-    if scrub_report is not None:
-        quarantined_ok = sorted(scrub_report.quarantined) == damaged
-        invariants.append(
-            InvariantCheck(
-                "damage-quarantined",
-                quarantined_ok,
-                "" if quarantined_ok else (
-                    f"expected shards {damaged} quarantined, got "
-                    f"{sorted(scrub_report.quarantined)}"
-                ),
-            )
-        )
-        roundtrip_ok = False
-        roundtrip_detail = ""
-        try:
-            repair = repair_store(store_dir, trace)
-            if not repair.ok:
-                roundtrip_detail = "repair left shards quarantined"
-            else:
-                problems = verify_store(store_dir, deep=True)
-                if problems:
-                    roundtrip_detail = "; ".join(
-                        _scrub(p, scenario_dir) for p in problems
-                    )
-                else:
-                    export_path = scenario_dir / "trace.csv"
-                    export_store(ColumnarStore(store_dir), export_path)
-                    roundtrip_ok = export_path.read_bytes() == reference
-                    if not roundtrip_ok:
-                        roundtrip_detail = (
-                            "repaired store exports differently from the "
-                            "unfaulted serial reference"
-                        )
-        except Exception as exc:
-            roundtrip_detail = _scrub(
-                f"{type(exc).__name__}: {exc}", scenario_dir
-            )
-        invariants.append(
-            InvariantCheck(
-                "quarantine-repair-roundtrip", roundtrip_ok, roundtrip_detail
-            )
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=attempts,
-        completed=scrub_report is not None,
-        injections=injections,
-        error="" if scrub_report is not None else "; ".join(errors),
-        invariants=tuple(invariants),
-    )
-
-
-def _run_merge_store(
-    scenario: Scenario, seed: int, scenario_dir: Path, reference: bytes
-) -> ScenarioOutcome:
-    """Drill a federated merge under filesystem faults.
-
-    Two single-system source stores merge into a new one while faults
-    tear column writes or the manifest publish.  The publish invariant
-    is checked after every failed attempt: if a manifest exists at all,
-    it must not reference missing shard files.  After recovery the
-    merged store must deep-verify and export byte-identically to the
-    unfaulted serial reference of the combined inventory.
-    """
-    from repro.store import (
-        ColumnarStore,
-        export_store,
-        merge_stores,
-        store_from_trace,
-        verify_store,
-    )
-
-    trace = TraceGenerator(seed=seed).generate(list(scenario.systems))
-    sources = []
-    for index, system_id in enumerate(scenario.systems):
-        source_dir = scenario_dir / f"source-{index}"
-        store_from_trace(
-            trace.filter_systems([system_id]), source_dir, shard_rows=100
-        )
-        sources.append(source_dir)
-    merged_dir = scenario_dir / "merged"
-
-    state_dir = scenario_dir / "fault-state"
-    fs_spec = _make_fs_spec(scenario, seed, state_dir)
-    attempts = 0
-    errors: List[str] = []
-    manifest = None
-    publish_ok = True
-    publish_detail = ""
-    with fsfaults_env(fs_spec):
-        while manifest is None and attempts < MAX_ATTEMPTS:
-            attempts += 1
-            try:
-                manifest = merge_stores(merged_dir, sources, shard_rows=100)
-            except Exception as exc:
-                errors.append(
-                    _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-                )
-                if (merged_dir / "manifest.json").exists():
-                    missing = [
-                        p
-                        for p in verify_store(merged_dir, deep=False)
-                        if "missing" in p
-                    ]
-                    if missing:
-                        publish_ok = False
-                        publish_detail = "; ".join(
-                            _scrub(p, scenario_dir) for p in missing
-                        )
-
-    injections = fs_spec.injections()
-    invariants = [
-        _no_partials(scenario_dir),
-        InvariantCheck(
-            "fault-injected",
-            injections >= 1,
-            "" if injections else "armed fault never fired",
-        ),
-        InvariantCheck(
-            "publish-never-references-missing", publish_ok, publish_detail
-        ),
-    ]
-    if manifest is not None:
-        problems = verify_store(merged_dir, deep=True)
-        invariants.append(
-            InvariantCheck(
-                "store-verifies",
-                not problems,
-                "; ".join(_scrub(p, scenario_dir) for p in problems),
-            )
-        )
-        export_path = scenario_dir / "trace.csv"
-        export_store(ColumnarStore(merged_dir), export_path)
-        identical = export_path.read_bytes() == reference
-        invariants.append(
-            InvariantCheck(
-                "trace-identical",
-                identical,
-                "" if identical else "merged store exports differently "
-                "from the unfaulted serial reference",
-            )
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=attempts,
-        completed=manifest is not None,
-        injections=injections,
-        error="" if manifest is not None else "; ".join(errors),
-        invariants=tuple(invariants),
-    )
-
-
-def _run_serve(
-    scenario: Scenario, seed: int, scenario_dir: Path
-) -> ScenarioOutcome:
-    """Drill the analytics service under live traffic.
-
-    Boots a real :class:`~repro.serve.server.ServerThread` over a
-    freshly built store and issues **sequential** HTTP requests (the
-    scorecard is byte-compared in CI, so every invariant must be a
-    deterministic boolean).  The serving contract under test:
-
-    * no request ever gets a 5xx or a hung connection — damage and
-      injected faults surface as degraded/stale answers or honest 429s;
-    * responses on an undamaged store are byte-identical to the
-      equivalent ``repro store analyze --json`` output;
-    * quarantining a shard mid-traffic (``mode="quarantine"``)
-      invalidates the result cache and flips responses to
-      degraded-with-coverage, never errors;
-    * repairing the store mid-traffic (``mode="repair"``) restores
-      complete, byte-identical answers;
-    * the SIGTERM-equivalent drain completes with in-flight work done.
-    """
-    import json as _json
-
-    from repro.serve import ServeConfig, ServerThread
-    from repro.serve.client import get
-    from repro.store import (
-        ColumnarStore,
-        Predicate,
-        repair_store,
-        scrub_store,
-        store_from_trace,
-        summarize_store,
-    )
-
-    trace = TraceGenerator(seed=seed).generate(list(scenario.systems))
-    store_dir = scenario_dir / "store"
-    store_from_trace(trace, store_dir, shard_rows=100)
-
-    def dump(payload: dict) -> str:
-        return _json.dumps(payload, indent=2, sort_keys=True)
-
-    # References computed on the pristine store, before any damage.
-    reference_full = dump(summarize_store(ColumnarStore(store_dir)).to_dict())
-    reference_by_system = {
-        system: dump(
-            summarize_store(
-                ColumnarStore(store_dir),
-                predicate=Predicate.build(systems=[system]),
-            ).to_dict()
-        )
-        for system in scenario.systems
-    }
-
-    fs_spec = None
-    if scenario.fault == "fs":
-        fs_spec = _make_fs_spec(scenario, seed, scenario_dir / "fault-state")
-
-    # A long breaker cooldown keeps half-open probes (wall-clock
-    # dependent) out of the drill window, so the rung each request
-    # lands on is a pure function of the request sequence.
-    config = ServeConfig(
-        port=0, max_concurrency=2, max_queue=8, breaker_cooldown=600.0
-    )
-
-    statuses: List[int] = []
-    hung: List[str] = []
-    wellformed = True
-    baseline_identical = True
-    degraded_with_coverage = False
-    stale_seen = False
-    cache_invalidated = True
-    repaired_identical = True
-    drain_clean = True
-
-    def query_paths() -> List[Tuple[str, str]]:
-        """(path, reference) pairs covering the full and per-system views."""
-        pairs = [("/v1/summary", reference_full)]
-        pairs.extend(
-            (f"/v1/analyze?system={system}", reference_by_system[system])
-            for system in scenario.systems
-        )
-        return pairs
-
-    try:
-        with ServerThread(store_dir, config) as handle:
-            def request(path: str):
-                try:
-                    response = get(handle.host, handle.port, path, timeout=60.0)
-                except OSError as exc:
-                    hung.append(
-                        _scrub(f"{type(exc).__name__}: {exc}", scenario_dir)
-                    )
-                    return None
-                statuses.append(response.status)
-                return response
-
-            def check_meta(response) -> None:
-                nonlocal wellformed, degraded_with_coverage, stale_seen
-                meta = response.meta()
-                if not all(
-                    key in meta for key in ("degraded", "stale", "coverage")
-                ):
-                    wellformed = False
-                    return
-                if meta["stale"]:
-                    stale_seen = True
-                if meta["degraded"] and isinstance(meta["coverage"], dict):
-                    if any(value < 1.0 for value in meta["coverage"].values()):
-                        degraded_with_coverage = True
-
-            # Phase A: clean traffic; warms the cache and the last-good
-            # stale fallback, and proves byte-identity with the batch path.
-            request("/healthz")
-            request("/readyz")
-            for path, reference in query_paths():
-                response = request(path)
-                if response is None or response.status != 200:
-                    baseline_identical = False
-                    continue
-                check_meta(response)
-                if dump(response.body.get("data", {})) != reference:
-                    baseline_identical = False
-
-            # Mid-traffic damage: quarantine the first shard while the
-            # service keeps answering.
-            if scenario.mode in ("quarantine", "repair"):
-                victim = sorted(
-                    (store_dir / "shards").glob("*-node_id.npy")
-                )[0]
-                victim.unlink()
-                scrub_store(store_dir)
-
-            # Phase B: drilled traffic (fault armed if the scenario has
-            # one).  Two passes over the query mix exercise the ladder
-            # past the breaker threshold.
-            def drilled_paths(pass_index: int) -> List[str]:
-                if scenario.mode in ("quarantine", "repair"):
-                    # Re-issue the warmed queries: the rewritten ledger
-                    # must invalidate them, and the stale fallback needs
-                    # matching keys.
-                    return [path for path, _ in query_paths()]
-                # Clean store, unchanged generation: bust the cache with
-                # an all-admitting time window that varies per pass, so
-                # every request really scans (and hits the armed fault).
-                window = f"t_min={-1.0 - pass_index:g}"
-                return [f"/v1/analyze?{window}"] + [
-                    f"/v1/analyze?system={system}&{window}"
-                    for system in scenario.systems
-                ]
-
-            def drilled_traffic() -> None:
-                nonlocal cache_invalidated
-                first = True
-                for pass_index in range(2):
-                    for path in drilled_paths(pass_index):
-                        response = request(path)
-                        if response is None or response.status not in (200, 429):
-                            continue
-                        if response.status == 200:
-                            check_meta(response)
-                            if (
-                                first
-                                and scenario.mode in ("quarantine", "repair")
-                                and response.meta().get("cache") == "hit"
-                            ):
-                                # Quarantine rewrote the ledger, so the
-                                # pre-damage cache entry must not serve.
-                                cache_invalidated = False
-                        first = False
-
-            if fs_spec is not None:
-                with fsfaults_env(fs_spec):
-                    drilled_traffic()
-            else:
-                drilled_traffic()
-
-            # Phase C: heal under live traffic, then answers must be
-            # complete and byte-identical again.
-            if scenario.mode == "repair":
-                repair_store(store_dir, trace)
-                for path, reference in query_paths():
-                    response = request(path)
-                    if response is None or response.status != 200:
-                        repaired_identical = False
-                        continue
-                    meta = response.meta()
-                    if meta.get("degraded") or meta.get("stale"):
-                        repaired_identical = False
-                    elif dump(response.body.get("data", {})) != reference:
-                        repaired_identical = False
-            request("/v1/stats")
-    except Exception as exc:
-        drain_clean = False
-        hung.append(_scrub(f"{type(exc).__name__}: {exc}", scenario_dir))
-
-    injections = fs_spec.injections() if fs_spec is not None else 0
-    bad_statuses = sorted({s for s in statuses if s not in (200, 429)})
-    invariants = [
-        _no_partials(scenario_dir),
-        InvariantCheck(
-            "no-5xx-no-hangs",
-            not bad_statuses and not hung,
-            "" if not bad_statuses and not hung else (
-                f"statuses {bad_statuses}; connection errors: "
-                f"{'; '.join(hung)}"
-            ),
-        ),
-        InvariantCheck(
-            "responses-well-formed",
-            wellformed,
-            "" if wellformed else "a 200 response lacked degraded/stale/"
-            "coverage metadata",
-        ),
-        InvariantCheck(
-            "baseline-identical",
-            baseline_identical,
-            "" if baseline_identical else "pristine-store responses differ "
-            "from the batch analyze output",
-        ),
-        InvariantCheck(
-            "drain-clean",
-            drain_clean,
-            "" if drain_clean else "graceful drain failed: "
-            + "; ".join(hung[-1:]),
-        ),
-    ]
-    if scenario.fault != "none":
-        invariants.append(
-            InvariantCheck(
-                "fault-injected",
-                injections >= 1,
-                "" if injections else "armed fault never fired",
-            )
-        )
-    if scenario.mode in ("quarantine", "repair"):
-        invariants.append(
-            InvariantCheck(
-                "degraded-metadata",
-                degraded_with_coverage or stale_seen,
-                "" if degraded_with_coverage or stale_seen else (
-                    "no response carried degraded coverage or stale "
-                    "metadata after mid-traffic quarantine"
-                ),
-            )
-        )
-        invariants.append(
-            InvariantCheck(
-                "cache-invalidated",
-                cache_invalidated,
-                "" if cache_invalidated else "a pre-quarantine cache entry "
-                "served after the ledger changed",
-            )
-        )
-    if scenario.mode == "repair":
-        invariants.append(
-            InvariantCheck(
-                "repaired-identical",
-                repaired_identical,
-                "" if repaired_identical else "post-repair responses are "
-                "not complete and byte-identical",
-            )
-        )
-    completed = drain_clean and not hung
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=1,
-        completed=completed,
-        injections=injections,
-        error="" if completed else "; ".join(hung),
-        invariants=tuple(invariants),
-    )
-
-
-def _run_corruption(
-    scenario: Scenario, seed: int, scenario_dir: Path
-) -> ScenarioOutcome:
-    """Drill corrupt -> ingest (-> report): degrade, never crash."""
-    trace = TraceGenerator(seed=seed).generate(list(scenario.systems))
-    run_report = scenario.workflow == "report"
-    try:
-        report = chaos_roundtrip(
-            trace,
-            seed=seed,
-            rate=scenario.rate,
-            mode=scenario.mode,
-            workdir=scenario_dir / "roundtrip",
-            run_report=run_report,
-        )
-    except Exception as exc:
-        return ScenarioOutcome(
-            scenario=scenario,
-            attempts=1,
-            completed=False,
-            injections=0,
-            error=_scrub(f"{type(exc).__name__}: {exc}", scenario_dir),
-            invariants=(_no_partials(scenario_dir),),
-        )
-
-    invariants = [
-        _no_partials(scenario_dir),
-        InvariantCheck(
-            "fault-injected",
-            report.corruption.n_corrupted >= 1,
-            "" if report.corruption.n_corrupted else "injector corrupted "
-            "zero rows",
-        ),
-        InvariantCheck(
-            "ingest-survives",
-            report.survived,
-            "" if report.survived else "ingest blew its error budget",
-        ),
-    ]
-    if run_report:
-        paper = report.paper
-        crashed = [] if paper is None else [
-            section.name for section in paper.sections
-            if section.status == "failed"
-        ]
-        invariants.append(
-            InvariantCheck(
-                "report-degrades",
-                paper is not None and not crashed,
-                "paper report did not run" if paper is None
-                else ("" if not crashed else f"sections crashed: {', '.join(crashed)}"),
-            )
-        )
-    return ScenarioOutcome(
-        scenario=scenario,
-        attempts=1,
-        completed=report.survived,
-        injections=report.corruption.n_corrupted,
-        error="",
-        invariants=tuple(invariants),
-    )
-
 
 def run_scenario(
     scenario: Scenario,
@@ -1277,26 +1093,7 @@ def run_scenario(
         fault=scenario.fault,
     ) as span:
         try:
-            if scenario.workflow == "generate":
-                outcome = _run_generate(scenario, seed, scenario_dir, reference)
-            elif scenario.workflow in ("write-csv", "write-jsonl"):
-                outcome = _run_write(scenario, seed, scenario_dir, reference)
-            elif scenario.workflow == "write-store":
-                outcome = _run_write_store(
-                    scenario, seed, scenario_dir, reference
-                )
-            elif scenario.workflow == "scrub-store":
-                outcome = _run_scrub_store(
-                    scenario, seed, scenario_dir, reference
-                )
-            elif scenario.workflow == "merge-store":
-                outcome = _run_merge_store(
-                    scenario, seed, scenario_dir, reference
-                )
-            elif scenario.workflow == "serve":
-                outcome = _run_serve(scenario, seed, scenario_dir)
-            else:
-                outcome = _run_corruption(scenario, seed, scenario_dir)
+            outcome = _drill_loop(scenario, seed, scenario_dir, reference)
         except Exception as exc:  # a drill must never take down the campaign
             outcome = ScenarioOutcome(
                 scenario=scenario,
@@ -1361,10 +1158,7 @@ def run_campaign(
         for scenario in scenarios:
             begin = time.perf_counter()
             reference = b""
-            if scenario.workflow in (
-                "generate", "write-csv", "write-store",
-                "scrub-store", "merge-store",
-            ):
+            if _WORKFLOW_TABLE[scenario.workflow].needs_reference:
                 reference = _reference_csv(
                     seed, scenario.systems, reference_cache, root
                 )

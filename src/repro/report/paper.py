@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -53,10 +53,20 @@ __all__ = [
     "render_figure7",
     "SectionResult",
     "PaperReport",
+    "SECTIONS",
+    "trace_sections",
+    "run_sections",
     "run_paper_report",
 ]
 
 ERA_BOUNDARY = from_datetime(_dt.datetime(2000, 1, 1))
+
+#: The paper's sections in report order.  Both report paths render them
+#: in this order, and ``repro report --artifact`` takes these names.
+SECTIONS = (
+    "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table2",
+    "fig7", "table3",
+)
 
 
 def render_table1(trace: FailureTrace) -> str:
@@ -445,6 +455,63 @@ class PaperReport:
         return divider.join(parts)
 
 
+def trace_sections(trace: FailureTrace) -> Dict[str, Callable[[], str]]:
+    """Each section's renderer over a materialized trace, by name."""
+    return {
+        "table1": lambda: render_table1(trace),
+        "fig1": lambda: render_figure1(trace),
+        "fig2": lambda: render_figure2(trace),
+        "fig3": lambda: render_figure3(trace),
+        "fig4": lambda: render_figure4(trace),
+        "fig5": lambda: render_figure5(trace),
+        "fig6": lambda: render_figure6(trace.filter_systems([20])),
+        "table2": lambda: render_table2(trace),
+        "fig7": lambda: render_figure7(trace),
+        "table3": render_table3,
+    }
+
+
+def run_sections(
+    builders: Mapping[str, Callable[[], str]],
+    degraded_read=None,
+    *,
+    partial: bool = False,
+    span: str = "report",
+) -> PaperReport:
+    """Render ``builders`` in :data:`SECTIONS` order, isolating failures.
+
+    A :class:`DegenerateSampleError` degrades its section (the data is
+    too thin for it); any other exception fails it, unless
+    ``degraded_read`` is truthy: the input is known to be incomplete, so
+    a section that cannot cope is a data gap, not a report bug.
+    ``partial`` marks every section as computed from a truncated scan.
+    """
+    from repro import obs
+
+    names = [name for name in SECTIONS if name in builders]
+    sections = []
+    with obs.span(span, sections=len(names)):
+        for name in names:
+            try:
+                with obs.span("report.section", section=name):
+                    section = SectionResult(
+                        name=name,
+                        status="ok",
+                        text=builders[name](),
+                        partial=partial,
+                    )
+            except Exception as exc:  # noqa: BLE001 — isolation is the point
+                thin = degraded_read or isinstance(exc, DegenerateSampleError)
+                section = SectionResult(
+                    name=name,
+                    status="degraded" if thin else "failed",
+                    error=f"{type(exc).__name__}: {exc}",
+                    partial=partial,
+                )
+            sections.append(section)
+    return PaperReport(sections=tuple(sections))
+
+
 def run_paper_report(
     trace: FailureTrace = None,
     degraded_read=None,
@@ -490,45 +557,7 @@ def run_paper_report(
         return run_store_report(store, **kwargs).report
     if trace is None:
         raise ValueError("run_paper_report needs a trace or a store")
-    renderers = (
-        ("table1", lambda: render_table1(trace)),
-        ("fig1", lambda: render_figure1(trace)),
-        ("fig2", lambda: render_figure2(trace)),
-        ("fig3", lambda: render_figure3(trace)),
-        ("fig4", lambda: render_figure4(trace)),
-        ("fig5", lambda: render_figure5(trace)),
-        ("fig6", lambda: render_figure6(trace.filter_systems([20]))),
-        ("table2", lambda: render_table2(trace)),
-        ("fig7", lambda: render_figure7(trace)),
-        ("table3", render_table3),
-    )
-    from repro import obs
-
-    sections = []
-    with obs.span("report", sections=len(renderers)):
-        for name, renderer in renderers:
-            try:
-                with obs.span("report.section", section=name):
-                    sections.append(
-                        SectionResult(name=name, status="ok", text=renderer())
-                    )
-            except DegenerateSampleError as exc:
-                sections.append(
-                    SectionResult(
-                        name=name,
-                        status="degraded",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                sections.append(
-                    SectionResult(
-                        name=name,
-                        status="degraded" if degraded_read else "failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-    return PaperReport(sections=tuple(sections))
+    return run_sections(trace_sections(trace), degraded_read)
 
 
 def render_figure7(trace: FailureTrace) -> str:

@@ -41,13 +41,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.analysis.errors import DegenerateSampleError
 from repro.analysis.outofcore import PaperAccumulator, scan_store
 from repro.report.charts import cdf_plot_weighted
 from repro.report.paper import (
     PaperReport,
-    SectionResult,
     _format_figure1,
     _format_figure2,
     _format_figure3,
@@ -58,6 +56,7 @@ from repro.report.paper import (
     _format_table1,
     _format_table2,
     render_table3,
+    run_sections,
 )
 from repro.resilience.deadline import Deadline
 from repro.stats.streamfit import sketch_empirical, sketch_fit_all
@@ -180,9 +179,9 @@ def run_store_report(
 
     One streaming scan (see :func:`repro.analysis.outofcore.scan_store`
     for the serial/parallel/deadline semantics), then per-section
-    rendering with the same error isolation as
-    :func:`~repro.report.paper.run_paper_report`: a
-    :class:`DegenerateSampleError` degrades the section, anything else
+    rendering through :func:`~repro.report.paper.run_sections`, the
+    same error isolation as :func:`~repro.report.paper.run_paper_report`:
+    a :class:`DegenerateSampleError` degrades the section, anything else
     fails it — unless the store read itself was degraded
     (``on_damage="skip"`` with shards skipped), in which case every
     section exception classifies as degraded.
@@ -195,57 +194,28 @@ def run_store_report(
         batch_rows=batch_rows,
     )
     degraded_read = bool(store.degraded)
-    builders = (
-        ("table1", lambda: _format_table1(accumulator.systems)),
-        ("fig1", lambda: _format_figure1(*accumulator.cause_breakdowns())),
-        (
-            "fig2",
-            lambda: _format_figure2(
-                accumulator.failure_rates(), accumulator.variability()
-            ),
+    builders = {
+        "table1": lambda: _format_table1(accumulator.systems),
+        "fig1": lambda: _format_figure1(*accumulator.cause_breakdowns()),
+        "fig2": lambda: _format_figure2(
+            accumulator.failure_rates(), accumulator.variability()
         ),
-        ("fig3", lambda: _figure3_section(accumulator)),
-        ("fig4", lambda: _format_figure4(accumulator.lifecycle_curves())),
-        ("fig5", lambda: _format_figure5(accumulator.periodicity())),
-        ("fig6", lambda: _figure6_section(accumulator)),
-        ("table2", lambda: _format_table2(accumulator.repair_rows())),
-        ("fig7", lambda: _figure7_section(accumulator)),
-        ("table3", render_table3),
+        "fig3": lambda: _figure3_section(accumulator),
+        "fig4": lambda: _format_figure4(accumulator.lifecycle_curves()),
+        "fig5": lambda: _format_figure5(accumulator.periodicity()),
+        "fig6": lambda: _figure6_section(accumulator),
+        "table2": lambda: _format_table2(accumulator.repair_rows()),
+        "fig7": lambda: _figure7_section(accumulator),
+        "table3": render_table3,
+    }
+    report = run_sections(
+        builders,
+        degraded_read,
+        partial=partial is not None,
+        span="report.streaming",
     )
-    is_partial = partial is not None
-    sections = []
-    with obs.span("report.streaming", sections=len(builders)):
-        for name, builder in builders:
-            try:
-                with obs.span("report.section", section=name):
-                    sections.append(
-                        SectionResult(
-                            name=name,
-                            status="ok",
-                            text=builder(),
-                            partial=is_partial,
-                        )
-                    )
-            except DegenerateSampleError as exc:
-                sections.append(
-                    SectionResult(
-                        name=name,
-                        status="degraded",
-                        error=f"{type(exc).__name__}: {exc}",
-                        partial=is_partial,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                sections.append(
-                    SectionResult(
-                        name=name,
-                        status="degraded" if degraded_read else "failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        partial=is_partial,
-                    )
-                )
     return StoreReport(
-        report=PaperReport(sections=tuple(sections)),
+        report=report,
         partial=partial,
         degraded=store.degraded.to_dict() if degraded_read else None,
     )

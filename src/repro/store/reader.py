@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -151,6 +152,18 @@ class DegradedReadReport:
         )
 
 
+#: ``np.load`` parses a ``.npy`` header with ``ast.literal_eval``, which
+#: CPython 3.11 cannot run on two threads at once ("AST constructor
+#: recursion depth mismatch"), and the server scans on several threads.
+_OPEN_LOCK = threading.Lock()
+
+
+def _open_column(path: Path) -> np.ndarray:
+    """Memory-map one column file, parsing one header at a time."""
+    with _OPEN_LOCK:
+        return np.load(path, mmap_mode="r")
+
+
 @dataclass
 class _ShardCursor:
     """Lazily-opened memory maps of one shard's column files."""
@@ -166,7 +179,7 @@ class _ShardCursor:
             # failing disks on the *serving* path (one hook per shard
             # per column — the mmap'd reads themselves stay hook-free).
             fs_fault_hook("store.read.column", self.paths[name])
-            array = np.load(self.paths[name], mmap_mode="r")
+            array = _open_column(self.paths[name])
             self.arrays[name] = array
         return array
 
@@ -194,7 +207,7 @@ def diagnose_shard(root, shard: ShardInfo, deep: bool = True) -> List[Tuple[str,
             )
             continue
         try:
-            array = np.load(path, mmap_mode="r")
+            array = _open_column(path)
         except Exception as exc:
             findings.append(
                 (
@@ -395,7 +408,7 @@ class ColumnarStore:
             if not path.exists():
                 return f"missing {path.name}"
             try:
-                array = np.load(path, mmap_mode="r")
+                array = _open_column(path)
             except Exception as exc:
                 return f"unreadable {path.name}: {type(exc).__name__}"
             if array.shape != (shard.rows,):

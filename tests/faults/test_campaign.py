@@ -107,7 +107,9 @@ class TestScenarioDrills:
         def explode(*args, **kwargs):
             raise RuntimeError("drill bug")
 
-        monkeypatch.setattr(campaign_mod, "_run_generate", explode)
+        monkeypatch.setitem(
+            campaign_mod._WORKFLOW_TABLE, "generate", campaign_mod._Workflow(explode)
+        )
         outcome = run_scenario(Scenario("boom", "generate"), 7, tmp_path / "s")
         assert not outcome.ok
         assert "harness error" in outcome.error

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import shutil
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from repro.store import ColumnarStore, store_from_trace, summarize_store
@@ -145,3 +147,43 @@ class TestConcurrentReaders:
         assert not errors, errors
         for output in outputs:
             assert repr(output) == repr(serial)
+
+    def test_header_parses_never_overlap(self, pristine, monkeypatch):
+        """``np.load`` parses ``.npy`` headers with ``ast.literal_eval``,
+        which CPython 3.11 cannot run on two threads at once, so the
+        reader opens one column file at a time."""
+        real_load = np.load
+        counter = threading.Lock()
+        inside = peak = 0
+
+        def probe(*args, **kwargs):
+            nonlocal inside, peak
+            with counter:
+                inside += 1
+                peak = max(peak, inside)
+            try:
+                time.sleep(0.001)
+                return real_load(*args, **kwargs)
+            finally:
+                with counter:
+                    inside -= 1
+
+        monkeypatch.setattr(np, "load", probe)
+        start = threading.Barrier(4)
+        errors = []
+
+        def work():
+            try:
+                start.wait(timeout=30)
+                summarize_store(ColumnarStore(pristine))
+            except Exception as exc:  # noqa: BLE001 - surfaced via the test
+                errors.append(f"{type(exc).__name__}: {exc}")
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert peak == 1

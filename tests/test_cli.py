@@ -57,6 +57,12 @@ class TestReadSideCommands:
         assert main(["report", trace_csv, "--artifact", "fig5"]) == 0
         assert "peak/trough" in capsys.readouterr().out
 
+    def test_report_section_unavailable(self, trace_csv, capsys):
+        # The trace has no system 20, so Figure 6 cannot render: like the
+        # store path, the section says why and the command exits 1.
+        assert main(["report", trace_csv, "--artifact", "fig6"]) == 1
+        assert "[fig6 unavailable on this trace: " in capsys.readouterr().out
+
     def test_availability(self, trace_csv, capsys):
         assert main(["availability", trace_csv]) == 0
         out = capsys.readouterr().out
