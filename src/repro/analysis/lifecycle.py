@@ -14,12 +14,19 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.records.codes import CAUSE_CODE, CAUSE_VOCAB
 from repro.records.record import HIGH_LEVEL_CAUSES, RootCause
-from repro.records.timeutils import SECONDS_PER_MONTH, month_index
+from repro.records.timeutils import SECONDS_PER_MONTH
 from repro.records.trace import FailureTrace
 from repro.synth.lifecycle import LifecycleShape
 
-__all__ = ["LifecycleCurve", "monthly_failures", "classify_lifecycle"]
+__all__ = [
+    "LifecycleCurve",
+    "monthly_failures",
+    "month_cause_counts",
+    "curve_from_counts",
+    "classify_lifecycle",
+]
 
 
 @dataclass(frozen=True)
@@ -54,24 +61,51 @@ class LifecycleCurve:
         return np.convolve(values, kernel, mode="valid")
 
 
+def month_cause_counts(
+    starts: np.ndarray, causes: np.ndarray, origin: float, months: int
+) -> np.ndarray:
+    """Failures per (month, cause code), shape ``(months, causes)``.
+
+    Months are :func:`~repro.records.timeutils.month_index` bins from
+    ``origin``, vectorized; starts past the last bin (end-of-window
+    records) land in it.  No start may precede ``origin``.
+    """
+    bins = np.minimum(
+        ((starts - origin) // SECONDS_PER_MONTH).astype(np.int64), months - 1
+    )
+    flat = bins * len(CAUSE_VOCAB) + causes
+    return np.bincount(flat, minlength=months * len(CAUSE_VOCAB)).reshape(
+        months, len(CAUSE_VOCAB)
+    )
+
+
+def curve_from_counts(system_id: int, counts: np.ndarray) -> LifecycleCurve:
+    """A :class:`LifecycleCurve` from :func:`month_cause_counts` output."""
+    return LifecycleCurve(
+        system_id=system_id,
+        months=len(counts),
+        totals=tuple(int(v) for v in counts.sum(axis=1)),
+        by_cause={
+            cause: tuple(int(v) for v in counts[:, CAUSE_CODE[cause]])
+            for cause in HIGH_LEVEL_CAUSES
+        },
+    )
+
+
 def monthly_failures(trace: FailureTrace, system_id: int) -> LifecycleCurve:
     """Figure 4: failures per month of production age, by root cause."""
     config = trace.systems[system_id]
     start, end = config.production_window(trace.data_start, trace.data_end)
     n_months = int((end - start) // SECONDS_PER_MONTH) + 1
-    totals = np.zeros(n_months, dtype=int)
-    by_cause = {cause: np.zeros(n_months, dtype=int) for cause in HIGH_LEVEL_CAUSES}
-    for record in trace.filter_systems([system_id]):
-        month = month_index(record.start_time, start)
-        if month >= n_months:  # end-of-window records land in the last bin
-            month = n_months - 1
-        totals[month] += 1
-        by_cause[record.root_cause][month] += 1
-    return LifecycleCurve(
-        system_id=system_id,
-        months=n_months,
-        totals=tuple(int(v) for v in totals),
-        by_cause={cause: tuple(int(v) for v in values) for cause, values in by_cause.items()},
+    rows = trace.filter_systems([system_id]).columns
+    starts = rows["start_time"]
+    early = starts < start
+    if early.any():
+        raise ValueError(
+            f"timestamp {float(starts[np.argmax(early)])} precedes origin {start}"
+        )
+    return curve_from_counts(
+        system_id, month_cause_counts(starts, rows["root_cause"], start, n_months)
     )
 
 

@@ -34,21 +34,28 @@ import numpy as np
 
 from repro import obs
 from repro.analysis.errors import DegenerateSampleError
-from repro.analysis.lifecycle import LifecycleCurve
-from repro.analysis.pernode import NodeCountStudy, node_count_study_from_counts
-from repro.analysis.periodicity import PeriodicityStudy
+from repro.analysis.lifecycle import (
+    LifecycleCurve,
+    curve_from_counts,
+    month_cause_counts,
+)
+from repro.analysis.pernode import (
+    NodeCountStudy,
+    first_workloads,
+    node_count_study_from_counts,
+)
+from repro.analysis.periodicity import (
+    PeriodicityStudy,
+    hour_counts,
+    periodicity_from_counts,
+    weekday_counts,
+)
 from repro.analysis.rates import SystemRate, variability_from_rates
 from repro.analysis.repair import RepairByCauseRow
 from repro.analysis.rootcause import FIGURE1_TYPES, CauseBreakdown, _breakdown
 from repro.records.codes import CAUSE_CODE, CAUSE_VOCAB, WORKLOAD_VOCAB
 from repro.records.record import HIGH_LEVEL_CAUSES, RootCause, Workload
-from repro.records.timeutils import (
-    SECONDS_PER_DAY,
-    SECONDS_PER_HOUR,
-    SECONDS_PER_MONTH,
-    _EPOCH_WEEKDAY,
-    from_datetime,
-)
+from repro.records.timeutils import SECONDS_PER_MONTH, from_datetime
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.supervisor import supervised_map
 from repro.stats.sketch import GroupedCounts, GroupedSums, SampleSketch
@@ -156,14 +163,7 @@ class _LifecycleState:
             causes = causes[keep]
         if starts.size == 0:
             return
-        months = np.minimum(
-            ((starts - self.origin) // SECONDS_PER_MONTH).astype(np.int64),
-            self.months - 1,
-        )
-        flat = months * _N_CAUSES + causes
-        self.grid += np.bincount(flat, minlength=self.grid.size).reshape(
-            self.grid.shape
-        )
+        self.grid += month_cause_counts(starts, causes, self.origin, self.months)
 
     def merge(self, other: "_LifecycleState") -> None:
         self.grid += other.grid
@@ -258,16 +258,9 @@ class PaperAccumulator:
         workloads = np.asarray(chunk["workload"], dtype=np.int64)
         self.rows += n
 
-        # Figure 5: same modular arithmetic as timeutils.hour_of_day /
-        # day_of_week, vectorized.
-        hours = ((starts % SECONDS_PER_DAY) // SECONDS_PER_HOUR).astype(
-            np.int64
-        )
-        self.hourly += np.bincount(hours, minlength=24)
-        days = (
-            (starts // SECONDS_PER_DAY).astype(np.int64) + _EPOCH_WEEKDAY
-        ) % 7
-        self.weekday += np.bincount(days, minlength=7)
+        # Figure 5: the same binning as the materialized study.
+        self.hourly += hour_counts(starts)
+        self.weekday += weekday_counts(starts)
 
         # Figures 1-2.
         self.cause_counts.observe(systems, causes)
@@ -295,16 +288,10 @@ class PaperAccumulator:
         if mask3.any():
             fig3_nodes = nodes[mask3]
             self.node_counts.observe(fig3_nodes)
-            fig3_workloads = workloads[mask3]
-            unique_nodes, first_index = np.unique(
-                fig3_nodes, return_index=True
-            )
-            for node_id, index in zip(
-                unique_nodes.tolist(), first_index.tolist()
-            ):
-                self.node_workloads.setdefault(
-                    int(node_id), int(fig3_workloads[index])
-                )
+            for node_id, code in first_workloads(
+                fig3_nodes, workloads[mask3]
+            ).items():
+                self.node_workloads.setdefault(node_id, code)
 
         # Figure 4.
         for system_id, state in self.lifecycle.items():
@@ -524,43 +511,12 @@ class PaperAccumulator:
                     f"timestamp {state.min_start} precedes origin "
                     f"{state.origin}"
                 )
-            totals = state.grid.sum(axis=1)
-            curves.append(
-                (
-                    system_id,
-                    LifecycleCurve(
-                        system_id=system_id,
-                        months=state.months,
-                        totals=tuple(int(v) for v in totals),
-                        by_cause={
-                            cause: tuple(
-                                int(v)
-                                for v in state.grid[:, CAUSE_CODE[cause]]
-                            )
-                            for cause in HIGH_LEVEL_CAUSES
-                        },
-                    ),
-                )
-            )
+            curves.append((system_id, curve_from_counts(system_id, state.grid)))
         return curves
 
     def periodicity(self) -> PeriodicityStudy:
         """Figure 5's study from the exact hour/weekday bins."""
-        hourly = self.hourly
-        weekday = self.weekday
-        if hourly.min() == 0 or weekday.min() == 0:
-            raise DegenerateSampleError(
-                "trace too small for a periodicity study (empty bins)"
-            )
-        weekday_mean = float(np.mean(weekday[:5]))
-        weekend_mean = float(np.mean(weekday[5:]))
-        return PeriodicityStudy(
-            hourly=tuple(int(v) for v in hourly),
-            weekday=tuple(int(v) for v in weekday),
-            peak_trough_ratio=float(hourly.max() / hourly.min()),
-            weekday_weekend_ratio=weekday_mean / weekend_mean,
-            monday_spike=float(weekday[0] / np.mean(weekday[1:5])),
-        )
+        return periodicity_from_counts(self.hourly, self.weekday)
 
     def _repair_row(
         self, cause: Optional[RootCause], sketch: SampleSketch

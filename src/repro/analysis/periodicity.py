@@ -15,33 +15,50 @@ from typing import Tuple
 import numpy as np
 
 from repro.analysis.errors import DegenerateSampleError
-from repro.records.timeutils import day_of_week, hour_of_day
+from repro.records.timeutils import _EPOCH_WEEKDAY, SECONDS_PER_DAY, SECONDS_PER_HOUR
 from repro.records.trace import FailureTrace
 
 __all__ = [
     "failures_by_hour",
     "failures_by_weekday",
+    "hour_counts",
+    "weekday_counts",
     "PeriodicityStudy",
     "periodicity_study",
+    "periodicity_from_counts",
 ]
 
 WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 
 
+def hour_counts(starts: np.ndarray) -> np.ndarray:
+    """Start times counted per hour of day (length 24).
+
+    The modular arithmetic of :func:`~repro.records.timeutils.hour_of_day`,
+    vectorized.
+    """
+    hours = ((starts % SECONDS_PER_DAY) // SECONDS_PER_HOUR).astype(np.int64)
+    return np.bincount(hours, minlength=24)
+
+
+def weekday_counts(starts: np.ndarray) -> np.ndarray:
+    """Start times counted per weekday, Monday first (length 7).
+
+    The arithmetic of :func:`~repro.records.timeutils.day_of_week`,
+    vectorized.
+    """
+    days = ((starts // SECONDS_PER_DAY).astype(np.int64) + _EPOCH_WEEKDAY) % 7
+    return np.bincount(days, minlength=7)
+
+
 def failures_by_hour(trace: FailureTrace) -> np.ndarray:
     """Figure 5 (left): failure counts per hour of day (length 24)."""
-    counts = np.zeros(24, dtype=int)
-    for record in trace:
-        counts[hour_of_day(record.start_time)] += 1
-    return counts
+    return hour_counts(trace.columns["start_time"])
 
 
 def failures_by_weekday(trace: FailureTrace) -> np.ndarray:
     """Figure 5 (right): failure counts per weekday, Monday first."""
-    counts = np.zeros(7, dtype=int)
-    for record in trace:
-        counts[day_of_week(record.start_time)] += 1
-    return counts
+    return weekday_counts(trace.columns["start_time"])
 
 
 @dataclass(frozen=True)
@@ -82,8 +99,15 @@ class PeriodicityStudy:
 
 def periodicity_study(trace: FailureTrace) -> PeriodicityStudy:
     """Compute Figure 5 and its ratios for a trace."""
-    hourly = failures_by_hour(trace)
-    weekday = failures_by_weekday(trace)
+    return periodicity_from_counts(
+        failures_by_hour(trace), failures_by_weekday(trace)
+    )
+
+
+def periodicity_from_counts(
+    hourly: np.ndarray, weekday: np.ndarray
+) -> PeriodicityStudy:
+    """Figure 5's study from its hour-of-day and weekday counts."""
     if hourly.min() == 0 or weekday.min() == 0:
         raise DegenerateSampleError("trace too small for a periodicity study (empty bins)")
     weekday_mean = float(np.mean(weekday[:5]))

@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.errors import DegenerateSampleError
+from repro.records.codes import WORKLOAD_VOCAB
 from repro.records.record import Workload
 from repro.records.system import SystemConfig
 from repro.records.trace import FailureTrace
@@ -28,6 +29,7 @@ __all__ = [
     "NodeCountStudy",
     "node_count_study",
     "node_count_study_from_counts",
+    "first_workloads",
 ]
 
 
@@ -115,12 +117,15 @@ def node_count_study(
         Drop nodes whose production window is shorter than this
         fraction of the system's (automates the footnote-4 exclusion).
     """
-    system_trace = trace.filter_systems([system_id])
+    rows = trace.filter_systems([system_id]).columns
     config = trace.systems[system_id]
     # Workload per node: from its records if any, else compute.
-    node_workloads: Dict[int, Workload] = {}
-    for record in system_trace:
-        node_workloads.setdefault(record.node_id, record.workload)
+    node_workloads = {
+        node_id: WORKLOAD_VOCAB[code]
+        for node_id, code in first_workloads(
+            rows["node_id"], rows["workload"]
+        ).items()
+    }
     counts = failures_per_node(trace, system_id)
     return node_count_study_from_counts(
         config,
@@ -133,6 +138,12 @@ def node_count_study(
         exclude_nodes=exclude_nodes,
         min_production_fraction=min_production_fraction,
     )
+
+
+def first_workloads(nodes: np.ndarray, workloads: np.ndarray) -> Dict[int, int]:
+    """Each node's workload code on its first row."""
+    unique_nodes, first_index = np.unique(nodes, return_index=True)
+    return dict(zip(unique_nodes.tolist(), workloads[first_index].tolist()))
 
 
 def node_count_study_from_counts(

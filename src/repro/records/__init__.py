@@ -12,8 +12,10 @@ The vocabulary of the whole toolkit lives here:
   :class:`~repro.records.node.NodeCategory` — the Table 1 inventory
   schema; :data:`~repro.records.inventory.LANL_SYSTEMS` is Table 1
   encoded as data.
-* :class:`~repro.records.trace.FailureTrace` — an immutable container of
-  records with the filtering/slicing operations every analysis uses.
+* :class:`~repro.records.trace.FailureTrace` — an immutable, sorted
+  trace with the filtering/slicing operations every analysis uses,
+  held in the column layout of :mod:`repro.records.columns` (shared
+  with the columnar store) and decoded to records only on demand.
 """
 
 from repro.records.node import NodeCategory, NodeConfig

@@ -22,7 +22,7 @@ from repro.io.jsonl_format import read_jsonl, write_jsonl
 from repro.records.trace import FailureTrace
 from repro.store.manifest import Manifest, Predicate, StoreError
 from repro.store.reader import ColumnarStore
-from repro.store.schema import ColumnBatch, batch_from_records
+from repro.store.schema import ColumnBatch
 from repro.store.writer import DEFAULT_SHARD_ROWS, StoreWriter
 
 __all__ = ["store_from_trace", "store_from_file", "export_store"]
@@ -42,7 +42,7 @@ def store_from_trace(
     ``repr``-identically — including IDs that are sparse, duplicated,
     or absent.
     """
-    batch = batch_from_records(trace.records)
+    batch = trace.columns
     writer = StoreWriter(
         root,
         systems=trace.systems,

@@ -53,7 +53,6 @@ from repro.store.schema import (
     FORMAT_VERSION,
     NO_RECORD_ID,
     ColumnBatch,
-    batch_from_records,
     concat_batches,
     schema_digest,
 )
@@ -92,7 +91,7 @@ class _TraceSource:
     """
 
     def __init__(self, trace) -> None:
-        self._batch = batch_from_records(trace.records)
+        self._batch = trace.columns
         self.manifest = Manifest(
             schema_sha256=schema_digest(),
             format_version=FORMAT_VERSION,
@@ -154,7 +153,7 @@ def append_trace(root, source, *, shard_rows: Optional[int] = None) -> Manifest:
     root = store.root
     manifest = store.manifest
     trace = _resolve_reference(source)
-    if not trace.records:
+    if not len(trace):
         return manifest
     if shard_rows is None:
         shard_rows = max(
@@ -164,7 +163,7 @@ def append_trace(root, source, *, shard_rows: Optional[int] = None) -> Manifest:
     if shard_rows < 1:
         raise ValueError(f"shard_rows must be >= 1, got {shard_rows}")
 
-    batch = batch_from_records(trace.records)
+    batch = trace.columns
     if manifest.record_ids == "implicit":
         batch = _strip_record_ids(batch)
     systems = _merged_systems(manifest.systems, trace.systems)

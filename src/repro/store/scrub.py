@@ -61,7 +61,6 @@ from repro.store.schema import (
     COLUMN_NAMES,
     NO_RECORD_ID,
     ColumnBatch,
-    batch_from_records,
 )
 from repro.store.writer import _npy_bytes, column_file_name
 
@@ -421,7 +420,7 @@ def repair_store(root, source) -> RepairReport:
     with obs.span("store.repair", targets=len(targets)):
         if targets:
             trace = _resolve_reference(source)
-            batch = batch_from_records(trace.records)
+            batch = trace.columns
             if manifest.record_ids == "implicit":
                 batch = ColumnBatch(
                     {

@@ -10,11 +10,12 @@ fully exist.  Re-running the writer over the same directory atomically
 replaces every file, which is what makes a journaled
 ``generate --resume`` into a store byte-identical to an unfaulted run.
 
-Ordering contract (what the reader's merge relies on): each *group*
-appended holds one system's rows sorted by ``(start_time, node_id)``,
-groups arrive in ascending system order, and a group is split into
-consecutive shards of at most ``shard_rows`` rows — so every shard is
-single-system and internally sorted.
+Ordering contract (what keeps tied rows in trace order through the
+reader's stable sort): each *group* appended holds one system's rows
+sorted by ``(start_time, node_id)``, groups arrive in ascending system
+order, and a group is split into consecutive shards of at most
+``shard_rows`` rows — so every shard is single-system and internally
+sorted.
 """
 
 from __future__ import annotations

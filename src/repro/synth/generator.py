@@ -501,7 +501,7 @@ class TraceGenerator:
             with obs.span("store.write", records=total):
                 # One group per system, ascending: each shard holds one
                 # system's rows sorted by (start, node) — the layout the
-                # reader's k-way merge and predicate pushdown rely on.
+                # reader's stable merge sort and predicate pushdown rely on.
                 for c in sorted(columns, key=lambda c: c.system_id):
                     order = np.lexsort((c.node_id, c.start))
                     writer.append_group(
