@@ -11,12 +11,23 @@ panels (Figure 6), and repair-time sample sketches per cause and per
 system (Table 2, Figure 7).  Peak memory is one chunk plus this fixed
 state, independent of the trace size.
 
-Exactness: everything held as integer counts is exact, so the sections
-derived from counts alone render byte-identical to the materialized
-path.  Float sums (downtime, moments) are exact in the counting sense
-but follow chunk/merge order, agreeing to last-ulp rounding; sketched
-quantiles carry the histogram's pinned relative-error bound
-(:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR`).
+It is the only implementation of the paper report:
+:func:`~repro.report.paper.run_paper_report` folds an in-memory trace
+into it as one chunk, and :func:`scan_store` folds a store chunk by
+chunk.
+
+Exactness: everything held as integer counts is exact.  The repair
+samples and the Figure 6 start times are kept whole while each holds
+at most :data:`~repro.stats.sketch.EXACT_LIMIT` values, so medians,
+fits and CDF plots come from the exact sample and every section
+renders byte-identical to the in-memory fold.  Float sums (downtime,
+and the means of the kept samples) follow chunk/merge order, agreeing
+with a one-chunk fold to last-ulp rounding.  Past the limit a sample
+falls back to its moments and log-bucket histogram, whose quantiles
+carry the pinned relative-error bound
+(:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR`), and
+:meth:`PaperAccumulator.approximate_sections` names the sections that
+read one.
 
 Two accumulators over *adjacent* row ranges combine with
 :meth:`PaperAccumulator.merge_ordered` — order matters only for the
@@ -58,7 +69,12 @@ from repro.records.record import HIGH_LEVEL_CAUSES, RootCause, Workload
 from repro.records.timeutils import SECONDS_PER_MONTH, from_datetime
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.supervisor import supervised_map
-from repro.stats.sketch import GroupedCounts, GroupedSums, SampleSketch
+from repro.stats.sketch import (
+    GroupedCounts,
+    GroupedSums,
+    HeldValues,
+    SampleSketch,
+)
 from repro.stats.streamfit import sketch_empirical
 from repro.store.manifest import StoreError
 from repro.store.reader import DEFAULT_BATCH_ROWS, ColumnarStore
@@ -87,6 +103,15 @@ REPAIR_CLAMP_MINUTES = 0.1
 
 _N_CAUSES = len(CAUSE_VOCAB)
 
+#: Figure 6's panels, in order: the node view and the system view,
+#: each over the early then the late era.
+_FIG6_PANELS = (
+    "(a) node view, early era",
+    "(b) node view, late era",
+    "(c) system view, early era",
+    "(d) system view, late era",
+)
+
 #: Table 2's column order (paper order, aggregate last).
 _TABLE2_ORDER = (
     RootCause.UNKNOWN,
@@ -99,45 +124,83 @@ _TABLE2_ORDER = (
 
 
 class GapSegment:
-    """Streaming interarrival gaps of one ordered record stream.
+    """Interarrival gaps of one Figure 6 panel's stream of start times.
 
-    Feed it each chunk's (already sorted) start times for one Figure 6
-    panel; it tracks the first/last timestamp and sketches every
-    consecutive gap, including the gaps that straddle chunk — and,
-    via :meth:`merge_after` — worker boundaries.
+    While it has seen at most :data:`~repro.stats.sketch.EXACT_LIMIT`
+    starts it keeps them (a :class:`~repro.stats.sketch.HeldValues`),
+    and :meth:`gaps` differences them after a sort, so rows may arrive
+    in any order (an appended shard can hold earlier starts).  Past the
+    limit it sketches each consecutive gap as it goes, including the
+    gaps that straddle chunk and — via :meth:`merge_after` — worker
+    boundaries; that needs the starts in time order, and one earlier
+    than the start before it makes :meth:`gaps` raise.
     """
 
     def __init__(self) -> None:
-        self.count = 0
         self.first: Optional[float] = None
         self.last: Optional[float] = None
-        self.gaps = SampleSketch(clamp_epsilon=GAP_CLAMP_SECONDS)
+        self.ordered = True
+        self._starts = HeldValues()
+        self._gaps = SampleSketch(clamp_epsilon=GAP_CLAMP_SECONDS)
 
-    def observe_sorted(self, starts: np.ndarray) -> None:
-        """Fold one chunk's sorted start times for this stream."""
+    @property
+    def count(self) -> int:
+        """Start times seen."""
+        return self._starts.count
+
+    @property
+    def exact(self) -> bool:
+        """True while :meth:`gaps` holds every gap it sketches."""
+        return self._starts.held or self._gaps.exact
+
+    def observe(self, starts: np.ndarray) -> None:
+        """Fold one chunk's start times for this stream, in row order."""
         starts = np.asarray(starts, dtype=float)
-        if starts.size == 0:
-            return
-        if self.count:
-            self.gaps.observe(np.asarray([float(starts[0]) - self.last]))
-        else:
-            self.first = float(starts[0])
-        if starts.size > 1:
-            self.gaps.observe(np.diff(starts))
-        self.last = float(starts[-1])
-        self.count += int(starts.size)
+        if starts.size:
+            self._stream(self._starts.add(starts))
+
+    def _stream(self, chunks: List[np.ndarray]) -> None:
+        """Sketch the gaps of starts no longer kept, in row order."""
+        for starts in chunks:
+            if self.last is None:
+                self.first = float(starts[0])
+                gaps = np.diff(starts)
+            else:
+                gaps = np.diff(starts, prepend=self.last)
+            self.last = float(starts[-1])
+            if self.ordered and not (gaps < 0).any():
+                self._gaps.observe(gaps)
+            else:
+                self.ordered = False
 
     def merge_after(self, other: "GapSegment") -> None:
         """Append a segment covering strictly later rows."""
-        if other.count == 0:
+        self._stream(self._starts.extend(other._starts))
+        if other._starts.held:
             return
-        if self.count:
-            self.gaps.observe(np.asarray([other.first - self.last]))
-        else:
-            self.first = other.first
-        self.gaps.merge(other.gaps)
+        self._stream([np.asarray([other.first])])
+        self.ordered = self.ordered and other.ordered
+        if self.ordered:
+            self._gaps.merge(other._gaps)
         self.last = other.last
-        self.count += other.count
+
+    def gaps(self) -> SampleSketch:
+        """The sketch of every gap between consecutive starts.
+
+        Raises :class:`ValueError` when starts past the exact limit
+        arrived out of time order.
+        """
+        starts = self._starts.values
+        if starts is None:
+            if not self.ordered:
+                raise ValueError(
+                    f"start times out of time order among {self.count} "
+                    "starts, too many to keep and sort"
+                )
+            return self._gaps
+        gaps = SampleSketch(clamp_epsilon=GAP_CLAMP_SECONDS)
+        gaps.observe(np.diff(np.sort(starts)))
+        return gaps
 
 
 class _LifecycleState:
@@ -173,8 +236,10 @@ class _LifecycleState:
 class PaperAccumulator:
     """Mergeable bounded-memory state for the full paper report.
 
-    Build with :meth:`from_store`, feed chunks to :meth:`observe`, and
-    read the analysis objects off the ``*_rows``/``*_study`` finishers.
+    Build with :meth:`from_store` (or from a trace's inventory and
+    window), feed chunks to :meth:`observe` — a whole trace's
+    ``columns`` is one chunk — and read the analysis objects off the
+    ``*_rows``/``*_study`` finishers.
     The constructor parameters pin the figure targets (system 20's
     per-node view, systems 5/19's lifecycle curves, the node-22 era
     split) to the paper's defaults.
@@ -215,19 +280,24 @@ class PaperAccumulator:
         self.node_counts = GroupedCounts()
         self.node_workloads: Dict[int, int] = {}
         # Figure 4: monthly grids for the systems present in inventory.
+        # A production window that misses the data window is Figure 4's
+        # error alone: keep its message for lifecycle_curves to raise.
         self.lifecycle: Dict[int, _LifecycleState] = {}
+        self.lifecycle_errors: Dict[int, str] = {}
         for system_id in self.fig4_systems:
             config = self.systems.get(system_id)
-            if config is not None:
-                start, end = config.production_window(
+            if config is None:
+                continue
+            try:
+                window = config.production_window(
                     self.data_start, self.data_end
                 )
-                self.lifecycle[system_id] = _LifecycleState(start, end)
-        # Figure 6: four gap segments (node/system x early/late).
-        self.gap_node_early = GapSegment()
-        self.gap_node_late = GapSegment()
-        self.gap_system_early = GapSegment()
-        self.gap_system_late = GapSegment()
+            except ValueError as exc:
+                self.lifecycle_errors[system_id] = str(exc)
+                continue
+            self.lifecycle[system_id] = _LifecycleState(*window)
+        # Figure 6: one gap segment per panel.
+        self.gap_segments = tuple(GapSegment() for _ in _FIG6_PANELS)
 
     @classmethod
     def from_store(
@@ -270,18 +340,16 @@ class PaperAccumulator:
         # Table 2 / Figure 7 (minutes, the paper's repair unit).
         minutes = repairs / 60.0
         self.repairs.observe(minutes)
-        for code in np.unique(causes).tolist():
-            sketch = self.repair_by_cause.get(int(code))
-            if sketch is None:
-                sketch = SampleSketch(clamp_epsilon=REPAIR_CLAMP_MINUTES)
-                self.repair_by_cause[int(code)] = sketch
-            sketch.observe(minutes[causes == code])
-        for system_id in np.unique(systems).tolist():
-            sketch = self.repair_by_system.get(int(system_id))
-            if sketch is None:
-                sketch = SampleSketch(clamp_epsilon=REPAIR_CLAMP_MINUTES)
-                self.repair_by_system[int(system_id)] = sketch
-            sketch.observe(minutes[systems == system_id])
+        for sketches, keys in (
+            (self.repair_by_cause, causes),
+            (self.repair_by_system, systems),
+        ):
+            for key in np.unique(keys).tolist():
+                sketch = sketches.get(key)
+                if sketch is None:
+                    sketch = SampleSketch(clamp_epsilon=REPAIR_CLAMP_MINUTES)
+                    sketches[key] = sketch
+                sketch.observe(minutes[keys == key])
 
         # Figure 3: per-node counts and first-seen workload, system 20.
         mask3 = systems == self.fig3_system
@@ -299,7 +367,7 @@ class PaperAccumulator:
             if mask4.any():
                 state.observe(starts[mask4], causes[mask4])
 
-        # Figure 6: the four era/view segments.
+        # Figure 6: each panel's starts, in _FIG6_PANELS order.
         mask6 = systems == self.fig6_system
         if mask6.any():
             seg_starts = starts[mask6]
@@ -311,10 +379,11 @@ class PaperAccumulator:
                 seg_starts < self.data_end
             )
             node_mask = seg_nodes == self.fig6_node
-            self.gap_node_early.observe_sorted(seg_starts[node_mask & early])
-            self.gap_node_late.observe_sorted(seg_starts[node_mask & late])
-            self.gap_system_early.observe_sorted(seg_starts[early])
-            self.gap_system_late.observe_sorted(seg_starts[late])
+            for segment, mask in zip(
+                self.gap_segments,
+                (node_mask & early, node_mask & late, early, late),
+            ):
+                segment.observe(seg_starts[mask])
 
     def merge_ordered(self, other: "PaperAccumulator") -> None:
         """Fold in an accumulator covering strictly *later* rows.
@@ -338,38 +407,26 @@ class PaperAccumulator:
         self.cause_counts.merge(other.cause_counts)
         self.cause_downtime.merge(other.cause_downtime)
         self.repairs.merge(other.repairs)
-        for code, sketch in other.repair_by_cause.items():
-            mine = self.repair_by_cause.get(code)
-            if mine is None:
-                self.repair_by_cause[code] = sketch.copy()
-            else:
-                mine.merge(sketch)
-        for system_id, sketch in other.repair_by_system.items():
-            mine = self.repair_by_system.get(system_id)
-            if mine is None:
-                self.repair_by_system[system_id] = sketch.copy()
-            else:
-                mine.merge(sketch)
+        for sketches, theirs in (
+            (self.repair_by_cause, other.repair_by_cause),
+            (self.repair_by_system, other.repair_by_system),
+        ):
+            for key, sketch in theirs.items():
+                if key in sketches:
+                    sketches[key].merge(sketch)
+                else:
+                    sketches[key] = sketch.copy()
         self.node_counts.merge(other.node_counts)
         for node_id, code in other.node_workloads.items():
             self.node_workloads.setdefault(node_id, code)
         for system_id, state in self.lifecycle.items():
             state.merge(other.lifecycle[system_id])
-        self.gap_node_early.merge_after(other.gap_node_early)
-        self.gap_node_late.merge_after(other.gap_node_late)
-        self.gap_system_early.merge_after(other.gap_system_early)
-        self.gap_system_late.merge_after(other.gap_system_late)
+        for segment, theirs in zip(self.gap_segments, other.gap_segments):
+            segment.merge_after(theirs)
 
     # ------------------------------------------------------------------
     # Finishers: exact analysis objects from the streamed state
     # ------------------------------------------------------------------
-
-    def system_failures(self, system_id: int) -> int:
-        """Exact failure count for one system."""
-        return sum(
-            self.cause_counts.get(system_id, code)
-            for code in range(_N_CAUSES)
-        )
 
     def failure_rates(self) -> List[SystemRate]:
         """Figure 2 rates — same floats as the materialized path."""
@@ -377,7 +434,10 @@ class PaperAccumulator:
         for system_id in sorted(self.systems.keys()):
             config = self.systems[system_id]
             years = config.production_years(self.data_start, self.data_end)
-            failures = self.system_failures(system_id)
+            failures = sum(
+                self.cause_counts.get(system_id, code)
+                for code in range(_N_CAUSES)
+            )
             per_year = failures / years
             rates.append(
                 SystemRate(
@@ -401,14 +461,22 @@ class PaperAccumulator:
         self,
     ) -> Tuple[Dict[str, CauseBreakdown], Dict[str, CauseBreakdown]]:
         """Figure 1's (failure-count, downtime) breakdown mappings."""
+        groups = [
+            (
+                hardware_type.value,
+                sorted(
+                    system_id
+                    for system_id, config in self.systems.items()
+                    if config.hardware_type == hardware_type
+                ),
+            )
+            for hardware_type in FIGURE1_TYPES
+        ]
+        everything = {key[0] for key in self.cause_counts.counts}
+        groups.append(("All systems", sorted(everything | set(self.systems))))
         by_count: Dict[str, CauseBreakdown] = {}
         by_downtime: Dict[str, CauseBreakdown] = {}
-        for hardware_type in FIGURE1_TYPES:
-            group = sorted(
-                system_id
-                for system_id, config in self.systems.items()
-                if config.hardware_type == hardware_type
-            )
+        for label, group in groups:
             counts = {
                 cause: float(
                     sum(
@@ -418,8 +486,8 @@ class PaperAccumulator:
                 )
                 for cause in HIGH_LEVEL_CAUSES
             }
-            if sum(counts.values()) == 0:  # mirrors len(sub) == 0 skip
-                continue
+            if label != "All systems" and sum(counts.values()) == 0:
+                continue  # mirrors the study's len(sub) == 0 skip
             downtime = {
                 cause: sum(
                     self.cause_downtime.get(system_id, CAUSE_CODE[cause])
@@ -427,36 +495,8 @@ class PaperAccumulator:
                 )
                 for cause in HIGH_LEVEL_CAUSES
             }
-            by_count[hardware_type.value] = _breakdown(
-                hardware_type.value, counts
-            )
-            by_downtime[hardware_type.value] = _breakdown(
-                hardware_type.value, downtime
-            )
-        everything = sorted(
-            {key[0] for key in self.cause_counts.counts}
-            | set(self.systems.keys())
-        )
-        overall_counts = {
-            cause: float(
-                sum(
-                    self.cause_counts.get(system_id, CAUSE_CODE[cause])
-                    for system_id in everything
-                )
-            )
-            for cause in HIGH_LEVEL_CAUSES
-        }
-        overall_downtime = {
-            cause: sum(
-                self.cause_downtime.get(system_id, CAUSE_CODE[cause])
-                for system_id in everything
-            )
-            for cause in HIGH_LEVEL_CAUSES
-        }
-        by_count["All systems"] = _breakdown("All systems", overall_counts)
-        by_downtime["All systems"] = _breakdown(
-            "All systems", overall_downtime
-        )
+            by_count[label] = _breakdown(label, counts)
+            by_downtime[label] = _breakdown(label, downtime)
         return by_count, by_downtime
 
     def failures_per_node(self) -> Dict[int, int]:
@@ -501,6 +541,8 @@ class PaperAccumulator:
         """Figure 4's per-system monthly curves (exact ints)."""
         curves: List[Tuple[int, LifecycleCurve]] = []
         for system_id in self.fig4_systems:
+            if system_id in self.lifecycle_errors:
+                raise ValueError(self.lifecycle_errors[system_id])
             state = self.lifecycle.get(system_id)
             if state is None:
                 raise KeyError(system_id)
@@ -571,13 +613,21 @@ class PaperAccumulator:
             )
         node_label = f"system {self.fig6_system} node {self.fig6_node}"
         system_label = f"system {self.fig6_system} (system-wide)"
-        return [
-            ("(a) node view, early era", node_label, self.gap_node_early),
-            ("(b) node view, late era", node_label, self.gap_node_late),
-            ("(c) system view, early era", system_label,
-             self.gap_system_early),
-            ("(d) system view, late era", system_label, self.gap_system_late),
-        ]
+        labels = (node_label, node_label, system_label, system_label)
+        return list(zip(_FIG6_PANELS, labels, self.gap_segments))
+
+    def approximate_sections(self) -> Tuple[str, ...]:
+        """The sections that read a sample past
+        :data:`~repro.stats.sketch.EXACT_LIMIT` off its histogram."""
+        reads = {
+            "fig6": self.gap_segments,
+            "table2": (self.repairs, *self.repair_by_cause.values()),
+            "fig7": (self.repairs, *self.repair_by_system.values()),
+        }
+        return tuple(
+            name for name, samples in reads.items()
+            if not all(sample.exact for sample in samples)
+        )
 
 
 def _scan_shard_group(payload) -> PaperAccumulator:

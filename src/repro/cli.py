@@ -868,16 +868,14 @@ def _print_report(paper, artifact: str, source: str) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.report.paper import run_sections, trace_sections
+    from repro.report.paper import run_paper_report
 
     if args.trace and not args.synthetic and Path(args.trace).is_dir():
         return _report_from_store(args)
     trace, degraded = _load_trace(args)
-    renderers = trace_sections(trace)
-    if args.artifact != "all":
-        renderers = {args.artifact: renderers[args.artifact]}
-    paper = run_sections(renderers, degraded)
-    return _print_report(paper, args.artifact, "trace")
+    return _print_report(
+        run_paper_report(trace, degraded), args.artifact, "trace"
+    )
 
 
 def _command_summary(args: argparse.Namespace) -> int:

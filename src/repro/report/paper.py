@@ -1,43 +1,37 @@
 """One renderer per paper artifact.
 
-Each ``render_*`` function takes a trace (and options), runs the
-corresponding analysis and returns the printable reproduction of the
-paper's table or figure.  The bench for each artifact calls exactly one
-of these.
+Each ``render_*`` function takes a trace (and options), folds it as one
+chunk into a :class:`~repro.analysis.outofcore.PaperAccumulator` aimed
+at the requested targets, and returns the printable reproduction of
+the paper's table or figure from that accumulator's section builder
+(:func:`repro.report.streaming.section_builders`, the report's one
+implementation).  The bench for each artifact calls exactly one of
+these.  This module also holds the text formatters those builders
+share and the per-section error isolation of :func:`run_sections`.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Collection, Dict, Mapping, Tuple
 
 import numpy as np
 
-from repro.analysis.interarrival import (
-    node_interarrivals,
-    split_eras,
-    system_interarrivals,
-)
-from repro.analysis.lifecycle import classify_lifecycle, monthly_failures
-from repro.analysis.pernode import failures_per_node, node_count_study, node_share
-from repro.analysis.periodicity import WEEKDAY_NAMES, periodicity_study
-from repro.analysis.rates import failure_rates, normalized_variability
+from repro import obs
+from repro.analysis.lifecycle import classify_lifecycle
+from repro.analysis.outofcore import DEFAULT_ERA_BOUNDARY, PaperAccumulator
+from repro.analysis.periodicity import WEEKDAY_NAMES
 from repro.analysis.related import RELATED_STUDIES
-from repro.analysis.repair import (
-    repair_by_system,
-    repair_fit_study,
-    repair_statistics_by_cause,
-)
-from repro.analysis.rootcause import (
-    breakdown_by_hardware_type,
-    downtime_breakdown_by_hardware_type,
-)
 from repro.records.record import HIGH_LEVEL_CAUSES
 from repro.stats.errors import DegenerateSampleError
-from repro.records.timeutils import from_datetime
 from repro.records.trace import FailureTrace
-from repro.report.charts import bar_chart, cdf_plot, series_plot, stacked_bars
+from repro.report.charts import (
+    bar_chart,
+    cdf_plot,
+    cdf_plot_weighted,
+    series_plot,
+    stacked_bars,
+)
 from repro.report.tables import format_table
 
 __all__ = [
@@ -54,12 +48,11 @@ __all__ = [
     "SectionResult",
     "PaperReport",
     "SECTIONS",
-    "trace_sections",
     "run_sections",
     "run_paper_report",
 ]
 
-ERA_BOUNDARY = from_datetime(_dt.datetime(2000, 1, 1))
+ERA_BOUNDARY = DEFAULT_ERA_BOUNDARY
 
 #: The paper's sections in report order.  Both report paths render them
 #: in this order, and ``repro report --artifact`` takes these names.
@@ -67,6 +60,41 @@ SECTIONS = (
     "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table2",
     "fig7", "table3",
 )
+
+
+def _fold(
+    trace: FailureTrace, graphics_nodes=(21, 22, 23), **targets
+) -> Tuple[PaperAccumulator, Dict[str, Callable[[], str]]]:
+    """``trace`` folded as one chunk, and the section builders over it.
+
+    ``targets`` are :class:`PaperAccumulator`'s figure targets.
+    """
+    # Imported here: repro.report.streaming imports this module.
+    from repro.report.streaming import section_builders
+
+    accumulator = PaperAccumulator(
+        trace.systems, trace.data_start, trace.data_end, **targets
+    )
+    builders = section_builders(accumulator, graphics_nodes)
+    try:
+        with obs.span("report.scan", mode="trace", rows=len(trace)):
+            accumulator.observe(trace.columns)
+    except Exception as exc:  # noqa: BLE001 — isolated per section below
+        # A trace the fold cannot take (non-finite times, say) fails the
+        # sections that read its rows, not the whole report.
+        def fail(error=exc):
+            raise error
+
+        builders = {
+            name: build if name in ("table1", "table3") else fail
+            for name, build in builders.items()
+        }
+    return accumulator, builders
+
+
+def _render(name: str, trace: FailureTrace, **options) -> str:
+    """One section of ``trace``'s report; ``options`` go to :func:`_fold`."""
+    return _fold(trace, **options)[1][name]()
 
 
 def render_table1(trace: FailureTrace) -> str:
@@ -109,7 +137,7 @@ def _format_table1(systems) -> str:
 
 def render_table2(trace: FailureTrace) -> str:
     """Table 2: repair-time statistics by root cause (minutes)."""
-    return _format_table2(repair_statistics_by_cause(trace))
+    return _render("table2", trace)
 
 
 def _format_table2(by_cause) -> str:
@@ -156,10 +184,7 @@ def render_table3() -> str:
 
 def render_figure1(trace: FailureTrace) -> str:
     """Figure 1: root-cause breakdown of failures (a) and downtime (b)."""
-    return _format_figure1(
-        breakdown_by_hardware_type(trace),
-        downtime_breakdown_by_hardware_type(trace),
-    )
+    return _render("fig1", trace)
 
 
 def _format_figure1(failure_breakdowns, downtime_breakdowns) -> str:
@@ -190,7 +215,7 @@ def _format_figure1(failure_breakdowns, downtime_breakdowns) -> str:
 
 def render_figure2(trace: FailureTrace) -> str:
     """Figure 2: failures/year per system, raw (a) and per processor (b)."""
-    return _format_figure2(failure_rates(trace), normalized_variability(trace))
+    return _render("fig2", trace)
 
 
 def _format_figure2(rates, variability) -> str:
@@ -216,10 +241,9 @@ def render_figure3(
     trace: FailureTrace, system_id: int = 20, graphics_nodes=(21, 22, 23)
 ) -> str:
     """Figure 3: failures per node of system 20 and count-CDF fits."""
-    counts = failures_per_node(trace, system_id)
-    share = node_share(trace, system_id, graphics_nodes)
-    study = node_count_study(trace, system_id)
-    return _format_figure3(system_id, graphics_nodes, counts, share, study)
+    return _render(
+        "fig3", trace, graphics_nodes=graphics_nodes, fig3_system=system_id
+    )
 
 
 def _format_figure3(system_id, graphics_nodes, counts, share, study) -> str:
@@ -249,9 +273,7 @@ def _format_figure3(system_id, graphics_nodes, counts, share, study) -> str:
 
 def render_figure4(trace: FailureTrace, system_ids=(5, 19)) -> str:
     """Figure 4: failures per month vs system age for two systems."""
-    return _format_figure4(
-        [(system_id, monthly_failures(trace, system_id)) for system_id in system_ids]
-    )
+    return _render("fig4", trace, fig4_systems=system_ids)
 
 
 def _format_figure4(curves) -> str:
@@ -284,7 +306,7 @@ def _format_figure4(curves) -> str:
 
 def render_figure5(trace: FailureTrace) -> str:
     """Figure 5: failures by hour of day and day of week."""
-    return _format_figure5(periodicity_study(trace))
+    return _render("fig5", trace)
 
 
 def _format_figure5(study) -> str:
@@ -319,32 +341,31 @@ def render_figure6(
     era_boundary: float = ERA_BOUNDARY,
 ) -> str:
     """Figure 6: interarrival CDFs, node/system x early/late."""
-    reference = trace.filter_systems([system_id])
-    early, late = split_eras(reference, era_boundary)
-    sections = []
-    for panel, study in (
-        ("(a) node view, early era", node_interarrivals(early, system_id, node_id)),
-        ("(b) node view, late era", node_interarrivals(late, system_id, node_id)),
-        ("(c) system view, early era", system_interarrivals(early, system_id)),
-        ("(d) system view, late era", system_interarrivals(late, system_id)),
-    ):
-        gaps = np.maximum(np.asarray(study.gaps), 1.0)  # clamp zeros for log-x
-        plot = cdf_plot(
-            gaps,
-            {fit.name: fit.distribution for fit in study.fits},
-            title=f"Figure 6{panel}: time between failures (s)",
-        )
-        sections.append(
-            _format_figure6_panel(
-                panel,
-                study.n,
-                study.summary.squared_cv,
-                study.zero_fraction,
-                study.fits,
-                plot,
-            )
-        )
-    return "\n\n".join(sections)
+    return _render(
+        "fig6",
+        trace,
+        era_boundary=era_boundary,
+        fig6_system=system_id,
+        fig6_node=node_id,
+    )
+
+
+def _sample_plot(sample, fits, title: str) -> str:
+    """A Figure 6/7 CDF plot of a sketched duration sample with its fits.
+
+    Plots the exact sample while the sketch holds it, else its
+    histogram; values are floored at the sketch's clamp epsilon, as for
+    the fits (zeros cannot sit on the log axis).
+    """
+    models = {fit.name: fit.distribution for fit in fits}
+    floor = sample.clamp_epsilon
+    values = sample.values
+    if values is not None:
+        return cdf_plot(np.maximum(values, floor), models, title=title)
+    points, weights = sample.histogram.representatives()
+    return cdf_plot_weighted(
+        np.maximum(points, floor), weights, models, title=title
+    )
 
 
 def _format_figure6_panel(panel, n, squared_cv, zero_fraction, fits, plot) -> str:
@@ -378,6 +399,9 @@ class SectionResult:
         True when the section was computed from a deadline-truncated
         scan (out-of-core path with ``on_deadline="partial"``): the
         numbers cover only the scanned prefix of the store.
+    approximate:
+        True when the section read a sample past
+        :data:`~repro.stats.sketch.EXACT_LIMIT` off its histogram.
     """
 
     name: str
@@ -385,6 +409,7 @@ class SectionResult:
     text: str = ""
     error: str = ""
     partial: bool = False
+    approximate: bool = False
 
     @property
     def ok(self) -> bool:
@@ -433,7 +458,11 @@ class PaperReport:
         lines = []
         for section in self.sections:
             if section.ok:
-                lines.append(f"{section.name:<8} ok")
+                note = (
+                    " (approximate: a sample past the exact limit, read "
+                    "off its histogram)" if section.approximate else ""
+                )
+                lines.append(f"{section.name:<8} ok{note}")
             elif section.degraded:
                 lines.append(
                     f"{section.name:<8} DEGRADED (thin data): {section.error}"
@@ -455,28 +484,13 @@ class PaperReport:
         return divider.join(parts)
 
 
-def trace_sections(trace: FailureTrace) -> Dict[str, Callable[[], str]]:
-    """Each section's renderer over a materialized trace, by name."""
-    return {
-        "table1": lambda: render_table1(trace),
-        "fig1": lambda: render_figure1(trace),
-        "fig2": lambda: render_figure2(trace),
-        "fig3": lambda: render_figure3(trace),
-        "fig4": lambda: render_figure4(trace),
-        "fig5": lambda: render_figure5(trace),
-        "fig6": lambda: render_figure6(trace.filter_systems([20])),
-        "table2": lambda: render_table2(trace),
-        "fig7": lambda: render_figure7(trace),
-        "table3": render_table3,
-    }
-
-
 def run_sections(
     builders: Mapping[str, Callable[[], str]],
     degraded_read=None,
     *,
     partial: bool = False,
     span: str = "report",
+    approximate: Collection[str] = (),
 ) -> PaperReport:
     """Render ``builders`` in :data:`SECTIONS` order, isolating failures.
 
@@ -484,10 +498,10 @@ def run_sections(
     too thin for it); any other exception fails it, unless
     ``degraded_read`` is truthy: the input is known to be incomplete, so
     a section that cannot cope is a data gap, not a report bug.
-    ``partial`` marks every section as computed from a truncated scan.
+    ``partial`` marks every section as computed from a truncated scan,
+    and ``approximate`` names the sections that, when they render, are
+    read off a histogram (:meth:`PaperAccumulator.approximate_sections`).
     """
-    from repro import obs
-
     names = [name for name in SECTIONS if name in builders]
     sections = []
     with obs.span(span, sections=len(names)):
@@ -499,6 +513,7 @@ def run_sections(
                         status="ok",
                         text=builders[name](),
                         partial=partial,
+                        approximate=name in approximate,
                     )
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 thin = degraded_read or isinstance(exc, DegenerateSampleError)
@@ -524,11 +539,14 @@ def run_paper_report(
 ) -> PaperReport:
     """Render every paper artifact, isolating failures per section.
 
-    On curated data this is equivalent to calling each ``render_*`` in
-    sequence.  On degraded traces (sparse slices, corrupt-but-ingested
-    data) a section whose analysis cannot run — a degenerate fit, an
-    empty era, a missing system — yields a diagnostics entry instead of
-    aborting the whole report.
+    The trace is folded as one chunk into one
+    :class:`~repro.analysis.outofcore.PaperAccumulator`, and every
+    section renders from it — the same builders the store path uses,
+    and the same text as calling each ``render_*`` in sequence.  On
+    degraded traces (sparse slices, corrupt-but-ingested data) a
+    section whose analysis cannot run — a degenerate fit, an empty era,
+    a missing system — yields a diagnostics entry instead of aborting
+    the whole report.
 
     ``degraded_read`` is the :class:`repro.store.DegradedReadReport`
     from a store opened with ``on_damage="skip"`` (or ``None``).  When
@@ -557,19 +575,17 @@ def run_paper_report(
         return run_store_report(store, **kwargs).report
     if trace is None:
         raise ValueError("run_paper_report needs a trace or a store")
-    return run_sections(trace_sections(trace), degraded_read)
+    accumulator, builders = _fold(trace)
+    return run_sections(
+        builders,
+        degraded_read,
+        approximate=accumulator.approximate_sections(),
+    )
 
 
 def render_figure7(trace: FailureTrace) -> str:
     """Figure 7: repair-time CDF with fits; mean/median per system."""
-    fits = repair_fit_study(trace)
-    minutes = np.maximum(trace.repair_minutes(), 0.1)
-    plot = cdf_plot(
-        minutes,
-        {fit.name: fit.distribution for fit in fits},
-        title="Figure 7(a): CDF of repair time (minutes) with fits",
-    )
-    return _format_figure7(fits, plot, repair_by_system(trace))
+    return _render("fig7", trace)
 
 
 def _format_figure7(fits, plot, per_system) -> str:

@@ -1,49 +1,43 @@
-"""The full paper report straight from a columnar store.
+"""The paper report from a :class:`~repro.analysis.outofcore.PaperAccumulator`.
 
-:func:`run_store_report` renders every paper artifact from one
-bounded-memory streaming pass over
-:meth:`~repro.store.reader.ColumnarStore.iter_batches` — no
-:class:`~repro.records.trace.FailureTrace` is ever materialized.  The
-scan folds chunks into a :class:`~repro.analysis.outofcore.PaperAccumulator`
-(optionally sharded across supervised worker processes and merged
-associatively); section builders then read the exact counts and
-sketches back out through the same formatters the materialized
-renderers use.
+:func:`section_builders` is the report's one implementation: each
+paper artifact rendered from a folded accumulator through the
+formatters of :mod:`repro.report.paper`.  Two entry points fill the
+accumulator:
 
-Section-for-section equivalence with ``run_paper_report(trace)``:
+* :func:`run_store_report` — one bounded-memory streaming pass over
+  :meth:`~repro.store.reader.ColumnarStore.iter_batches` (optionally
+  sharded across supervised worker processes and merged
+  associatively); no :class:`~repro.records.trace.FailureTrace` is
+  ever materialized.
+* :func:`~repro.report.paper.run_paper_report` — an in-memory trace,
+  folded as one chunk.
 
-========  ==========================================================
-section   fidelity vs the materialized report
-========  ==========================================================
-table1    byte-identical (manifest inventory only)
-fig1      byte-identical in practice (integer counts; downtime sums
-          agree to last-ulp rounding absorbed by the ``.1f`` format)
-fig2      byte-identical (exact integer counts -> identical floats)
-fig3      byte-identical (exact per-node counts and workloads)
-fig4      byte-identical (exact monthly integer grids)
-fig5      byte-identical (exact hour/weekday bins)
-fig6      within sketch epsilon (quantiles/fits from the log-bucket
-          histogram; moments and C^2 exact)
-table2    within sketch epsilon (medians sketched; n/mean/std exact)
-fig7      within sketch epsilon (same)
-table3    byte-identical (literature metadata, no data at all)
-========  ==========================================================
+Both entry points fold the same rows into the same state, so a store's
+report equals ``run_paper_report(store.to_trace())``: all ten sections
+are byte-identical while every repair sample (overall, per cause, per
+system) and every Figure 6 panel holds at most
+:data:`~repro.stats.sketch.EXACT_LIMIT` values, in any chunking or
+worker count, and Figure 6 in any row order.  Past the limit both entry points read medians,
+fits and CDFs off the log-bucket histogram, within
+:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR` of the exact ones,
+and mark the section ``approximate``; Figure 6 then needs its starts in
+time order.  Float sums (Figure 1's downtime, the means) follow chunk
+order; they agree to last-ulp rounding, which the printed precision
+absorbs.
 
-Degenerate-data behaviour also mirrors the materialized path: the
-finishers raise the same exception types with the same messages, so a
-section that degrades on a thin trace degrades identically here.
+Degenerate-data behaviour is the same on both entry points: the
+finishers raise the exception types and messages the paper's analysis
+functions raise, so a thin trace degrades the same sections.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.errors import DegenerateSampleError
 from repro.analysis.outofcore import PaperAccumulator, scan_store
-from repro.report.charts import cdf_plot_weighted
 from repro.report.paper import (
     PaperReport,
     _format_figure1,
@@ -55,6 +49,7 @@ from repro.report.paper import (
     _format_figure7,
     _format_table1,
     _format_table2,
+    _sample_plot,
     render_table3,
     run_sections,
 )
@@ -62,12 +57,7 @@ from repro.resilience.deadline import Deadline
 from repro.stats.streamfit import sketch_empirical, sketch_fit_all
 from repro.store.reader import DEFAULT_BATCH_ROWS, ColumnarStore
 
-__all__ = ["StoreReport", "run_store_report"]
-
-#: Clamp floors used by the materialized plots (np.maximum before
-#: cdf_plot): 1 s for interarrival gaps, 0.1 min for repair times.
-_GAP_PLOT_FLOOR = 1.0
-_REPAIR_PLOT_FLOOR = 0.1
+__all__ = ["StoreReport", "run_store_report", "section_builders"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +93,7 @@ class StoreReport:
                     "text": section.text,
                     "error": section.error,
                     "partial": section.partial,
+                    "approximate": section.approximate,
                 }
                 for section in self.report.sections
             ],
@@ -112,39 +103,31 @@ class StoreReport:
         }
 
 
-def _figure3_section(accumulator: PaperAccumulator) -> str:
-    graphics_nodes = (21, 22, 23)
-    counts = accumulator.failures_per_node()
-    share = accumulator.node_share(graphics_nodes)
-    study = accumulator.node_count_study()
-    return _format_figure3(
-        accumulator.fig3_system, graphics_nodes, counts, share, study
-    )
-
-
 def _figure6_section(accumulator: PaperAccumulator) -> str:
-    sections = []
+    # Check and fit all four panels before plotting any, as the
+    # per-panel interarrival studies do, so a figure that fails reports
+    # the error they would.
+    studies = []
     for panel, label, segment in accumulator.interarrival_segments():
-        n = segment.gaps.count
-        if n < 8:
+        gaps = segment.gaps()
+        if gaps.count < 8:
             raise DegenerateSampleError(
-                f"only {n} interarrivals in {label}; need >= 8"
+                f"only {gaps.count} interarrivals in {label}; need >= 8"
             )
-        summary = sketch_empirical(segment.gaps)
-        fits = sketch_fit_all(segment.gaps)
-        values, weights = segment.gaps.histogram.representatives()
-        plot = cdf_plot_weighted(
-            np.maximum(values, _GAP_PLOT_FLOOR),
-            weights,
-            {fit.name: fit.distribution for fit in fits},
-            title=f"Figure 6{panel}: time between failures (s)",
+        studies.append(
+            (panel, gaps, sketch_empirical(gaps), sketch_fit_all(gaps))
+        )
+    sections = []
+    for panel, gaps, summary, fits in studies:
+        plot = _sample_plot(
+            gaps, fits, f"Figure 6{panel}: time between failures (s)"
         )
         sections.append(
             _format_figure6_panel(
                 panel,
-                n,
+                gaps.count,
                 summary.squared_cv,
-                segment.gaps.zero_fraction,
+                gaps.zero_fraction,
                 fits,
                 plot,
             )
@@ -157,14 +140,42 @@ def _figure7_section(accumulator: PaperAccumulator) -> str:
     if n < 8:
         raise DegenerateSampleError(f"only {n} repairs; need >= 8")
     fits = sketch_fit_all(accumulator.repairs)
-    values, weights = accumulator.repairs.histogram.representatives()
-    plot = cdf_plot_weighted(
-        np.maximum(values, _REPAIR_PLOT_FLOOR),
-        weights,
-        {fit.name: fit.distribution for fit in fits},
-        title="Figure 7(a): CDF of repair time (minutes) with fits",
+    plot = _sample_plot(
+        accumulator.repairs,
+        fits,
+        "Figure 7(a): CDF of repair time (minutes) with fits",
     )
     return _format_figure7(fits, plot, accumulator.repairs_by_system())
+
+
+def section_builders(
+    accumulator: PaperAccumulator, graphics_nodes: Sequence[int] = (21, 22, 23)
+) -> Dict[str, Callable[[], str]]:
+    """Each paper section's renderer over a folded accumulator, by name.
+
+    ``graphics_nodes`` are the Figure 3 nodes whose share of failures
+    the figure reports; the other figure targets are the accumulator's.
+    """
+    return {
+        "table1": lambda: _format_table1(accumulator.systems),
+        "fig1": lambda: _format_figure1(*accumulator.cause_breakdowns()),
+        "fig2": lambda: _format_figure2(
+            accumulator.failure_rates(), accumulator.variability()
+        ),
+        "fig3": lambda: _format_figure3(
+            accumulator.fig3_system,
+            graphics_nodes,
+            accumulator.failures_per_node(),
+            accumulator.node_share(graphics_nodes),
+            accumulator.node_count_study(),
+        ),
+        "fig4": lambda: _format_figure4(accumulator.lifecycle_curves()),
+        "fig5": lambda: _format_figure5(accumulator.periodicity()),
+        "fig6": lambda: _figure6_section(accumulator),
+        "table2": lambda: _format_table2(accumulator.repair_rows()),
+        "fig7": lambda: _figure7_section(accumulator),
+        "table3": render_table3,
+    }
 
 
 def run_store_report(
@@ -194,25 +205,12 @@ def run_store_report(
         batch_rows=batch_rows,
     )
     degraded_read = bool(store.degraded)
-    builders = {
-        "table1": lambda: _format_table1(accumulator.systems),
-        "fig1": lambda: _format_figure1(*accumulator.cause_breakdowns()),
-        "fig2": lambda: _format_figure2(
-            accumulator.failure_rates(), accumulator.variability()
-        ),
-        "fig3": lambda: _figure3_section(accumulator),
-        "fig4": lambda: _format_figure4(accumulator.lifecycle_curves()),
-        "fig5": lambda: _format_figure5(accumulator.periodicity()),
-        "fig6": lambda: _figure6_section(accumulator),
-        "table2": lambda: _format_table2(accumulator.repair_rows()),
-        "fig7": lambda: _figure7_section(accumulator),
-        "table3": render_table3,
-    }
     report = run_sections(
-        builders,
+        section_builders(accumulator),
         degraded_read,
         partial=partial is not None,
         span="report.streaming",
+        approximate=accumulator.approximate_sections(),
     )
     return StoreReport(
         report=report,

@@ -18,8 +18,8 @@ special functions (``gammaln``, ``digamma``, ``erf`` and inverses):
   hazard finding is one of the paper's headline results).
 * :mod:`~repro.stats.bootstrap` — nonparametric bootstrap CIs.
 * :mod:`~repro.stats.sketch` — mergeable bounded-memory accumulators
-  (moments, log-bucket quantile histogram, grouped counts/sums,
-  windowed counts) for out-of-core analysis.
+  (moments, log-bucket quantile histogram, grouped counts/sums, and
+  samples kept exactly up to a fixed size) for out-of-core analysis.
 * :mod:`~repro.stats.streamfit` — the same MLE fits computed from
   sketches instead of materialized samples.
 """
@@ -76,12 +76,10 @@ from repro.stats.sketch import (
     MomentSketch,
     QUANTILE_RELATIVE_ERROR,
     SampleSketch,
-    WindowedCounts,
 )
 from repro.stats.streamfit import (
     sketch_empirical,
     sketch_fit_all,
-    sketch_fit_all_safe,
     sketch_fit_exponential,
     sketch_fit_gamma,
     sketch_fit_lognormal,
@@ -145,7 +143,6 @@ __all__ = [
     "LogBucketSketch",
     "GroupedCounts",
     "GroupedSums",
-    "WindowedCounts",
     "SampleSketch",
     "QUANTILE_RELATIVE_ERROR",
     "sketch_empirical",
@@ -155,5 +152,4 @@ __all__ = [
     "sketch_fit_gamma",
     "sketch_fit_lognormal",
     "sketch_fit_all",
-    "sketch_fit_all_safe",
 ]

@@ -4,10 +4,10 @@ The full paper report needs means, C², medians, ECDFs, per-key counts
 and per-month rates over traces that never fit in memory.  Each class
 here is an *accumulator*: it observes column chunks (NumPy arrays, as
 yielded by :meth:`repro.store.reader.ColumnarStore.iter_batches`) in
-O(chunk) time and O(1) state, and any two accumulators over disjoint
-row sets **merge associatively** into the accumulator over their
-union.  That single property is what makes the out-of-core report
-work: shards are scanned independently (serially or via
+O(chunk) time and bounded state, and any two accumulators over
+disjoint row sets **merge associatively** into the accumulator over
+their union.  That single property is what makes the out-of-core
+report work: shards are scanned independently (serially or via
 ``supervised_map``) and their sketches folded together.
 
 Exact vs approximate
@@ -18,8 +18,6 @@ Exact vs approximate
   up to last-ulp summation-order differences.
 * :class:`GroupedCounts` / :class:`GroupedSums` — exact per-key
   integer counts / float sums over small categorical key spaces.
-* :class:`WindowedCounts` — exact integer counts per fixed-width
-  window (the Figure 4 month bins).
 * :class:`LogBucketSketch` — a fixed-log-bucket histogram reusing the
   ``repro.obs`` metrics convention (edges at ``10**(k/bpd)``),
   generalized from 4 to a configurable number of buckets per decade.
@@ -28,11 +26,14 @@ Exact vs approximate
 * :class:`SampleSketch` — the composite a duration study needs: raw
   moments, exact non-positive count, and clamped value/log moments
   plus the histogram (mirroring ``prepare_positive(zero_policy=
-  "clamp")``).
+  "clamp")``).  While it has observed at most :data:`EXACT_LIMIT`
+  values it also keeps them, in observation order, and its readers
+  (:mod:`repro.stats.streamfit`, the report's CDF plots) use that
+  exact sample; past the limit it drops them and the readers fall back
+  to the moments and the histogram, which stay current throughout.
 
-All sketches are plain-attribute objects (picklable across the
-``supervised_map`` process boundary) and support ``to_dict`` /
-``from_dict`` for JSON transport.
+All sketches are plain-attribute objects, picklable across the
+``supervised_map`` process boundary.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ __all__ = [
     "LogBucketSketch",
     "GroupedCounts",
     "GroupedSums",
-    "WindowedCounts",
     "SampleSketch",
+    "HeldValues",
+    "EXACT_LIMIT",
 ]
 
 #: Default bucket resolution of :class:`LogBucketSketch`.  The obs
@@ -71,7 +73,16 @@ _MAX_DECADE = 9
 #: factor of ``10**(1/(2*bpd))``.
 QUANTILE_RELATIVE_ERROR = 10.0 ** (1.0 / (2.0 * BUCKETS_PER_DECADE)) - 1.0
 
+#: Largest count at which a :class:`HeldValues` keeps the values it was
+#: given (2 MiB of float64 each).  A :class:`SampleSketch` holds its
+#: values in one, so up to this count every reader of the sketch is
+#: exact; the report's Figure 6 gap segments hold their start times in
+#: one too.
+EXACT_LIMIT = 1 << 18
+
 _EDGES_CACHE: Dict[int, np.ndarray] = {}
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _bucket_edges(buckets_per_decade: int) -> np.ndarray:
@@ -168,33 +179,6 @@ class MomentSketch:
                 "C^2 undefined for zero-mean sample"
             )
         return self.variance / self.mean**2
-
-    def copy(self) -> "MomentSketch":
-        clone = MomentSketch()
-        clone.merge(self)
-        return clone
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "m2": self.m2,
-            "min": None if self.count == 0 else self.minimum,
-            "max": None if self.count == 0 else self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MomentSketch":
-        sketch = cls()
-        sketch.count = int(payload["count"])
-        sketch.total = float(payload["total"])
-        sketch.mean = float(payload["mean"])
-        sketch.m2 = float(payload["m2"])
-        if sketch.count:
-            sketch.minimum = float(payload["min"])
-            sketch.maximum = float(payload["max"])
-        return sketch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MomentSketch(n={self.count}, mean={self.mean:.4g})"
@@ -320,32 +304,6 @@ class LogBucketSketch:
         """The sketched median (relative error ≤ :attr:`relative_error`)."""
         return self.quantile(0.5)
 
-    def copy(self) -> "LogBucketSketch":
-        clone = LogBucketSketch(self.buckets_per_decade)
-        clone.merge(self)
-        return clone
-
-    def to_dict(self) -> dict:
-        occupied = np.nonzero(self.counts)[0]
-        return {
-            "buckets_per_decade": self.buckets_per_decade,
-            "buckets": {
-                str(int(i)): int(self.counts[i]) for i in occupied
-            },
-            "min": None if not math.isfinite(self.minimum) else self.minimum,
-            "max": None if not math.isfinite(self.maximum) else self.maximum,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LogBucketSketch":
-        sketch = cls(int(payload["buckets_per_decade"]))
-        for index, count in payload["buckets"].items():
-            sketch.counts[int(index)] = int(count)
-        if payload["min"] is not None:
-            sketch.minimum = float(payload["min"])
-            sketch.maximum = float(payload["max"])
-        return sketch
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LogBucketSketch(n={self.count}, "
@@ -353,12 +311,36 @@ class LogBucketSketch:
         )
 
 
+def _row_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """One int64 per row that sorts as the row's key tuple does.
+
+    Each column is offset to start at 0 and the columns are combined in
+    mixed radix.  When their value ranges are too wide for an int64,
+    each column is first replaced by its rank among its distinct
+    values, which keeps the order and needs no more values than rows.
+    """
+    lows = [int(column.min()) for column in columns]
+    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
+    if math.prod(spans) > _INT64_MAX:
+        columns = [
+            np.unique(column, return_inverse=True)[1].astype(np.int64)
+            for column in columns
+        ]
+        lows = [0] * len(columns)
+        spans = [int(column.max()) + 1 for column in columns]
+    keys = columns[0] - lows[0]
+    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
+        keys = keys * span + (column - low)
+    return keys
+
+
 class GroupedCounts:
     """Exact mergeable integer counts per (small-cardinality) key.
 
     Keys are ints or tuples of ints — system ids, cause codes,
     ``(system, cause)`` pairs, node ids.  Updates are vectorized via
-    ``np.unique``; merging adds per key.
+    ``np.unique`` over one int64 key per row; a chunk's new keys are
+    added in sorted order, and merging adds per key.
     """
 
     __slots__ = ("counts",)
@@ -370,15 +352,15 @@ class GroupedCounts:
         """Count one row per position across the given key columns."""
         if not key_columns:
             raise ValueError("need at least one key column")
-        stacked = np.stack(
-            [np.asarray(column, dtype=np.int64) for column in key_columns]
-        )
-        if stacked.shape[1] == 0:
+        columns = [np.asarray(column, dtype=np.int64) for column in key_columns]
+        if columns[0].size == 0:
             return
-        keys, counts = np.unique(stacked, axis=1, return_counts=True)
-        for column, count in zip(keys.T, counts):
-            key = tuple(int(part) for part in column)
-            self.counts[key] = self.counts.get(key, 0) + int(count)
+        _, first, counts = np.unique(
+            _row_keys(columns), return_index=True, return_counts=True
+        )
+        for row, count in zip(first.tolist(), counts.tolist()):
+            key = tuple(int(column[row]) for column in columns)
+            self.counts[key] = self.counts.get(key, 0) + count
 
     def merge(self, other: "GroupedCounts") -> None:
         for key, count in other.counts.items():
@@ -390,24 +372,6 @@ class GroupedCounts:
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def copy(self) -> "GroupedCounts":
-        clone = GroupedCounts()
-        clone.counts = dict(self.counts)
-        return clone
-
-    def to_dict(self) -> dict:
-        return {
-            ",".join(str(part) for part in key): count
-            for key, count in sorted(self.counts.items())
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GroupedCounts":
-        grouped = cls()
-        for key, count in payload.items():
-            grouped.counts[tuple(int(p) for p in key.split(","))] = int(count)
-        return grouped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GroupedCounts({len(self.counts)} keys)"
@@ -431,18 +395,18 @@ class GroupedSums:
         if not key_columns:
             raise ValueError("need at least one key column")
         weights = np.asarray(weights, dtype=float)
-        stacked = np.stack(
-            [np.asarray(column, dtype=np.int64) for column in key_columns]
-        )
-        if stacked.shape[1] == 0:
+        columns = [np.asarray(column, dtype=np.int64) for column in key_columns]
+        if columns[0].size == 0:
             return
-        keys, inverse = np.unique(stacked, axis=1, return_inverse=True)
-        totals = np.bincount(
-            inverse.ravel(), weights=weights, minlength=keys.shape[1]
+        _, first, inverse = np.unique(
+            _row_keys(columns), return_index=True, return_inverse=True
         )
-        for column, total in zip(keys.T, totals):
-            key = tuple(int(part) for part in column)
-            self.sums[key] = self.sums.get(key, 0.0) + float(total)
+        totals = np.bincount(
+            inverse.ravel(), weights=weights, minlength=first.size
+        )
+        for row, total in zip(first.tolist(), totals.tolist()):
+            key = tuple(int(column[row]) for column in columns)
+            self.sums[key] = self.sums.get(key, 0.0) + total
 
     def merge(self, other: "GroupedSums") -> None:
         for key, total in other.sums.items():
@@ -451,99 +415,58 @@ class GroupedSums:
     def get(self, *key: int) -> float:
         return self.sums.get(tuple(int(part) for part in key), 0.0)
 
-    def copy(self) -> "GroupedSums":
-        clone = GroupedSums()
-        clone.sums = dict(self.sums)
-        return clone
-
-    def to_dict(self) -> dict:
-        return {
-            ",".join(str(part) for part in key): total
-            for key, total in sorted(self.sums.items())
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GroupedSums":
-        grouped = cls()
-        for key, total in payload.items():
-            grouped.sums[tuple(int(p) for p in key.split(","))] = float(total)
-        return grouped
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GroupedSums({len(self.sums)} keys)"
 
 
-class WindowedCounts:
-    """Exact mergeable counts per fixed-width time window.
+class HeldValues:
+    """A stream's values in observation order, kept up to the limit.
 
-    The Figure 4 accumulator: ``origin`` is a system's production
-    start, ``width`` one paper month, and events past the last window
-    clamp into it — mirroring
-    :func:`repro.analysis.lifecycle.monthly_failures`.  Events before
-    the origin raise, as :func:`repro.records.timeutils.month_index`
-    does.
+    Once their count passes :data:`EXACT_LIMIT` the values are dropped
+    for good.  :meth:`add` and :meth:`extend` return the chunks they did
+    not keep, in order, so a caller that must see every value can go on
+    without them.
     """
 
-    __slots__ = ("origin", "width", "counts")
+    __slots__ = ("count", "_chunks")
 
-    def __init__(self, origin: float, width: float, n_windows: int) -> None:
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        if n_windows < 1:
-            raise ValueError(f"need at least one window, got {n_windows}")
-        self.origin = float(origin)
-        self.width = float(width)
-        self.counts = np.zeros(int(n_windows), dtype=np.int64)
+    def __init__(self) -> None:
+        self.count = 0
+        self._chunks: Optional[List[np.ndarray]] = []
 
     @property
-    def n_windows(self) -> int:
-        return int(self.counts.size)
+    def held(self) -> bool:
+        """True while every value added is kept."""
+        return self._chunks is not None
 
-    def observe(self, times: np.ndarray) -> None:
-        """Count events into their windows (vectorized)."""
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            return
-        deltas = times - self.origin
-        if np.any(deltas < 0):
-            worst = float(np.min(times))
-            raise ValueError(f"time {worst} precedes origin {self.origin}")
-        indices = np.minimum(
-            (deltas // self.width).astype(np.int64), self.n_windows - 1
-        )
-        self.counts += np.bincount(indices, minlength=self.n_windows)
+    @property
+    def values(self) -> Optional[np.ndarray]:
+        """Every value added, in order, or ``None`` past the limit."""
+        chunks = self._chunks
+        if chunks is None:
+            return None
+        if len(chunks) != 1:
+            chunks[:] = [np.concatenate(chunks) if chunks else np.empty(0)]
+        return chunks[0]
 
-    def merge(self, other: "WindowedCounts") -> None:
-        if (other.origin != self.origin or other.width != self.width
-                or other.n_windows != self.n_windows):
-            raise ValueError("cannot merge windowed counts with "
-                             "different origins, widths or window counts")
-        self.counts += other.counts
+    def add(self, values: np.ndarray) -> List[np.ndarray]:
+        """Count ``values``, keeping a copy while within the limit."""
+        kept = [values.copy()] if self.held else None
+        return self._admit(int(values.size), kept, [values])
 
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def extend(self, other: "HeldValues") -> List[np.ndarray]:
+        """Add the values of ``other``, a stream that came after this one."""
+        return self._admit(other.count, other._chunks, other._chunks or [])
 
-    def copy(self) -> "WindowedCounts":
-        clone = WindowedCounts(self.origin, self.width, self.n_windows)
-        clone.counts = self.counts.copy()
-        return clone
-
-    def to_dict(self) -> dict:
-        return {
-            "origin": self.origin,
-            "width": self.width,
-            "counts": [int(c) for c in self.counts],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WindowedCounts":
-        counts = payload["counts"]
-        windowed = cls(payload["origin"], payload["width"], len(counts))
-        windowed.counts = np.asarray(counts, dtype=np.int64)
-        return windowed
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"WindowedCounts({self.n_windows} windows)"
+    def _admit(self, count, kept, passed) -> List[np.ndarray]:
+        self.count += count
+        if self._chunks is None:
+            return passed
+        if kept is not None and self.count <= EXACT_LIMIT:
+            self._chunks.extend(kept)
+            return []
+        dropped, self._chunks = self._chunks, None
+        return dropped + passed
 
 
 class SampleSketch:
@@ -560,12 +483,16 @@ class SampleSketch:
     * ``histogram`` — the clamped values' log-bucket histogram
       (quantiles, ECDF, Weibull profile sums).
 
+    While :attr:`count` is at most :data:`EXACT_LIMIT` it also keeps
+    the observed values in observation order (:attr:`values`); merging
+    appends the other sketch's values after its own.
+
     ``clamp_epsilon`` matches the analysis that consumes the sketch:
     1.0 s for interarrival gaps, 0.1 min for repair times.
     """
 
     __slots__ = ("clamp_epsilon", "raw", "nonpositive", "clamped",
-                 "log_clamped", "histogram")
+                 "log_clamped", "histogram", "_held")
 
     def __init__(
         self,
@@ -582,10 +509,22 @@ class SampleSketch:
         self.clamped = MomentSketch()
         self.log_clamped = MomentSketch()
         self.histogram = LogBucketSketch(buckets_per_decade)
+        self._held = HeldValues()
 
     @property
     def count(self) -> int:
         return self.raw.count
+
+    @property
+    def values(self) -> Optional[np.ndarray]:
+        """Every observed value in observation order, or ``None`` once
+        more than :data:`EXACT_LIMIT` were observed."""
+        return self._held.values
+
+    @property
+    def exact(self) -> bool:
+        """True while the sketch holds every value it observed."""
+        return self._held.held
 
     @property
     def zero_fraction(self) -> float:
@@ -608,6 +547,7 @@ class SampleSketch:
         self.clamped.observe(clamped)
         self.log_clamped.observe(np.log(clamped))
         self.histogram.observe(clamped)
+        self._held.add(values)
 
     def merge(self, other: "SampleSketch") -> None:
         if other.clamp_epsilon != self.clamp_epsilon:
@@ -620,6 +560,7 @@ class SampleSketch:
         self.clamped.merge(other.clamped)
         self.log_clamped.merge(other.log_clamped)
         self.histogram.merge(other.histogram)
+        self._held.extend(other._held)
 
     def copy(self) -> "SampleSketch":
         clone = SampleSketch(
@@ -627,29 +568,6 @@ class SampleSketch:
         )
         clone.merge(self)
         return clone
-
-    def to_dict(self) -> dict:
-        return {
-            "clamp_epsilon": self.clamp_epsilon,
-            "raw": self.raw.to_dict(),
-            "nonpositive": self.nonpositive,
-            "clamped": self.clamped.to_dict(),
-            "log_clamped": self.log_clamped.to_dict(),
-            "histogram": self.histogram.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SampleSketch":
-        sketch = cls(
-            float(payload["clamp_epsilon"]),
-            int(payload["histogram"]["buckets_per_decade"]),
-        )
-        sketch.raw = MomentSketch.from_dict(payload["raw"])
-        sketch.nonpositive = int(payload["nonpositive"])
-        sketch.clamped = MomentSketch.from_dict(payload["clamped"])
-        sketch.log_clamped = MomentSketch.from_dict(payload["log_clamped"])
-        sketch.histogram = LogBucketSketch.from_dict(payload["histogram"])
-        return sketch
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

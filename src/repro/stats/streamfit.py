@@ -6,6 +6,14 @@ memory, built chunk-by-chunk over a columnar store) instead of a
 materialized sample, and returns the same :class:`FitResult` objects so
 report code is agnostic about which path produced a fit.
 
+While the sketch still holds its values (at most
+:data:`~repro.stats.sketch.EXACT_LIMIT` of them),
+:func:`sketch_empirical` and :func:`sketch_fit_all` hand those values
+to :meth:`EmpiricalDistribution.from_data` and
+:func:`~repro.stats.fitting.fit_all`, the functions an in-memory
+analysis calls, so the results are the in-memory results.  The rest of
+this module is what they fall back to past the limit.
+
 Exactness
 ---------
 The exponential, lognormal and gamma MLEs depend on the sample only
@@ -55,9 +63,9 @@ from repro.stats.distributions import (
 from repro.stats.fitting import (
     DegenerateFitError,
     FitError,
-    FitOutcome,
     FitResult,
     _raise_no_candidate,
+    fit_all,
 )
 from repro.stats.gof import aic, bic
 from repro.stats.sketch import LogBucketSketch, SampleSketch
@@ -70,7 +78,6 @@ __all__ = [
     "sketch_fit_gamma",
     "sketch_fit_lognormal",
     "sketch_fit_all",
-    "sketch_fit_all_safe",
     "SKETCH_FITTERS",
 ]
 
@@ -98,12 +105,17 @@ def sketch_ks(histogram: LogBucketSketch, distribution: Distribution) -> float:
 def sketch_empirical(sketch: SampleSketch) -> EmpiricalDistribution:
     """An :class:`EmpiricalDistribution` summary of a sketched sample.
 
-    Count, mean, std, min and max come from the *raw* moment sketch and
-    are exact; the median comes from the log-bucket histogram and is
-    accurate to its relative-error bound.  When the median rank falls
-    inside the sample's exact-zero block the median is reported as 0.0
-    (the histogram only sees the clamped values).
+    :meth:`EmpiricalDistribution.from_data` of the held values when the
+    sketch has them.  Otherwise count, mean, std, min and max come from
+    the *raw* moment sketch and are exact; the median comes from the
+    log-bucket histogram and is accurate to its relative-error bound.
+    When the median rank falls inside the sample's exact-zero block the
+    median is reported as 0.0 (the histogram only sees the clamped
+    values).
     """
+    values = sketch.values
+    if values is not None:
+        return EmpiricalDistribution.from_data(values)
     raw = sketch.raw
     if raw.count == 0:
         raise ValueError("cannot summarize an empty sample")
@@ -272,10 +284,16 @@ SKETCH_FITTERS: Dict[str, Callable[[SampleSketch], FitResult]] = {
 def sketch_fit_all(sketch: SampleSketch) -> List[FitResult]:
     """Fit the paper's four continuous candidates from a sketch.
 
-    The streaming mirror of :func:`repro.stats.fitting.fit_all` —
-    zero handling is already encoded in the sketch's clamp, so there is
-    no ``zero_policy`` argument.  Results are ranked by NLL.
+    :func:`repro.stats.fitting.fit_all` of the held values, with the
+    sketch's clamp, when the sketch has them; otherwise its streaming
+    mirror — zero handling is already encoded in the sketch's clamp, so
+    there is no ``zero_policy`` argument.  Results are ranked by NLL.
     """
+    values = sketch.values
+    if values is not None:
+        return fit_all(
+            values, zero_policy="clamp", epsilon=sketch.clamp_epsilon
+        )
     results: List[FitResult] = []
     errors: List[FitError] = []
     for _name, fitter in SKETCH_FITTERS.items():
@@ -289,13 +307,3 @@ def sketch_fit_all(sketch: SampleSketch) -> List[FitResult]:
     results.sort(key=lambda result: result.nll)
     return results
 
-
-def sketch_fit_all_safe(sketch: SampleSketch) -> FitOutcome:
-    """:func:`sketch_fit_all` that reports failure as a status."""
-    try:
-        return FitOutcome(status="ok", fits=tuple(sketch_fit_all(sketch)))
-    except FitError as exc:
-        status = (
-            "degenerate" if isinstance(exc, DegenerateFitError) else "failed"
-        )
-        return FitOutcome(status=status, error=str(exc))

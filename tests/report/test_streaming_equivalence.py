@@ -1,15 +1,16 @@
-"""Streaming report == materialized report, on the full 22-system trace.
+"""Streaming report == in-memory report, on the full 22-system trace.
 
-The out-of-core report's contract (ROADMAP: full paper report from a
-store that never fits in memory) splits the ten sections in two:
+The store report folds chunks into the same
+:class:`~repro.analysis.outofcore.PaperAccumulator` the in-memory
+report folds its trace into as one chunk.  While every sample holds at
+most :data:`~repro.stats.sketch.EXACT_LIMIT` values — true of the
+whole 22-system trace — all ten sections must be *byte-identical* to
+``run_paper_report(store.to_trace())``, whatever the chunk size, worker
+count or shard append order.
 
-* **Exactly mergeable** — table1, fig1, fig2, fig3, fig4, fig5, table3
-  are built from counts, sums, and extrema whose chunk-merge is
-  lossless.  These must be *byte-identical* to the materialized
-  report.
-* **Quantile-sketched** — fig6, table2, fig7 involve medians and
-  empirical CDFs, which stream through ``LogBucketSketch``; they must
-  agree within the sketch's pinned relative error.
+Past the limit, fig6, table2 and fig7 read medians, fits and CDFs off
+the log-bucket histogram; with the limit patched to 0 they must agree
+within the sketch's pinned relative error, with the same fit rankings.
 
 The suite also proves the two operational properties: a parallel scan
 merges to the same answer as a serial one, and a blown deadline yields
@@ -22,13 +23,20 @@ import re
 
 import pytest
 
+import repro.stats.sketch as sketch_module
+from repro.cli import main
 from repro.report import run_paper_report, run_store_report
+from repro.report.paper import SECTIONS
 from repro.resilience.deadline import Deadline
 from repro.stats.sketch import LogBucketSketch
 from repro.store import ColumnarStore, store_from_trace
+from repro.store.federate import append_trace
+from repro.synth import TraceGenerator
 
-EXACT_SECTIONS = ("table1", "fig1", "fig2", "fig3", "fig4", "fig5", "table3")
 EPSILON_SECTIONS = ("fig6", "table2", "fig7")
+#: Store reports that must all equal the in-memory one: default
+#: chunks, chunks that split every shard, and a two-worker scan.
+SCANS = ({}, {"batch_rows": 997}, {"workers": 2})
 
 # Pinned sketch resolution (64 buckets/decade): ~1.8% relative error.
 # Printed values are also rounded, so allow one trailing-digit ULP.
@@ -43,9 +51,31 @@ def store(tmp_path_factory, full_trace):
     return ColumnarStore(root)
 
 
+def _limited(limit):
+    """Patch EXACT_LIMIT (read only by repro.stats.sketch)."""
+    patch = pytest.MonkeyPatch()
+    patch.setattr(sketch_module, "EXACT_LIMIT", limit)
+    return patch
+
+
 @pytest.fixture(scope="module")
 def streaming(store):
     return run_store_report(store)
+
+
+@pytest.fixture(scope="module")
+def scans(store, streaming):
+    return [streaming] + [run_store_report(store, **kw) for kw in SCANS[1:]]
+
+
+@pytest.fixture(scope="module")
+def sketched(store):
+    """The store report with no sample held: the log-bucket path."""
+    patch = _limited(0)
+    try:
+        return run_store_report(store)
+    finally:
+        patch.undo()
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +85,13 @@ def materialized(store):
 
 def _sections(report):
     return {section.name: section for section in report.sections}
+
+
+def _outcomes(report):
+    return [
+        (section.name, section.status, section.text, section.error)
+        for section in report.sections
+    ]
 
 
 class TestSectionParity:
@@ -69,19 +106,42 @@ class TestSectionParity:
         assert streaming.partial is None
         assert not streaming.report.sections[0].partial
 
+    def test_approximate_sections_are_flagged(
+        self, store, streaming, sketched, materialized
+    ):
+        for report in (streaming.report, materialized):
+            assert not any(section.approximate for section in report.sections)
+            assert "approximate" not in report.diagnostics()
+        flagged = [s.name for s in sketched.report.sections if s.approximate]
+        assert flagged == ["fig6", "table2", "fig7"]
+        patch = _limited(0)
+        try:
+            in_memory = run_paper_report(store.to_trace())
+        finally:
+            patch.undo()
+        assert [s.name for s in in_memory.sections if s.approximate] == flagged
+        lines = sketched.report.diagnostics().splitlines()
+        assert lines[6].startswith("fig6     ok (approximate:")
+        assert lines[5] == "fig5     ok"
+        payload = sketched.to_dict()["sections"]
+        assert [s["name"] for s in payload if s["approximate"]] == flagged
+
 
 class TestExactSections:
-    @pytest.mark.parametrize("name", EXACT_SECTIONS)
-    def test_byte_identical(self, name, streaming, materialized):
-        got = _sections(streaming.report)[name]
+    @pytest.mark.parametrize("name", SECTIONS)
+    def test_byte_identical(self, name, scans, materialized):
         want = _sections(materialized)[name]
-        assert got.text == want.text
+        for kwargs, result in zip(SCANS, scans):
+            got = _sections(result.report)[name]
+            assert (got.status, got.text, got.error) == (
+                want.status, want.text, want.error
+            ), kwargs
 
 
 class TestSketchedSections:
     @pytest.mark.parametrize("name", EPSILON_SECTIONS)
-    def test_within_pinned_relative_error(self, name, streaming, materialized):
-        got = _sections(streaming.report)[name].text
+    def test_within_pinned_relative_error(self, name, sketched, materialized):
+        got = _sections(sketched.report)[name].text
         want = _sections(materialized)[name].text
         got_lines = got.splitlines()
         want_lines = want.splitlines()
@@ -104,7 +164,7 @@ class TestSketchedSections:
                 ), f"{name}: {got_token} vs {want_token} in:\n  {want_line}"
 
     @pytest.mark.parametrize("name", EPSILON_SECTIONS)
-    def test_fit_rankings_identical(self, name, streaming, materialized):
+    def test_fit_rankings_identical(self, name, sketched, materialized):
         # The distribution-fit story (which model wins, per panel) is
         # the paper's conclusion; the sketch must not change it.
         def fit_lines(text):
@@ -116,7 +176,7 @@ class TestSketchedSections:
                 )
             ]
 
-        got = fit_lines(_sections(streaming.report)[name].text)
+        got = fit_lines(_sections(sketched.report)[name].text)
         want = fit_lines(_sections(materialized)[name].text)
         assert got == want
         if name != "table2":
@@ -142,6 +202,14 @@ class TestParallelScan:
             assert parallel_section.status == serial_section.status
             assert parallel_section.text == serial_section.text
 
+    def test_parallel_merge_equals_serial_past_the_limit(self, store, sketched):
+        patch = _limited(0)
+        try:
+            parallel = run_store_report(store, workers=3)
+        finally:
+            patch.undo()
+        assert _outcomes(parallel.report) == _outcomes(sketched.report)
+
 
 class TestDeadlinePartial:
     def test_instant_deadline_yields_flagged_partial(self, store):
@@ -165,3 +233,46 @@ class TestDeadlinePartial:
 
         with pytest.raises(DeadlineExceeded):
             run_store_report(store, deadline=Deadline(1e-9))
+
+
+class TestInterleavedAppend:
+    """An appended shard holding earlier starts than the store before it.
+
+    System 20's odd nodes are appended after every other row, so the
+    scan meets their start times out of time order.
+    """
+
+    @pytest.fixture(scope="class")
+    def appended(self, tmp_path_factory):
+        trace = TraceGenerator(seed=1).generate([5, 19, 20])
+        root = tmp_path_factory.mktemp("interleaved") / "store"
+
+        def odd20(record):
+            return record.system_id == 20 and record.node_id % 2 == 1
+
+        store_from_trace(trace.filter(lambda record: not odd20(record)), root)
+        append_trace(root, trace.filter(odd20))
+        assert ColumnarStore(root).verify(deep=True) == []
+        return root
+
+    def test_store_report_equals_trace_report(self, appended):
+        store = ColumnarStore(appended)
+        want = run_paper_report(store.to_trace())
+        assert want.ok, want.diagnostics()
+        for kwargs in SCANS:
+            got = run_store_report(store, **kwargs)
+            assert _outcomes(got.report) == _outcomes(want), kwargs
+
+    def test_cli_report_renders(self, appended, capsys):
+        assert main(["report", str(appended), "--artifact", "table1"]) == 0
+        assert main(["report", str(appended)]) == 0
+        assert "fig6     ok" in capsys.readouterr().out
+
+    def test_past_the_limit_only_fig6_fails(self, appended, monkeypatch):
+        monkeypatch.setattr(sketch_module, "EXACT_LIMIT", 100)
+        store = ColumnarStore(appended)
+        for kwargs in SCANS:
+            report = run_store_report(store, **kwargs).report
+            failed = [(section.name, section.status) for section in report.failed]
+            assert failed == [("fig6", "failed")], kwargs
+            assert "out of time order" in _sections(report)["fig6"].error

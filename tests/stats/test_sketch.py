@@ -5,7 +5,9 @@ folding a sample chunk-by-chunk (in any grouping) and merging the
 partial sketches must equal accumulating the whole sample at once.
 Hypothesis drives arbitrary samples and split points through each
 sketch; integer-state sketches must agree exactly, float moments to
-rounding.
+rounding.  A :class:`SampleSketch` within :data:`EXACT_LIMIT` must also
+hold exactly the values observed, and its readers must return what the
+array functions return for them.
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.stats.sketch as sketch_module
+from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.errors import DegenerateSampleError
+from repro.stats.fitting import fit_all
 from repro.stats.sketch import (
     GroupedCounts,
     GroupedSums,
+    HeldValues,
     LogBucketSketch,
     MomentSketch,
     SampleSketch,
-    WindowedCounts,
 )
+from repro.stats.streamfit import sketch_empirical, sketch_fit_all
 
 finite = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -41,6 +47,10 @@ keys = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=60)
 def _split(values, fraction):
     cut = int(len(values) * fraction)
     return values[:cut], values[cut:]
+
+
+def _moment_fields(sketch: MomentSketch) -> tuple:
+    return tuple(getattr(sketch, name) for name in MomentSketch.__slots__)
 
 
 def _assert_moments_equal(a: MomentSketch, b: MomentSketch) -> None:
@@ -82,9 +92,9 @@ class TestMomentSketch:
     def test_empty_merge_is_identity(self, values):
         a = MomentSketch()
         a.observe(np.asarray(values))
-        before = a.to_dict()
+        before = _moment_fields(a)
         a.merge(MomentSketch())
-        assert a.to_dict() == before
+        assert _moment_fields(a) == before
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(finite, min_size=2, max_size=60))
@@ -103,8 +113,8 @@ class TestMomentSketch:
     def test_round_trips(self):
         sketch = MomentSketch()
         sketch.observe(np.asarray([1.0, 2.0, 5.0]))
-        assert MomentSketch.from_dict(sketch.to_dict()).to_dict() == sketch.to_dict()
-        assert pickle.loads(pickle.dumps(sketch)).to_dict() == sketch.to_dict()
+        clone = pickle.loads(pickle.dumps(sketch))
+        assert _moment_fields(clone) == _moment_fields(sketch)
 
 
 class TestLogBucketSketch:
@@ -196,40 +206,6 @@ class TestGroupedSums:
             )
 
 
-class TestWindowedCounts:
-    times = st.lists(
-        st.floats(min_value=0.0, max_value=999.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=0, max_size=60,
-    )
-
-    @settings(max_examples=100, deadline=None)
-    @given(values=times, fraction=st.floats(0.0, 1.0))
-    def test_merge_equals_single_pass_exactly(self, values, fraction):
-        left, right = _split(values, fraction)
-        a = WindowedCounts(0.0, 100.0, 10)
-        a.observe(np.asarray(left))
-        b = WindowedCounts(0.0, 100.0, 10)
-        b.observe(np.asarray(right))
-        a.merge(b)
-        whole = WindowedCounts(0.0, 100.0, 10)
-        whole.observe(np.asarray(values))
-        assert np.array_equal(a.counts, whole.counts)
-        assert a.total() == len(values)
-
-    def test_rejects_preorigin_times_and_mismatched_merge(self):
-        windows = WindowedCounts(100.0, 10.0, 5)
-        with pytest.raises(ValueError, match="precedes origin"):
-            windows.observe(np.asarray([99.0]))
-        with pytest.raises(ValueError):
-            windows.merge(WindowedCounts(0.0, 10.0, 5))
-
-    def test_overflow_clamps_to_last_window(self):
-        windows = WindowedCounts(0.0, 10.0, 3)
-        windows.observe(np.asarray([1e6]))
-        assert windows.counts[-1] == 1
-
-
 class TestSampleSketch:
     @settings(max_examples=100, deadline=None)
     @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
@@ -267,6 +243,123 @@ class TestSampleSketch:
     def test_round_trips(self):
         sketch = SampleSketch(clamp_epsilon=0.1)
         sketch.observe(np.asarray([0.0, 1.0, 250.0]))
-        clone = SampleSketch.from_dict(sketch.to_dict())
-        assert clone.to_dict() == sketch.to_dict()
-        assert pickle.loads(pickle.dumps(sketch)).to_dict() == sketch.to_dict()
+        clone = pickle.loads(pickle.dumps(sketch))
+        assert clone.clamp_epsilon == sketch.clamp_epsilon
+        assert clone.nonpositive == sketch.nonpositive
+        for name in ("raw", "clamped", "log_clamped"):
+            assert _moment_fields(getattr(clone, name)) == _moment_fields(
+                getattr(sketch, name)
+            )
+        assert np.array_equal(clone.histogram.counts, sketch.histogram.counts)
+        assert np.array_equal(clone.values, sketch.values)
+
+
+class TestGroupedKeys:
+    def test_new_keys_arrive_in_sorted_order(self):
+        counts = GroupedCounts()
+        counts.observe(np.asarray([3, 1, 3, 2]), np.asarray([0, 5, -1, 5]))
+        counts.observe(np.asarray([0, 1]), np.asarray([0, 5]))
+        assert list(counts.counts.items()) == [
+            ((1, 5), 2), ((2, 5), 1), ((3, -1), 1), ((3, 0), 1), ((0, 0), 1),
+        ]
+
+    def test_keys_spanning_the_int64_range(self):
+        big = np.iinfo(np.int64).max
+        systems = np.asarray([big, -big, big, 0])
+        causes = np.asarray([1, 2, 1, -big])
+        counts = GroupedCounts()
+        counts.observe(systems, causes)
+        assert counts.counts == {(-big, 2): 1, (0, -big): 1, (big, 1): 2}
+        sums = GroupedSums()
+        sums.observe(np.asarray([1.0, 2.0, 4.0, 8.0]), systems, causes)
+        assert list(sums.sums.items()) == [
+            ((-big, 2), 2.0), ((0, -big), 8.0), ((big, 1), 5.0),
+        ]
+
+
+class TestExactSample:
+    """Within EXACT_LIMIT a sample sketch holds its values and its
+    readers are the array functions; past it they fall back."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(sketch_module, "EXACT_LIMIT", 40)
+
+    @settings(max_examples=50, deadline=None)
+    @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
+    def test_holds_values_in_order_up_to_the_limit(self, values, fraction):
+        left, right = _split(values, fraction)
+        a = SampleSketch(clamp_epsilon=0.1)
+        a.observe(np.asarray(left))
+        b = SampleSketch(clamp_epsilon=0.1)
+        b.observe(np.asarray(right))
+        a.merge(b)
+        whole = SampleSketch(clamp_epsilon=0.1)
+        for value in values:
+            whole.observe(np.asarray([value]))
+        for sketch in (a, whole, whole.copy()):
+            if len(values) <= 40:
+                assert sketch.values.tolist() == values
+            else:
+                assert sketch.values is None
+
+    def test_readers_use_the_held_values(self):
+        values = np.random.Generator(np.random.PCG64(3)).lognormal(3.0, 2.0, 40)
+        values[:4] = 0.0
+        sketch = SampleSketch(clamp_epsilon=0.1)
+        sketch.observe(values)
+        assert sketch_empirical(sketch) == EmpiricalDistribution.from_data(values)
+        assert sketch_fit_all(sketch) == fit_all(
+            values, zero_policy="clamp", epsilon=0.1
+        )
+        sketch.observe(np.asarray([1.0]))
+        assert sketch.values is None
+        summary = sketch_empirical(sketch)
+        assert summary.count == 41
+        assert summary.median == pytest.approx(
+            float(np.median(np.append(values, 1.0))),
+            rel=sketch.histogram.relative_error * 2,
+        )
+
+
+class TestHeldValues:
+    """The one keep-up-to-the-limit policy: what it stops keeping, it
+    hands back in order."""
+
+    @pytest.fixture(autouse=True)
+    def small_limit(self, monkeypatch):
+        monkeypatch.setattr(sketch_module, "EXACT_LIMIT", 5)
+
+    @staticmethod
+    def _lists(chunks):
+        return [chunk.tolist() for chunk in chunks]
+
+    def test_add_returns_what_it_stops_keeping(self):
+        held = HeldValues()
+        first = np.arange(3.0)
+        assert held.add(first) == []
+        first[0] = 99.0  # the kept values are a copy
+        assert held.add(np.arange(3.0, 5.0)) == []
+        assert held.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        released = held.add(np.arange(5.0, 7.0))
+        assert self._lists(released) == [[0.0, 1.0, 2.0, 3.0, 4.0], [5.0, 6.0]]
+        assert held.values is None and not held.held
+        assert self._lists(held.add(np.arange(2.0))) == [[0.0, 1.0]]
+        assert held.count == 9
+
+    def test_extend_appends_a_later_stream(self):
+        left, right = HeldValues(), HeldValues()
+        left.add(np.arange(3.0))
+        right.add(np.arange(3.0, 5.0))
+        assert left.extend(right) == []
+        assert left.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert self._lists(left.extend(right)) == [
+            [0.0, 1.0, 2.0, 3.0, 4.0], [3.0, 4.0],
+        ]
+        dropped = HeldValues()
+        dropped.add(np.arange(6.0))
+        fresh = HeldValues()
+        fresh.add(np.arange(2.0))
+        # The later stream's values are gone: only the kept ones return.
+        assert self._lists(fresh.extend(dropped)) == [[0.0, 1.0]]
+        assert fresh.count == 8 and fresh.values is None
