@@ -3,8 +3,8 @@
 Not a paper artifact — stresses the generator at fleet sizes beyond
 Table 1 via :func:`repro.synth.scenario.scale_inventory` and checks
 that throughput (records/second) holds up as the node count grows.
-The streaming path (``iter_records``) is benched separately because it
-is the memory-bounded route for large scaled runs.
+The columnar-store path (``generate_store``) is benched separately
+because it is the memory-bounded route for large scaled runs.
 """
 
 from repro.synth import TraceGenerator
@@ -47,15 +47,14 @@ def test_throughput_holds_at_scale(bench_seed):
     )
 
 
-def test_streaming_iteration_matches_generate(benchmark, bench_seed):
+def test_generate_store_matches_generate(benchmark, bench_seed, tmp_path):
     systems = scaled_lanl_systems(2.0)
     generator = TraceGenerator(seed=bench_seed, systems=systems)
+    runs = iter(range(1_000_000))
 
-    def stream():
-        count = 0
-        for _record in generator.iter_records(SCALE_SYSTEMS):
-            count += 1
-        return count
+    def write_store():
+        root = tmp_path / f"store-{next(runs)}"
+        return generator.generate_store(root, SCALE_SYSTEMS).row_count
 
-    streamed = benchmark(stream)
-    assert streamed == len(generator.generate(SCALE_SYSTEMS))
+    written = benchmark(write_store)
+    assert written == len(generator.generate(SCALE_SYSTEMS))

@@ -1,137 +1,34 @@
-"""Trace-generation throughput benchmarks (``repro bench``).
+"""Overhead guards for the disabled instrumentation (``repro bench``).
 
-Measures the synthesis hot path — serial scalar, serial vectorized, and
-process-parallel — over the full 22-system LANL trace and a quick
-3-system subset, and writes a machine-readable JSON report
-(``BENCH_generator.json``).
+Three guards bound what instrumentation costs when it is switched off:
+observability spans on a quick generate, the filesystem-fault shim on
+a journaled generate plus trace writes, and the read-path fault shim
+on a store scan.  Each multiplies the number of sites a workload hits
+by the measured cost of one disabled call, so the bound is stable on a
+noisy machine.
 
-The report's regression gate compares *speedup ratios*
-(vectorized vs. scalar, measured on the same machine in the same run),
-not absolute records/second, so a committed baseline from one machine
-meaningfully gates CI runs on another: absolute throughput varies with
-hardware, but the vectorized engine's advantage over the scalar
-reference loop on identical work should not silently erode.
+The generator's throughput gate is a script,
+``benchmarks/generator_gate.py``: it times ``generate()`` against the
+scalar reference engine of the test suite, which does not ship with
+the package.
 """
 
 from __future__ import annotations
 
-import platform
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
-import numpy as np
-
-from repro import __version__
 from repro.synth import TraceGenerator
 
 __all__ = [
-    "run_benchmark",
-    "check_against_baseline",
     "measure_obs_overhead",
     "measure_fsfaults_overhead",
+    "measure_serve_overhead",
     "QUICK_SYSTEMS",
 ]
 
 #: Quick-mode subset: one large (20), one mid (2), one small (13) system.
 QUICK_SYSTEMS = (2, 13, 20)
-
-#: JSON schema version of the report.
-SCHEMA_VERSION = 1
-
-
-def _time_generate(
-    generator: TraceGenerator,
-    system_ids: Optional[Sequence[int]],
-    *,
-    engine: Optional[str] = None,
-    workers: int = 1,
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Best-of-``repeats`` wall time for one generation configuration."""
-    best = float("inf")
-    n_records = 0
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        trace = generator.generate(system_ids, engine=engine, workers=workers)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        n_records = len(trace)
-    return {
-        "seconds": round(best, 4),
-        "records": n_records,
-        "records_per_second": round(n_records / best, 1) if best > 0 else None,
-    }
-
-
-def _suite(
-    generator: TraceGenerator,
-    system_ids: Optional[Sequence[int]],
-    workers: int,
-    repeats: int,
-) -> Dict[str, Any]:
-    scalar = _time_generate(
-        generator, system_ids, engine="scalar", repeats=repeats
-    )
-    vectorized = _time_generate(
-        generator, system_ids, engine="vectorized", repeats=repeats
-    )
-    suite: Dict[str, Any] = {
-        "systems": (
-            sorted(generator.systems) if system_ids is None else list(system_ids)
-        ),
-        "records": vectorized["records"],
-        "scalar": scalar,
-        "vectorized": vectorized,
-        "speedup_vectorized_vs_scalar": round(
-            scalar["seconds"] / vectorized["seconds"], 2
-        ),
-    }
-    if workers > 1:
-        parallel = _time_generate(
-            generator, system_ids, workers=workers, repeats=repeats
-        )
-        suite["parallel"] = dict(parallel, workers=workers)
-        suite["speedup_parallel_vs_scalar"] = round(
-            scalar["seconds"] / parallel["seconds"], 2
-        )
-    return suite
-
-
-def run_benchmark(
-    seed: int = 1,
-    *,
-    quick: bool = False,
-    workers: int = 1,
-    repeats: int = 1,
-) -> Dict[str, Any]:
-    """Run the generator benchmark and return the JSON-able report.
-
-    Parameters
-    ----------
-    seed:
-        Generator seed (the workload is deterministic in it).
-    quick:
-        Only run the 3-system :data:`QUICK_SYSTEMS` subset (CI smoke).
-    workers:
-        If > 1, additionally measure process-parallel generation.
-    repeats:
-        Take the best of this many runs per configuration.
-    """
-    generator = TraceGenerator(seed=seed)
-    report: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "seed": seed,
-        "repro_version": __version__,
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "quick": _suite(generator, list(QUICK_SYSTEMS), workers, repeats),
-    }
-    if not quick:
-        report["full"] = _suite(generator, None, workers, repeats)
-    return report
 
 
 def measure_obs_overhead(
@@ -324,84 +221,3 @@ def measure_serve_overhead(
         "threshold": threshold,
         "ok": overhead <= threshold,
     }
-
-
-def check_against_baseline(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    tolerance: float = 0.25,
-) -> List[str]:
-    """Regression check: current report vs. a committed baseline.
-
-    Returns a list of human-readable problems (empty = pass).  Compares
-    the vectorized-vs-scalar speedup ratio of every suite present in
-    both reports; a ratio more than ``tolerance`` below the baseline's
-    means the vectorized path regressed relative to the scalar
-    reference on the *same* machine and workload.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    problems: List[str] = []
-    for suite_name in ("quick", "full"):
-        current = report.get(suite_name)
-        reference = baseline.get(suite_name)
-        if current is None or reference is None:
-            continue
-        ratio = current["speedup_vectorized_vs_scalar"]
-        expected = reference["speedup_vectorized_vs_scalar"]
-        floor = expected * (1.0 - tolerance)
-        if ratio < floor:
-            problems.append(
-                f"{suite_name}: vectorized speedup {ratio:.2f}x fell below "
-                f"{floor:.2f}x (baseline {expected:.2f}x - {tolerance:.0%})"
-            )
-        if current["records"] != reference["records"] and report.get(
-            "seed"
-        ) == baseline.get("seed"):
-            problems.append(
-                f"{suite_name}: record count {current['records']} != "
-                f"baseline {reference['records']} at the same seed "
-                "(generator output changed; regenerate the baseline)"
-            )
-    return problems
-
-
-def format_report(report: Dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a benchmark report."""
-    lines = [f"repro bench (seed {report['seed']})"]
-    for suite_name in ("quick", "full"):
-        suite = report.get(suite_name)
-        if suite is None:
-            continue
-        lines.append(
-            f"  {suite_name}: {suite['records']} records over "
-            f"{len(suite['systems'])} systems"
-        )
-        for engine in ("scalar", "vectorized", "parallel"):
-            timing = suite.get(engine)
-            if timing is None:
-                continue
-            label = engine
-            if engine == "parallel":
-                label = f"parallel (workers={timing['workers']})"
-            lines.append(
-                f"    {label:<22} {timing['seconds']:>8.3f}s  "
-                f"{timing['records_per_second']:>10.0f} rec/s"
-            )
-        lines.append(
-            "    speedup (vectorized/scalar)  "
-            f"{suite['speedup_vectorized_vs_scalar']:.2f}x"
-        )
-    return "\n".join(lines)
-
-
-def write_report(report: Dict[str, Any], path: str) -> None:
-    """Atomically write a benchmark report as stable, diff-friendly JSON.
-
-    The atomic write (tmp + fsync + rename) means an interrupted bench
-    run can never leave a truncated ``BENCH_generator.json`` for the
-    CI regression gate to choke on.
-    """
-    from repro.resilience import atomic_write_json
-
-    atomic_write_json(path, report)

@@ -26,7 +26,7 @@
     python -m repro validate trace.csv
     python -m repro ingest dirty.csv --mode lenient --quarantine dead.jsonl
     python -m repro chaos --synthetic --rate 0.05
-    python -m repro bench --quick --out BENCH_generator.json
+    python -m repro bench --obs-guard
     python -m repro generate --seed 1 --out t.csv --trace trace.jsonl --metrics
     python -m repro profile --systems 2,13,20 --workers 2 --top 10
     python -m repro profile --trace trace.jsonl --validate
@@ -110,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per shard for --store columnar (default 131072)",
     )
     generate.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default=None,
-        help="generation engine (both produce identical traces)",
-    )
-    generate.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for per-system generation (supervised: "
              "crashed or hung workers are respawned and their shards retried)",
@@ -135,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     generate.add_argument(
         "--max-attempts", type=int, default=3,
-        help="retry attempts per shard per engine stage",
+        help="attempts per shard, retried after a backoff, before the "
+             "shard is skipped (the run then exits 3)",
     )
     generate.add_argument(
         "--chaos", type=str, default=None, metavar="OP[:TIMES]",
@@ -289,38 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="benchmark trace generation (scalar/vectorized/parallel)"
+        "bench",
+        help="overhead guards: what disabled instrumentation costs "
+             "(runs every guard unless some are selected)",
     )
     bench.add_argument("--seed", type=int, default=1, help="generator seed")
     bench.add_argument(
-        "--quick", action="store_true",
-        help="only the 3-system smoke subset (CI)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=1,
-        help="also measure process-parallel generation with this many workers",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=1,
-        help="best-of-N timing per configuration",
-    )
-    bench.add_argument(
-        "--out", type=str, default=None,
-        help="write the JSON report here (e.g. BENCH_generator.json)",
-    )
-    bench.add_argument(
-        "--check", type=str, default=None, metavar="BASELINE",
-        help="fail if vectorized speedup regresses vs this baseline JSON",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="allowed fractional speedup regression for --check",
-    )
-    bench.add_argument(
         "--obs-guard", action="store_true",
         help="assert that disabled observability costs <= 2%% of a "
-             "quick generate (runs instead of the throughput suites "
-             "unless combined with them)",
+             "quick generate",
     )
     bench.add_argument(
         "--fsfaults-guard", action="store_true",
@@ -342,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--systems", type=str, default="2,13,20",
         help="comma-separated system IDs for the profiling workload",
-    )
-    profile.add_argument(
-        "--engine", choices=("vectorized", "scalar"), default=None,
-        help="generation engine to profile",
     )
     profile.add_argument(
         "--workers", type=int, default=1,
@@ -703,12 +673,13 @@ def _command_generate(args: argparse.Namespace) -> int:
     if run_dir is not None:
         journal = ShardJournal(
             run_dir,
-            meta=generator.journal_meta(args.engine),
+            meta=generator.journal_meta(),
             resume=args.resume,
         )
     supervision = SupervisionConfig(
         policy=RetryPolicy(max_attempts=args.max_attempts, seed=args.seed),
         shard_timeout=args.shard_timeout,
+        failure_threshold=args.max_attempts,
     )
     chaos = contextlib.nullcontext()
     if args.chaos:
@@ -760,7 +731,6 @@ def _command_generate(args: argparse.Namespace) -> int:
                     args.out,
                     system_ids,
                     workers=args.workers,
-                    engine=args.engine,
                     supervision=supervision,
                     journal=journal,
                     shard_rows=(
@@ -779,7 +749,6 @@ def _command_generate(args: argparse.Namespace) -> int:
                 trace = generator.generate(
                     system_ids,
                     workers=args.workers,
-                    engine=args.engine,
                     supervision=supervision,
                     journal=journal,
                 )
@@ -1098,7 +1067,7 @@ def _command_profile(args: argparse.Namespace) -> int:
                 "repro.profile", seed=args.seed, workers=args.workers
             ):
                 trace = TraceGenerator(seed=args.seed).generate(
-                    system_ids, workers=args.workers, engine=args.engine
+                    system_ids, workers=args.workers
                 )
                 if args.report:
                     from repro.report import run_paper_report
@@ -1125,94 +1094,57 @@ def _command_profile(args: argparse.Namespace) -> int:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
     from repro.benchmark import (
-        check_against_baseline,
-        format_report,
+        measure_fsfaults_overhead,
         measure_obs_overhead,
-        run_benchmark,
-        write_report,
+        measure_serve_overhead,
     )
 
-    if args.obs_guard or args.fsfaults_guard or args.serve_guard:
-        code = 0
-        if args.obs_guard:
-            guard = measure_obs_overhead(seed=args.seed)
-            print(
-                "observability overhead guard: "
-                f"{guard['spans_per_generate']} span sites x "
-                f"{guard['noop_span_cost_ns']:.0f}ns disabled cost = "
-                f"{100 * guard['overhead_fraction']:.3f}% of a "
-                f"{guard['disabled_seconds']:.3f}s generate "
-                f"(threshold {100 * guard['threshold']:.0f}%)"
-            )
-            if not guard["ok"]:
-                print(
-                    "REGRESSION: disabled observability overhead above "
-                    "threshold"
-                )
-                code = 1
-        if args.fsfaults_guard:
-            from repro.benchmark import measure_fsfaults_overhead
-
-            guard = measure_fsfaults_overhead(seed=args.seed)
-            print(
-                "fs-faults overhead guard: "
-                f"{guard['sites_per_run']} hook sites x "
-                f"{guard['noop_hook_cost_ns']:.0f}ns disabled cost = "
-                f"{100 * guard['overhead_fraction']:.3f}% of a "
-                f"{guard['disabled_seconds']:.3f}s generate+write "
-                f"(threshold {100 * guard['threshold']:.0f}%)"
-            )
-            if not guard["ok"]:
-                print(
-                    "REGRESSION: disabled fs-faults shim overhead above "
-                    "threshold"
-                )
-                code = 1
-        if args.serve_guard:
-            from repro.benchmark import measure_serve_overhead
-
-            guard = measure_serve_overhead()
-            print(
-                "serve overhead guard: "
-                f"{guard['sites_per_scan']} read hook sites x "
-                f"{guard['noop_hook_cost_ns']:.0f}ns disabled cost = "
-                f"{100 * guard['overhead_fraction']:.3f}% of a "
-                f"{guard['disabled_seconds']:.3f}s store scan "
-                f"(threshold {100 * guard['threshold']:.0f}%)"
-            )
-            if not guard["ok"]:
-                print(
-                    "REGRESSION: disabled read-path fault shim overhead "
-                    "above threshold"
-                )
-                code = 1
-        return code
-
-    report = run_benchmark(
-        seed=args.seed,
-        quick=args.quick,
-        workers=args.workers,
-        repeats=args.repeats,
-    )
-    print(format_report(report))
-    if args.out:
-        write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            baseline = _json.load(handle)
-        problems = check_against_baseline(
-            report, baseline, tolerance=args.tolerance
+    run_all = not (args.obs_guard or args.fsfaults_guard or args.serve_guard)
+    code = 0
+    if run_all or args.obs_guard:
+        guard = measure_obs_overhead(seed=args.seed)
+        print(
+            "observability overhead guard: "
+            f"{guard['spans_per_generate']} span sites x "
+            f"{guard['noop_span_cost_ns']:.0f}ns disabled cost = "
+            f"{100 * guard['overhead_fraction']:.3f}% of a "
+            f"{guard['disabled_seconds']:.3f}s generate "
+            f"(threshold {100 * guard['threshold']:.0f}%)"
         )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}")
-            return 1
-        print(f"regression check vs {args.check}: OK")
-    return 0
+        if not guard["ok"]:
+            print("REGRESSION: disabled observability overhead above threshold")
+            code = 1
+    if run_all or args.fsfaults_guard:
+        guard = measure_fsfaults_overhead(seed=args.seed)
+        print(
+            "fs-faults overhead guard: "
+            f"{guard['sites_per_run']} hook sites x "
+            f"{guard['noop_hook_cost_ns']:.0f}ns disabled cost = "
+            f"{100 * guard['overhead_fraction']:.3f}% of a "
+            f"{guard['disabled_seconds']:.3f}s generate+write "
+            f"(threshold {100 * guard['threshold']:.0f}%)"
+        )
+        if not guard["ok"]:
+            print("REGRESSION: disabled fs-faults shim overhead above threshold")
+            code = 1
+    if run_all or args.serve_guard:
+        guard = measure_serve_overhead()
+        print(
+            "serve overhead guard: "
+            f"{guard['sites_per_scan']} read hook sites x "
+            f"{guard['noop_hook_cost_ns']:.0f}ns disabled cost = "
+            f"{100 * guard['overhead_fraction']:.3f}% of a "
+            f"{guard['disabled_seconds']:.3f}s store scan "
+            f"(threshold {100 * guard['threshold']:.0f}%)"
+        )
+        if not guard["ok"]:
+            print(
+                "REGRESSION: disabled read-path fault shim overhead above "
+                "threshold"
+            )
+            code = 1
+    return code
 
 
 def _store_predicate(args: argparse.Namespace):

@@ -7,8 +7,8 @@ checkpointing, graceful degradation — to our own hot path:
 * :class:`~repro.resilience.retry.RetryPolicy` — exponential backoff
   with deterministic jitter and an overall deadline;
 * :class:`~repro.resilience.breaker.CircuitBreaker` — per-shard
-  failure counting over a degradation ladder (for generation:
-  vectorized → scalar → structured skip);
+  failure counting over a degradation ladder (generation has one
+  stage: retried, then a structured skip);
 * :func:`~repro.resilience.supervisor.supervised_map` — a process-pool
   map that survives crashed (``BrokenProcessPool``), hung and failing
   workers by respawning the pool and retrying only unfinished shards;

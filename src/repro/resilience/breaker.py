@@ -1,11 +1,11 @@
 """Per-shard circuit breaker with a degradation ladder.
 
 After ``failure_threshold`` failures in a stage, a shard is *degraded*
-to the next stage (for trace generation: ``vectorized`` → ``scalar``)
-rather than retried forever; when the last stage is exhausted, the
-breaker *opens* and the shard is skipped — recorded as a structured
-skip in the :class:`~repro.resilience.report.RunReport` instead of
-failing the whole run.  This mirrors the graceful-degradation posture
+to the next stage rather than retried forever; when the last stage is
+exhausted, the breaker *opens* and the shard is skipped — recorded as
+a structured skip in the :class:`~repro.resilience.report.RunReport`
+instead of failing the whole run.  Trace generation runs a one-stage
+ladder: a shard is retried ``failure_threshold`` times, then skipped.  This mirrors the graceful-degradation posture
 the paper observes in production HPC tooling: lose a component, not
 the job.
 

@@ -15,7 +15,7 @@ any point leaves either a fully recorded shard or no record at all — a
 truncated trailing journal line is tolerated and ignored on load.
 
 ``meta.json`` pins the run's identity: resuming with a different seed,
-engine, config or inventory raises :class:`JournalError` instead of
+config or inventory raises :class:`JournalError` instead of
 silently splicing incompatible shards together.
 """
 

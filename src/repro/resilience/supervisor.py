@@ -96,8 +96,8 @@ def supervised_map(
         single-stage breaker with ``policy.max_attempts`` threshold.
     stage_payload:
         ``f(payload, stage) -> payload`` rewriting a payload for a
-        degraded stage (e.g. switching the generation engine); default
-        identity.
+        degraded stage; default identity.  (Trace generation runs a
+        one-stage ladder and never rewrites.)
     shard_timeout:
         Hang detection: if no shard completes for this many seconds,
         the round's unfinished shards are failed with outcome

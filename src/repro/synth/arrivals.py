@@ -19,17 +19,16 @@ cumulative table.  The sampler precomputes one cumulative-capacity
 array over the production window's weeks; inverting ``Lambda`` is then
 a single ``searchsorted`` plus the profile's within-week inversion.
 
-Two sampling paths share that grid:
-
-* :meth:`ModulatedWeibullArrivals.sample` — the scalar reference path,
-  one event per loop iteration.
-* :meth:`ModulatedWeibullArrivals.sample_vectorized` — draws whole
-  interarrival arrays and inverts them in a handful of NumPy calls.
-
-Both consume the RNG identically *per draw* and perform the same
-IEEE-754 operations per event, so for the same generator state they
-produce bit-identical timestamps (the statistical-equivalence suite
-asserts this via ``repr()`` comparison).
+Sampling is two array stages:
+:meth:`ModulatedWeibullArrivals.sample_operational_totals` draws whole
+chunks of interarrivals and returns the running operational times
+within the window's capacity, and :func:`invert_operational` maps them
+to wall-clock times.  The trace generator runs the stages separately
+so that every node of a Table 1 category, which share one grid,
+inverts in a single call.  A node's failure times are the inverted
+times before its window end.  The per-event loop they replaced is kept
+in ``tests/synth/reference_engine.py``; for the same generator state
+both produce bit-identical timestamps.
 """
 
 from __future__ import annotations
@@ -125,13 +124,12 @@ def invert_operational(
     ``ValueError`` rather than indexing off the end of the grid.
     Elementwise, so totals from many nodes sharing one grid can be
     inverted in a single call — the trace generator batches a whole
-    Table 1 category this way.  Performs the same per-element IEEE-754
-    operations as the scalar path.
+    Table 1 category this way.
 
     Boundary semantics (``side="left"``): a total exactly on a week
     boundary ``cumulative[i]`` resolves to week ``i`` with the full
-    week's mass consumed — identical to the scalar ``_invert_one``
-    twin, which the boundary tests assert bitwise.
+    week's mass consumed — identical to the per-event inversion of the
+    reference engine, which the boundary tests assert bitwise.
     """
     if totals.size == 0:
         return np.empty(0, dtype=float)
@@ -257,76 +255,15 @@ class ModulatedWeibullArrivals:
         z = float(special.gammaincinv(1.0 / self._shape, u))
         return self._unit_scale * z ** (1.0 / self._shape)
 
-    def _invert_one(
-        self, grid: ArrivalGrid, total_operational: float
-    ) -> Optional[float]:
-        """Map a cumulative operational time to a wall-clock timestamp.
-
-        Returns None when the operational time exceeds the window's
-        total capacity.
-        """
-        cumulative = grid.cumulative
-        index = int(np.searchsorted(cumulative, total_operational, side="left"))
-        if index >= len(cumulative):
-            return None
-        previous = cumulative[index - 1] if index else 0.0
-        base = grid.base0 if index == 0 else 0.0
-        target = base + (total_operational - previous) / grid.levels[index]
-        return grid.week_starts[index] + self._profile.invert(target)
-
-    def sample(self, generator: np.random.Generator) -> List[float]:
-        """Generate all failure times in the production window (scalar).
-
-        Returns an increasing list of absolute timestamps.  This is the
-        reference implementation; :meth:`sample_vectorized` must match
-        it bit-for-bit for the same generator state.
-        """
-        if self._base_rate == 0.0:
-            return []
-        grid = self._ensure_grid()
-        events: List[float] = []
-        total_operational = 0.0
-        first = True
-        while True:
-            if first:
-                draw = self._equilibrium_draw(generator)
-                first = False
-            else:
-                draw = self._unit_scale * float(generator.weibull(self._shape))
-            total_operational += draw / self._base_rate
-            t = self._invert_one(grid, total_operational)
-            if t is None or t >= self._end:
-                return events
-            events.append(float(t))
-
-    def sample_vectorized(self, generator: np.random.Generator) -> np.ndarray:
-        """Generate all failure times in the production window (batched).
-
-        Draws whole interarrival arrays and inverts the time rescaling
-        with array ops.  Bit-identical to :meth:`sample` for the same
-        generator state: the underlying bit-stream consumption per draw
-        and the per-event float operations are the same, only batched.
-        (The *number* of draws consumed may differ — batching overdraws
-        past the window's capacity — which is why each node's arrival
-        stream is dedicated and never reused for other quantities.)
-        """
-        totals = self.sample_operational_totals(generator)
-        if totals.size == 0:
-            return np.empty(0, dtype=float)
-        times = invert_operational(self._grid, self._profile, totals)
-        cut = int(np.searchsorted(times, self._end, side="left"))
-        return times[:cut]
-
     def sample_operational_totals(
         self, generator: np.random.Generator
     ) -> np.ndarray:
         """Cumulative operational times of all events within capacity.
 
-        The draw stage of :meth:`sample_vectorized`; the inversion
-        stage is :func:`invert_operational`.  Exposed separately so the
-        trace generator can draw per node (each node owns its stream)
-        but invert a whole category of nodes — which share one grid —
-        in a single vectorized call.
+        The draw stage; :func:`invert_operational` over the window's
+        grid is the inversion stage.  Draws come in chunks that over-draw past
+        the capacity, so the generator's stream must not be reused for
+        anything else.
         """
         if self._base_rate == 0.0:
             return np.empty(0, dtype=float)
@@ -346,7 +283,7 @@ class ModulatedWeibullArrivals:
                 ) / self._base_rate
                 first = False
                 # A plain cumsum seeds the running total with
-                # increments[0], exactly like the scalar loop's first
+                # increments[0], exactly like a per-event loop's first
                 # ``total += draw``.
                 totals = np.cumsum(increments)
             else:

@@ -16,11 +16,7 @@ from typing import Dict, Mapping, Tuple
 from repro.records.record import LowLevelCause, RootCause
 from repro.records.system import HardwareType
 
-__all__ = ["GeneratorConfig", "ENGINES", "DEFAULT_ENGINE"]
-
-#: The synthesis engines; both must produce bit-identical traces.
-ENGINES = ("vectorized", "scalar")
-DEFAULT_ENGINE = "vectorized"
+__all__ = ["GeneratorConfig"]
 
 # ---------------------------------------------------------------------------
 # Failure rates (Figure 2(b): failures/year/processor, roughly constant
@@ -359,18 +355,8 @@ class GeneratorConfig:
     burst_era_months: float = DEFAULT_BURST_ERA_MONTHS
     burst_prob: float = DEFAULT_BURST_PROB
     burst_mean_extra: float = DEFAULT_BURST_MEAN_EXTRA
-    #: Synthesis engine: "vectorized" (batched NumPy hot path) or
-    #: "scalar" (the per-event reference loop).  Both produce identical
-    #: traces for the same seed; "scalar" exists for the equivalence
-    #: suite and for debugging.
-    default_engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
-        if self.default_engine not in ENGINES:
-            raise ValueError(
-                f"default_engine must be one of {ENGINES}, "
-                f"got {self.default_engine!r}"
-            )
         if not 0 < self.tbf_shape <= 2:
             raise ValueError(f"tbf_shape must be in (0, 2], got {self.tbf_shape}")
         if not 0 <= self.diurnal_amplitude < 1:

@@ -14,20 +14,25 @@ Pipeline per system:
 2. assign workloads (graphics / front-end / compute) and per-node rate
    multipliers,
 3. sample each node's failure times from a modulated Weibull renewal
-   process (lifecycle x weekly modulation via time rescaling),
+   process (lifecycle x weekly modulation via time rescaling), drawing
+   per node and inverting a whole Table 1 category at once,
 4. draw root causes (age-dependent unknown era for types D/G) and
-   repair durations,
-5. inject correlated bursts for the early NUMA era,
-6. sort, stamp record IDs, wrap in a FailureTrace.
+   repair durations, resolved for the whole system at once,
+5. inject correlated bursts for the early NUMA era.
 
-Engines and the RNG-stream contract
------------------------------------
-Two engines share this pipeline: ``"vectorized"`` (the default; batched
-NumPy hot path) and ``"scalar"`` (the per-event reference loop).  Each
-(system, node) consumes two dedicated streams:
+Every stage works on NumPy arrays, and a system's failures travel as a
+:class:`~repro.records.columns.ColumnBatch` — the layout the trace and
+the columnar store share — to workers, the shard journal, the store
+writer and the trace.  :meth:`TraceGenerator.generate` sorts all
+systems' rows into trace order once and numbers them; no
+:class:`~repro.records.record.FailureRecord` is built.
+
+The RNG-stream contract
+-----------------------
+Each (system, node) consumes two dedicated streams:
 
 * ``("system", s, "node", n, "arrivals")`` — one equilibrium uniform,
-  then Weibull interarrivals.  The vectorized engine over-draws past
+  then Weibull interarrivals.  Draws come in chunks that over-draw past
   the window capacity, so this stream is never reused for anything
   else.
 * ``("system", s, "node", n, "marks")`` — fixed block order:
@@ -35,11 +40,13 @@ NumPy hot path) and ``"scalar"`` (the per-event reference loop).  Each
   each, sized by the node's event count).  Untouched when the node has
   no failures.
 
-System-level streams (``jitter``, ``bursts``) and the per-node rate
-multiplier stream are unchanged from the per-record pipeline.  Because
-every stream's seed is a pure function of (root seed, label path), the
-engines — and serial vs. parallel execution — produce bit-identical
-records.
+The system-level streams are ``jitter``, ``node-multipliers`` and
+``bursts``.  Because every stream's seed is a pure function of (root
+seed, label path), serial and parallel runs, retried shards and
+resumed shards produce bit-identical rows.  The scalar reference
+engine in ``tests/synth/reference_engine.py`` draws the same streams
+one event at a time; the equivalence suite checks this generator
+against it record for record.
 """
 
 from __future__ import annotations
@@ -49,23 +56,22 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 
-from repro.records.codes import (
-    CAUSE_CODE,
-    CAUSE_VOCAB,
-    DETAIL_CODE,
-    DETAIL_VOCAB,
-    NO_DETAIL,
-    WORKLOAD_CODE,
-    WORKLOAD_VOCAB,
+from repro.records.codes import WORKLOAD_CODE
+from repro.records.columns import (
+    NO_RECORD_ID,
+    ColumnBatch,
+    concat_batches,
+    empty_batch,
+    trace_order,
 )
 from repro.records.inventory import DATA_END, DATA_START, LANL_SYSTEMS
-from repro.records.record import FailureRecord, Workload
+from repro.records.record import Workload
 from repro.records.system import SystemConfig
 from repro.records.timeutils import (
     SECONDS_PER_MONTH,
@@ -89,7 +95,7 @@ from repro.synth.arrivals import (
     invert_operational,
     week_grid,
 )
-from repro.synth.config import ENGINES, GeneratorConfig
+from repro.synth.config import GeneratorConfig
 from repro.synth.correlated import inject_bursts
 from repro.synth.diurnal import WeeklyProfile
 from repro.synth.jitter import MonthlyJitter
@@ -104,98 +110,16 @@ from repro.synth.rootcause import CauseModel
 
 __all__ = ["TraceGenerator", "SupervisionConfig"]
 
-
-@dataclass
-class _SystemColumns:
-    """One system's failures in columnar form (pre-record objects).
-
-    The hot path works on arrays; :class:`FailureRecord` objects are
-    only materialized lazily at emission time, which is what bounds
-    memory for scaled-inventory runs.  Categorical columns are int8
-    codes (:mod:`repro.records.codes`), never object arrays: worker
-    handoff and journal payloads pickle six numeric buffers instead of
-    per-element enum references, and the columnar store can write them
-    straight to disk.
-    """
-
-    system_id: int
-    start: np.ndarray          # float64, node-major order
-    end: np.ndarray            # float64
-    node_id: np.ndarray        # int64
-    cause_code: np.ndarray     # int8, index into CAUSE_VOCAB
-    detail_code: np.ndarray    # int8, index into DETAIL_VOCAB, -1 = None
-    workload_code: np.ndarray  # int8, index into WORKLOAD_VOCAB
-
-    def __len__(self) -> int:
-        return len(self.start)
-
-
-def _empty_columns(system_id: int) -> _SystemColumns:
-    return _SystemColumns(
-        system_id=system_id,
-        start=np.empty(0),
-        end=np.empty(0),
-        node_id=np.empty(0, dtype=np.int64),
-        cause_code=np.empty(0, dtype=np.int8),
-        detail_code=np.empty(0, dtype=np.int8),
-        workload_code=np.empty(0, dtype=np.int8),
-    )
-
-
-def _records_from_columns(columns: _SystemColumns) -> List[FailureRecord]:
-    """Materialize a system's columns as (un-numbered) records."""
-    # FailureRecord.__post_init__ coerces numeric fields, so NumPy
-    # scalars can be passed straight through.
-    records = []
-    for i in range(len(columns)):
-        detail = int(columns.detail_code[i])
-        records.append(
-            FailureRecord(
-                start_time=columns.start[i],
-                end_time=columns.end[i],
-                system_id=columns.system_id,
-                node_id=columns.node_id[i],
-                root_cause=CAUSE_VOCAB[columns.cause_code[i]],
-                low_level_cause=DETAIL_VOCAB[detail] if detail >= 0 else None,
-                workload=WORKLOAD_VOCAB[columns.workload_code[i]],
-            )
-        )
-    return records
-
-
-def _columns_from_records(
-    system_id: int, records: Sequence[FailureRecord]
-) -> _SystemColumns:
-    """Inverse of :func:`_records_from_columns` (burst adapter)."""
-    if not records:
-        return _empty_columns(system_id)
-    return _SystemColumns(
-        system_id=system_id,
-        start=np.array([r.start_time for r in records]),
-        end=np.array([r.end_time for r in records]),
-        node_id=np.array([r.node_id for r in records], dtype=np.int64),
-        cause_code=np.array(
-            [CAUSE_CODE[r.root_cause] for r in records], dtype=np.int8
-        ),
-        detail_code=np.array(
-            [
-                NO_DETAIL if r.low_level_cause is None
-                else DETAIL_CODE[r.low_level_cause]
-                for r in records
-            ],
-            dtype=np.int8,
-        ),
-        workload_code=np.array(
-            [WORKLOAD_CODE[r.workload] for r in records], dtype=np.int8
-        ),
-    )
+#: The stage every shard attempt runs in.  Generation has one stage, so
+#: a shard that fails past its retries is skipped, never degraded.
+_STAGE = "synth"
 
 
 def _shard_key(system_id: int) -> str:
     return f"system-{system_id}"
 
 
-def _system_columns_task(payload: Tuple) -> _SystemColumns:
+def _system_columns_task(payload: Tuple) -> ColumnBatch:
     """Worker entry point for ``workers > 1`` (module-level: picklable).
 
     Rebuilds the generator from its defining state; determinism comes
@@ -203,7 +127,7 @@ def _system_columns_task(payload: Tuple) -> _SystemColumns:
     generator's output is identical to the parent's — which is also
     what makes a *retried* shard byte-identical to a first-try one.
     """
-    seed, config, systems, data_start, data_end, system_id, engine = payload
+    seed, config, systems, data_start, data_end, system_id = payload
     generator = TraceGenerator(
         seed=seed,
         config=config,
@@ -217,15 +141,15 @@ def _system_columns_task(payload: Tuple) -> _SystemColumns:
     # shard key and are spooled for the supervisor to graft.
     key = _shard_key(system_id)
     with obs.worker_tracing(key):
-        with obs.span("synth.system", system=system_id, engine=engine) as span:
-            columns = generator._system_columns(system_id, engine)
+        with obs.span("synth.system", system=system_id) as span:
+            columns = generator._system_columns(system_id)
             span.add("records", len(columns))
     return columns
 
 
 @dataclass(frozen=True)
 class SupervisionConfig:
-    """How :class:`TraceGenerator` supervises multi-process generation.
+    """How :class:`TraceGenerator` supervises generation.
 
     Parameters
     ----------
@@ -236,24 +160,13 @@ class SupervisionConfig:
         the worker pool is terminated and respawned and the unfinished
         shards retried.  ``None`` disables hang detection.
     failure_threshold:
-        Failures per degradation stage before the circuit breaker moves
-        a shard down the ladder (vectorized → scalar → skip).
-    degrade_to_scalar:
-        Whether a repeatedly-failing vectorized shard falls back to the
-        scalar reference engine (byte-identical output) before being
-        skipped.
+        Failed attempts per shard, serial or parallel, before the
+        circuit breaker opens and the shard becomes a structured skip.
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     shard_timeout: Optional[float] = None
     failure_threshold: int = 3
-    degrade_to_scalar: bool = True
-
-    def stages(self, engine: str) -> Tuple[str, ...]:
-        """The engine degradation ladder for a run on ``engine``."""
-        if self.degrade_to_scalar and engine == "vectorized":
-            return ("vectorized", "scalar")
-        return (engine,)
 
 
 class TraceGenerator:
@@ -300,7 +213,7 @@ class TraceGenerator:
         )
         self._repair_model = RepairModel(self.config)
         #: The :class:`~repro.resilience.report.RunReport` of the most
-        #: recent :meth:`generate`/:meth:`iter_records` call.
+        #: recent :meth:`generate`/:meth:`generate_store` call.
         self.last_run_report: Optional[RunReport] = None
 
     # ------------------------------------------------------------------
@@ -312,11 +225,13 @@ class TraceGenerator:
         system_ids: Optional[Sequence[int]] = None,
         *,
         workers: int = 1,
-        engine: Optional[str] = None,
         supervision: Optional[SupervisionConfig] = None,
         journal: Optional[ShardJournal] = None,
     ) -> FailureTrace:
         """Generate the trace for the given systems (default: all).
+
+        Rows are sorted by ``(start_time, system_id, node_id)``, ties
+        in generation order, and numbered from 0 in that order.
 
         Parameters
         ----------
@@ -326,16 +241,13 @@ class TraceGenerator:
             worker count.  Values above ``os.cpu_count()`` or the
             number of systems are clamped (with a warning for the CPU
             case).
-        engine:
-            Override the config's ``default_engine`` ("vectorized" or
-            "scalar"); both produce identical traces.
         supervision:
-            Fault-tolerance knobs for the worker fan-out (retry policy,
-            hang timeout, degradation ladder); defaults apply when
-            omitted.  Graceful degradation is opt-in: when omitted, a
-            shard that fails past every retry raises (serial and
-            parallel alike) instead of being skipped, so a bare run
-            never returns a silently incomplete trace.  The resulting
+            Fault-tolerance knobs (retry policy, hang timeout, failure
+            threshold); defaults apply when omitted.  Graceful
+            degradation is opt-in: when omitted, a shard that fails
+            past every retry raises (serial and parallel alike) instead
+            of being skipped, so a bare run never returns a silently
+            incomplete trace.  The resulting
             :class:`~repro.resilience.report.RunReport` is available as
             :attr:`last_run_report`.
         journal:
@@ -344,96 +256,34 @@ class TraceGenerator:
             shards already in the journal are loaded instead of
             regenerated (crash-resumable runs).
         """
-        records = list(
-            self.iter_records(
-                system_ids,
-                workers=workers,
-                engine=engine,
-                supervision=supervision,
-                journal=journal,
-            )
+        system_ids = (
+            sorted(self.systems) if system_ids is None else list(system_ids)
         )
-        return FailureTrace(
-            records,
+        with obs.span(
+            "generate", workers=workers, systems=len(system_ids), seed=self.seed
+        ) as gen_span:
+            batches = [
+                batch
+                for batch in self._all_columns(
+                    system_ids, workers, supervision, journal
+                ).values()
+                if len(batch)
+            ]
+            rows = concat_batches(batches)
+            with obs.span("generate.sort", records=len(rows)):
+                order = trace_order(rows)
+                columns = {name: rows[name][order] for name in rows.names}
+                columns["record_id"] = np.arange(len(rows), dtype=np.int64)
+            gen_span.add("records", len(rows))
+        registry = obs.metrics()
+        registry.counter("generate.records").add(len(rows))
+        registry.counter("generate.systems").add(len(batches))
+        return FailureTrace.from_columns(
+            ColumnBatch(columns),
             systems=self.systems,
             data_start=self.data_start,
             data_end=self.data_end,
         )
-
-    def iter_records(
-        self,
-        system_ids: Optional[Sequence[int]] = None,
-        *,
-        workers: int = 1,
-        engine: Optional[str] = None,
-        supervision: Optional[SupervisionConfig] = None,
-        journal: Optional[ShardJournal] = None,
-    ) -> Iterator[FailureRecord]:
-        """Yield the trace's records in final order, lazily.
-
-        Record objects are built one at a time from the columnar
-        intermediate, so peak memory is the (numeric) columns plus one
-        record — the streaming path for scaled-inventory runs where
-        materializing millions of record objects would dominate memory.
-        Ordering and record IDs match :meth:`generate` exactly.
-        ``supervision`` and ``journal`` behave as in :meth:`generate`.
-        """
-        if system_ids is None:
-            system_ids = sorted(self.systems.keys())
-        system_ids = list(system_ids)
-        engine = self._resolve_engine(engine)
-        with obs.span(
-            "generate",
-            engine=engine,
-            workers=workers,
-            systems=len(system_ids),
-            seed=self.seed,
-        ) as gen_span:
-            columns = self._all_columns(
-                system_ids, workers, engine, supervision, journal
-            )
-            columns = [c for c in columns if len(c)]
-            total = int(sum(len(c) for c in columns))
-            gen_span.add("records", total)
-        registry = obs.metrics()
-        registry.counter("generate.records").add(total)
-        registry.counter("generate.systems").add(len(columns))
-        if not columns:
-            return
-        starts = np.concatenate([c.start for c in columns])
-        ends = np.concatenate([c.end for c in columns])
-        node_ids = np.concatenate([c.node_id for c in columns])
-        cause_codes = np.concatenate([c.cause_code for c in columns])
-        detail_codes = np.concatenate([c.detail_code for c in columns])
-        workload_codes = np.concatenate([c.workload_code for c in columns])
-        sys_ids = np.concatenate(
-            [np.full(len(c), c.system_id, dtype=np.int64) for c in columns]
-        )
-        # Stable sort by (start, system, node) — identical to the
-        # record-object sort the per-record pipeline used.
-        with obs.span("generate.sort", records=int(starts.size)):
-            order = np.lexsort((node_ids, sys_ids, starts))
-        # __post_init__ coerces the NumPy scalars to Python floats/ints;
-        # categorical codes decode through the canonical vocab tables.
-        for record_id, i in enumerate(order):
-            detail = int(detail_codes[i])
-            yield FailureRecord(
-                start_time=starts[i],
-                end_time=ends[i],
-                system_id=sys_ids[i],
-                node_id=node_ids[i],
-                root_cause=CAUSE_VOCAB[cause_codes[i]],
-                low_level_cause=DETAIL_VOCAB[detail] if detail >= 0 else None,
-                workload=WORKLOAD_VOCAB[workload_codes[i]],
-                record_id=record_id,
-            )
-
-    def generate_system(
-        self, system_id: int, engine: Optional[str] = None
-    ) -> List[FailureRecord]:
-        """Generate (unsorted, un-numbered) records for one system."""
-        engine = self._resolve_engine(engine)
-        return _records_from_columns(self._system_columns(system_id, engine))
 
     def generate_store(
         self,
@@ -441,7 +291,6 @@ class TraceGenerator:
         system_ids: Optional[Sequence[int]] = None,
         *,
         workers: int = 1,
-        engine: Optional[str] = None,
         supervision: Optional[SupervisionConfig] = None,
         journal: Optional[ShardJournal] = None,
         shard_rows: Optional[int] = None,
@@ -449,41 +298,32 @@ class TraceGenerator:
     ):
         """Generate straight into a columnar store directory.
 
-        The engines' column batches are written to per-shard ``.npy``
-        column files under ``root`` without ever materializing
-        :class:`FailureRecord` objects — the out-of-core path for
+        Each system's rows are sorted and written to per-shard ``.npy``
+        column files under ``root`` — the out-of-core path for
         scaled-inventory runs.  ``workers``, ``supervision`` and
         ``journal`` behave exactly as in :meth:`generate`; reading the
-        store back (:meth:`repro.store.ColumnarStore.iter_records`)
-        yields the same records, in the same order, with the same
-        record IDs as :meth:`iter_records`.
+        store back (:meth:`repro.store.ColumnarStore.to_trace`) gives
+        the rows, order and record IDs of :meth:`generate`.
 
         Returns the store's :class:`~repro.store.manifest.Manifest`.
         """
-        from repro.store.schema import ColumnBatch
         from repro.store.writer import DEFAULT_SHARD_ROWS, StoreWriter
 
-        if system_ids is None:
-            system_ids = sorted(self.systems.keys())
-        system_ids = list(system_ids)
-        engine = self._resolve_engine(engine)
+        system_ids = (
+            sorted(self.systems) if system_ids is None else list(system_ids)
+        )
         with obs.span(
             "store.generate",
-            engine=engine,
             workers=workers,
             systems=len(system_ids),
             seed=self.seed,
         ) as span:
-            columns = self._all_columns(
-                system_ids, workers, engine, supervision, journal
-            )
-            columns = [c for c in columns if len(c)]
-            total = int(sum(len(c) for c in columns))
+            batches = self._all_columns(system_ids, workers, supervision, journal)
+            total = int(sum(len(batch) for batch in batches.values()))
             span.add("records", total)
             store_meta: Dict[str, object] = {
                 "generator": "repro-synth",
                 "seed": self.seed,
-                "engine": engine,
             }
             if meta:
                 store_meta.update(meta)
@@ -502,26 +342,10 @@ class TraceGenerator:
                 # One group per system, ascending: each shard holds one
                 # system's rows sorted by (start, node) — the layout the
                 # reader's stable merge sort and predicate pushdown rely on.
-                for c in sorted(columns, key=lambda c: c.system_id):
-                    order = np.lexsort((c.node_id, c.start))
-                    writer.append_group(
-                        ColumnBatch(
-                            {
-                                "start_time": c.start[order],
-                                "end_time": c.end[order],
-                                "system_id": np.full(
-                                    len(c), c.system_id, dtype=np.int32
-                                ),
-                                "node_id": c.node_id[order].astype(np.int32),
-                                "root_cause": c.cause_code[order],
-                                "low_level_cause": c.detail_code[order],
-                                "workload": c.workload_code[order],
-                                "record_id": np.full(
-                                    len(c), -1, dtype=np.int64
-                                ),
-                            }
-                        )
-                    )
+                for system_id in sorted(batches):
+                    batch = batches[system_id]
+                    if len(batch):
+                        writer.append_group(batch.take(trace_order(batch)))
             manifest = writer.finalize()
         registry = obs.metrics()
         registry.counter("store.records_written").add(total)
@@ -532,22 +356,15 @@ class TraceGenerator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _resolve_engine(self, engine: Optional[str]) -> str:
-        engine = engine if engine is not None else self.config.default_engine
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        return engine
-
-    def journal_meta(self, engine: Optional[str] = None) -> Dict[str, object]:
+    def journal_meta(self) -> Dict[str, object]:
         """The run-identity dict pinned into a resumable run's journal.
 
-        Shards are compositional — a system's records are a pure
-        function of ``(seed, config, inventory, engine)`` — so the
-        identity deliberately excludes *which* systems a run requested:
-        a journaled shard is valid for any later run with the same
+        Shards are compositional — a system's rows are a pure function
+        of ``(seed, config, inventory, window)`` — so the identity
+        deliberately excludes *which* systems a run requested: a
+        journaled shard is valid for any later run with the same
         identity.
         """
-        engine = self._resolve_engine(engine)
         systems_digest = hashlib.sha256(
             repr(sorted(self.systems.items())).encode("utf-8")
         ).hexdigest()
@@ -556,12 +373,12 @@ class TraceGenerator:
         ).hexdigest()
         return {
             "kind": "repro-generate",
-            # Journal payloads are pickled _SystemColumns; bump when the
-            # shard payload layout changes so a --resume against an old
-            # run directory fails loudly instead of unpickling garbage.
-            "payload": "columns-v2",
+            # Journal payloads are pickled ColumnBatch objects; bump when
+            # the shard payload layout changes so a --resume against an
+            # old run directory fails on the identity check instead of
+            # unpickling a payload of another layout.
+            "payload": "columns-v3",
             "seed": self.seed,
-            "engine": engine,
             "systems_sha256": systems_digest,
             "config_sha256": config_digest,
             "data_start": self.data_start,
@@ -589,7 +406,7 @@ class TraceGenerator:
                 f"workers={workers} exceeds cpu_count()={os.cpu_count()}; "
                 f"clamping to {cpu_cap} to avoid oversubscription",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             effective = cpu_cap
         return effective
@@ -598,10 +415,11 @@ class TraceGenerator:
         self,
         system_ids: List[int],
         workers: int,
-        engine: str,
         supervision: Optional[SupervisionConfig] = None,
         journal: Optional[ShardJournal] = None,
-    ) -> List[_SystemColumns]:
+    ) -> Dict[int, ColumnBatch]:
+        """Each generated system's rows, in ``system_ids`` order; a
+        skipped shard has no entry."""
         unknown = sorted(set(system_ids) - set(self.systems))
         if unknown:
             raise KeyError(
@@ -618,7 +436,6 @@ class TraceGenerator:
         report = RunReport(
             meta={
                 "seed": self.seed,
-                "engine": engine,
                 "requested_workers": workers,
                 "systems": list(system_ids),
                 "policy": {
@@ -634,7 +451,7 @@ class TraceGenerator:
             },
         )
         self.last_run_report = report
-        results: Dict[int, Optional[_SystemColumns]] = {}
+        results: Dict[int, Optional[ColumnBatch]] = {}
         pending: List[int] = []
         for system_id in system_ids:
             key = _shard_key(system_id)
@@ -648,31 +465,16 @@ class TraceGenerator:
         report.meta["workers"] = effective
         if pending and effective == 1:
             for system_id in pending:
-                if explicit_supervision:
-                    results[system_id] = self._serial_supervised(
-                        system_id, engine, supervision, report, journal
-                    )
-                else:
-                    key = _shard_key(system_id)
-                    begin = time.perf_counter()
-                    with obs.span(
-                        "shard.attempt", shard=key, stage=engine, attempt=1
-                    ) as span:
-                        columns = self._system_columns(system_id, engine)
-                        span.add("records", len(columns))
-                    report.record_attempt(
-                        key, engine, report_mod.OK,
-                        wall_s=time.perf_counter() - begin,
-                    )
-                    report.finish_shard(
-                        key, report_mod.STATUS_OK, records=len(columns)
-                    )
-                    self._journal_shard(journal, key, columns)
-                    results[system_id] = columns
+                results[system_id] = self._serial_shard(
+                    system_id,
+                    supervision if explicit_supervision else None,
+                    report,
+                    journal,
+                )
         elif pending:
             results.update(
                 self._parallel_supervised(
-                    pending, effective, engine, supervision, report, journal
+                    pending, effective, supervision, report, journal
                 )
             )
             if not explicit_supervision and report.skipped_shards:
@@ -681,11 +483,11 @@ class TraceGenerator:
                 # graceful degradation gets an error, not a trace
                 # missing systems (with silently renumbered records).
                 raise RuntimeError(self._describe_skips(report))
-        return [
-            results[system_id]
+        return {
+            system_id: results[system_id]
             for system_id in system_ids
             if results[system_id] is not None
-        ]
+        }
 
     @staticmethod
     def _describe_skips(report: RunReport) -> str:
@@ -700,26 +502,14 @@ class TraceGenerator:
         return (
             f"generation failed for {len(details)} shard(s) despite "
             f"retries: {'; '.join(details)}; pass an explicit "
-            "SupervisionConfig to degrade or skip failing shards "
-            "instead of raising"
-        )
-
-    def _shard_payload(self, system_id: int, engine: str) -> Tuple:
-        return (
-            self.seed,
-            self.config,
-            self.systems,
-            self.data_start,
-            self.data_end,
-            system_id,
-            engine,
+            "SupervisionConfig to skip failing shards instead of raising"
         )
 
     def _journal_shard(
         self,
         journal: Optional[ShardJournal],
         key: str,
-        columns: _SystemColumns,
+        columns: ColumnBatch,
     ) -> None:
         if journal is not None:
             journal.record(key, columns, extra={"records": len(columns)})
@@ -728,86 +518,93 @@ class TraceGenerator:
         self,
         system_ids: List[int],
         workers: int,
-        engine: str,
         supervision: SupervisionConfig,
         report: RunReport,
         journal: Optional[ShardJournal],
-    ) -> Dict[int, Optional[_SystemColumns]]:
+    ) -> Dict[int, Optional[ColumnBatch]]:
         """Supervised process fan-out: crashes, hangs and errors survive."""
-        stages = supervision.stages(engine)
         breaker = CircuitBreaker(
-            stages=stages, failure_threshold=supervision.failure_threshold
+            stages=(_STAGE,), failure_threshold=supervision.failure_threshold
         )
         keys = [_shard_key(system_id) for system_id in system_ids]
         by_key = dict(zip(keys, system_ids))
 
-        def stage_payload(payload: Tuple, stage: str) -> Tuple:
-            return payload[:-1] + (stage,)
-
-        def on_result(key: str, columns: _SystemColumns) -> None:
+        def on_result(key: str, columns: ColumnBatch) -> None:
             self._journal_shard(journal, key, columns)
 
+        payloads = [
+            (
+                self.seed,
+                self.config,
+                self.systems,
+                self.data_start,
+                self.data_end,
+                system_id,
+            )
+            for system_id in system_ids
+        ]
         shard_results = supervised_map(
             _system_columns_task,
-            [self._shard_payload(system_id, engine) for system_id in system_ids],
+            payloads,
             keys=keys,
             workers=workers,
             policy=supervision.policy,
             breaker=breaker,
-            stage_payload=stage_payload,
             shard_timeout=supervision.shard_timeout,
             report=report,
             on_result=on_result,
         )
         return {by_key[key]: columns for key, columns in shard_results.items()}
 
-    def _serial_supervised(
+    def _serial_shard(
         self,
         system_id: int,
-        engine: str,
-        supervision: SupervisionConfig,
+        supervision: Optional[SupervisionConfig],
         report: RunReport,
         journal: Optional[ShardJournal],
-    ) -> Optional[_SystemColumns]:
-        """In-process generation with the same degradation ladder.
+    ) -> Optional[ColumnBatch]:
+        """Generate one shard in-process.
 
-        In-process failures are deterministic (no crashed workers to
-        respawn), so each ladder stage gets a single attempt:
-        vectorized → scalar → structured skip.
+        Unsupervised, the shard gets one attempt and an error
+        propagates.  Supervised, a failed attempt is retried the way
+        the parallel path retries it: after the policy's backoff, up to
+        ``failure_threshold`` attempts, then a structured skip.
         """
         key = _shard_key(system_id)
-        for attempt, stage in enumerate(supervision.stages(engine), start=1):
+        attempts = 1 if supervision is None else supervision.failure_threshold
+        for attempt in range(1, attempts + 1):
             begin = time.perf_counter()
             try:
                 with obs.span(
-                    "shard.attempt", shard=key, stage=stage, attempt=attempt
+                    "shard.attempt", shard=key, stage=_STAGE, attempt=attempt
                 ) as span:
-                    columns = self._system_columns(system_id, stage)
+                    columns = self._system_columns(system_id)
                     span.add("records", len(columns))
             except Exception as exc:
+                if supervision is None:
+                    raise
                 report.record_attempt(
-                    key, stage, report_mod.ERROR,
+                    key, _STAGE, report_mod.ERROR,
                     error=f"{type(exc).__name__}: {exc}",
                     wall_s=time.perf_counter() - begin,
                 )
+                if attempt < attempts:
+                    delay = supervision.policy.backoff(key, attempt)
+                    report.shards[key].attempts[-1].backoff = delay
+                    time.sleep(delay)
                 continue
             report.record_attempt(
-                key, stage, report_mod.OK,
-                wall_s=time.perf_counter() - begin,
+                key, _STAGE, report_mod.OK, wall_s=time.perf_counter() - begin
             )
-            report.finish_shard(
-                key,
-                report_mod.STATUS_OK if attempt == 1
-                else report_mod.STATUS_DEGRADED,
-                records=len(columns),
-            )
+            report.finish_shard(key, report_mod.STATUS_OK, records=len(columns))
             self._journal_shard(journal, key, columns)
             return columns
         report.finish_shard(key, report_mod.STATUS_SKIPPED)
         return None
 
-    def _system_columns(self, system_id: int, engine: str) -> _SystemColumns:
-        """Generate one system's failures in columnar, node-major form."""
+    def _system_columns(self, system_id: int) -> ColumnBatch:
+        """One system's failures as full-schema rows: node-major, burst
+        clones last, record IDs unset."""
         # Chaos hook for the fault-injection drills (no-op unless armed
         # via the environment).  Placed here — the single per-shard
         # execution point — so serial drills inject exactly like worker
@@ -890,80 +687,53 @@ class TraceGenerator:
 
         # --- Arrival stage: (node, starts) pairs in node order --------
         node_starts: List[Tuple[object, np.ndarray]] = []
-        with obs.span(
-            "synth.arrivals", system=system_id, engine=engine
-        ) as arrivals_span:
-            if engine == "vectorized":
-                # Draw per node (each node owns its arrival stream), but
-                # defer the time-rescaling inversion so all nodes sharing a
-                # grid — a whole Table 1 category — invert in one call.
-                pending: List[Tuple[object, np.ndarray, ArrivalGrid]] = []
-                for position, node in enumerate(nodes):
-                    sampler = ModulatedWeibullArrivals(
-                        base_rate=node_base_rate(position, node),
-                        shape=config.tbf_shape,
-                        profile=self._profile,
-                        start=node.production_start,
-                        end=node.production_end,
-                        grid=node_grid(node.production_start, node.production_end),
+        with obs.span("synth.arrivals", system=system_id) as arrivals_span:
+            # Draw per node (each node owns its arrival stream), but
+            # defer the time-rescaling inversion so all nodes sharing a
+            # grid — a whole Table 1 category — invert in one call.
+            pending: List[Tuple[object, np.ndarray, ArrivalGrid]] = []
+            for position, node in enumerate(nodes):
+                grid = node_grid(node.production_start, node.production_end)
+                sampler = ModulatedWeibullArrivals(
+                    base_rate=node_base_rate(position, node),
+                    shape=config.tbf_shape,
+                    profile=self._profile,
+                    start=node.production_start,
+                    end=node.production_end,
+                    grid=grid,
+                )
+                totals = sampler.sample_operational_totals(
+                    self._root.spawn_generator(
+                        "system", sys_label, "node", str(node.node_id), "arrivals"
                     )
-                    totals = sampler.sample_operational_totals(
-                        self._root.spawn_generator(
-                            "system", sys_label, "node", str(node.node_id), "arrivals"
-                        )
-                    )
-                    if totals.size:
-                        pending.append((node, totals, sampler._grid))
-                groups: Dict[int, List[int]] = {}
-                for i, (_node, _totals, grid) in enumerate(pending):
-                    groups.setdefault(id(grid), []).append(i)
-                starts_for: Dict[int, np.ndarray] = {}
-                for members in groups.values():
-                    grid = pending[members[0]][2]
-                    merged = np.concatenate([pending[i][1] for i in members])
-                    times = invert_operational(grid, self._profile, merged)
-                    offset = 0
-                    for i in members:
-                        node, totals, _grid = pending[i]
-                        segment = times[offset : offset + len(totals)]
-                        offset += len(totals)
-                        starts_for[i] = segment[segment < node.production_end]
-                for i, (node, _totals, _grid) in enumerate(pending):
-                    starts = starts_for[i]
-                    if starts.size:
-                        node_starts.append((node, starts))
-            else:
-                for position, node in enumerate(nodes):
-                    sampler = ModulatedWeibullArrivals(
-                        base_rate=node_base_rate(position, node),
-                        shape=config.tbf_shape,
-                        profile=self._profile,
-                        start=node.production_start,
-                        end=node.production_end,
-                        grid=node_grid(node.production_start, node.production_end),
-                    )
-                    starts = np.asarray(
-                        sampler.sample(
-                            self._root.spawn_generator(
-                                "system",
-                                sys_label,
-                                "node",
-                                str(node.node_id),
-                                "arrivals",
-                            )
-                        )
-                    )
-                    if starts.size:
-                        node_starts.append((node, starts))
+                )
+                if totals.size:
+                    pending.append((node, totals, grid))
+            groups: Dict[int, List[int]] = {}
+            for i, (_node, _totals, grid) in enumerate(pending):
+                groups.setdefault(id(grid), []).append(i)
+            starts_for: Dict[int, np.ndarray] = {}
+            for members in groups.values():
+                grid = pending[members[0]][2]
+                merged = np.concatenate([pending[i][1] for i in members])
+                times = invert_operational(grid, self._profile, merged)
+                offset = 0
+                for i in members:
+                    node, totals, _grid = pending[i]
+                    segment = times[offset : offset + len(totals)]
+                    offset += len(totals)
+                    starts_for[i] = segment[segment < node.production_end]
+            for i, (node, _totals, _grid) in enumerate(pending):
+                starts = starts_for[i]
+                if starts.size:
+                    node_starts.append((node, starts))
             arrivals_span.set("nodes", len(nodes))
             arrivals_span.add(
                 "events", int(sum(len(starts) for _, starts in node_starts))
             )
 
         # --- Mark stage: per-node block draws, system-level resolve --
-        with obs.span(
-            "synth.marks", system=system_id, engine=engine
-        ) as marks_span:
+        with obs.span("synth.marks", system=system_id) as marks_span:
             parts_start: List[np.ndarray] = []
             parts_node: List[np.ndarray] = []
             parts_workload: List[np.ndarray] = []
@@ -983,7 +753,7 @@ class TraceGenerator:
                 marks_u_tail.append(marks_generator.random(n_events))
                 marks_z.append(marks_generator.standard_normal(n_events))
                 parts_start.append(starts)
-                parts_node.append(np.full(n_events, node.node_id, dtype=np.int64))
+                parts_node.append(np.full(n_events, node.node_id, dtype=np.int32))
                 parts_workload.append(
                     np.full(
                         n_events,
@@ -992,44 +762,45 @@ class TraceGenerator:
                     )
                 )
             if not parts_start:
-                columns = _empty_columns(system_id)
+                rows = empty_batch()
             else:
                 starts_all = np.concatenate(parts_start)
-                u_cause = np.concatenate(marks_u_cause)
-                u_lost = np.concatenate(marks_u_lost)
-                u_detail = np.concatenate(marks_u_detail)
-                u_tail = np.concatenate(marks_u_tail)
-                z = np.concatenate(marks_z)
-                ages = starts_all - system_start
-                if engine == "vectorized":
-                    cause_idx, detail_idx = cause_model.resolve_batch(
-                        u_cause, u_lost, u_detail, ages
-                    )
-                    repairs = repair_sampler.resolve_seconds(u_tail, z, cause_idx)
-                else:
-                    cause_idx, detail_idx = cause_model.resolve_batch_scalar(
-                        u_cause, u_lost, u_detail, ages
-                    )
-                    repairs = repair_sampler.resolve_seconds_scalar(
-                        u_tail, z, cause_idx
-                    )
-                columns = _SystemColumns(
-                    system_id=system_id,
-                    start=starts_all,
-                    end=starts_all + repairs,
-                    node_id=np.concatenate(parts_node),
-                    cause_code=cause_model.resolve_cause_codes(cause_idx),
-                    detail_code=cause_model.resolve_detail_codes(
-                        cause_idx, detail_idx
-                    ),
-                    workload_code=np.concatenate(parts_workload),
+                cause_idx, detail_idx = cause_model.resolve_batch(
+                    np.concatenate(marks_u_cause),
+                    np.concatenate(marks_u_lost),
+                    np.concatenate(marks_u_detail),
+                    starts_all - system_start,
                 )
-            marks_span.add("records", len(columns))
+                repairs = repair_sampler.resolve_seconds(
+                    np.concatenate(marks_u_tail),
+                    np.concatenate(marks_z),
+                    cause_idx,
+                )
+                rows = ColumnBatch(
+                    {
+                        "start_time": starts_all,
+                        "end_time": starts_all + repairs,
+                        "system_id": np.full(
+                            len(starts_all), system_id, dtype=np.int32
+                        ),
+                        "node_id": np.concatenate(parts_node),
+                        "root_cause": cause_model.resolve_cause_codes(cause_idx),
+                        "low_level_cause": cause_model.resolve_detail_codes(
+                            cause_idx, detail_idx
+                        ),
+                        "workload": np.concatenate(parts_workload),
+                        "record_id": np.full(
+                            len(starts_all), NO_RECORD_ID, dtype=np.int64
+                        ),
+                    }
+                )
+            marks_span.add("records", len(rows))
         if config.bursts_enabled and system_id in config.burst_systems:
             with obs.span("synth.bursts", system=system_id) as bursts_span:
                 burst_stream = self._root.child("system", sys_label, "bursts")
-                records = inject_bursts(
-                    _records_from_columns(columns),
+                independent = len(rows)
+                rows = inject_bursts(
+                    rows,
                     nodes,
                     workloads,
                     system_start,
@@ -1038,6 +809,5 @@ class TraceGenerator:
                     self._repair_model,
                     burst_stream.generator,
                 )
-                bursts_span.add("added", len(records) - len(columns))
-                columns = _columns_from_records(system_id, records)
-        return columns
+                bursts_span.add("added", len(rows) - independent)
+        return rows

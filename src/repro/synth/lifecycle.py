@@ -121,9 +121,9 @@ def lifecycle_multiplier(shape: LifecycleShape, age_seconds: float) -> float:
 def lifecycle_levels(shape: LifecycleShape, age_seconds: np.ndarray) -> np.ndarray:
     """Evaluate a lifecycle shape on an array of system ages.
 
-    Both synthesis engines (scalar and vectorized) build their weekly
-    rate grids from this function, so the grids — and therefore the
-    traces — agree bit-for-bit.
+    The generator and the reference engine of the equivalence suite
+    build their weekly rate grids from this function, so the grids —
+    and therefore the traces — agree bit-for-bit.
     """
     ages = np.asarray(age_seconds, dtype=float)
     if ages.size and ages.min() < 0:

@@ -166,16 +166,15 @@ class RepairModel:
 
 
 class BatchRepairSampler:
-    """Vectorized repair draws over a fixed cause alphabet.
+    """Vectorized repair durations over a fixed cause alphabet.
 
-    Consumes the node's marks stream in the fixed block order
-    ``u_tail`` then ``z`` (immediately after the cause blocks), so the
-    vectorized and scalar mirrors see identical variates.  Unlike the
-    legacy per-record path this draws the lognormal body explicitly as
-    ``np.exp(mu + sigma * z)`` — NumPy's ``Generator.lognormal`` uses
-    the C library ``exp``, whose rounding can differ from ``np.exp``'s,
-    and the cross-engine bit-identity contract requires every float op
-    to go through the same implementation in both engines.
+    Resolves the node's marks-stream blocks ``u_tail`` then ``z``
+    (drawn immediately after the cause blocks).  Unlike the per-record
+    :meth:`RepairModel.sample_seconds` this computes the lognormal body
+    explicitly as ``np.exp(mu + sigma * z)`` — NumPy's
+    ``Generator.lognormal`` uses the C library ``exp``, whose rounding
+    can differ from ``np.exp``'s, and the reference engine of the
+    equivalence suite must repeat every float op bit for bit.
     """
 
     def __init__(
@@ -208,22 +207,13 @@ class BatchRepairSampler:
         self._floor = config.repair_floor_min
         self._ceiling = config.repair_ceiling_min
 
-    def sample_seconds(
-        self, generator: np.random.Generator, cause_idx: np.ndarray
-    ) -> np.ndarray:
-        """Batched repair durations in seconds for each cause index."""
-        n = len(cause_idx)
-        u_tail = generator.random(n)
-        z = generator.standard_normal(n)
-        return self.resolve_seconds(u_tail, z, cause_idx)
-
     def resolve_seconds(
         self, u_tail: np.ndarray, z: np.ndarray, cause_idx: np.ndarray
     ) -> np.ndarray:
-        """Resolve pre-drawn mark variates to repair seconds.
+        """Repair seconds for pre-drawn mark variates, one per cause index.
 
-        Split from :meth:`sample_seconds` so the trace generator can
-        draw per-node mark blocks but resolve a whole system at once.
+        The trace generator draws per-node mark blocks and resolves a
+        whole system at once.
         """
         mu = self._mu[cause_idx]
         sigma = self._sigma[cause_idx]
@@ -234,33 +224,3 @@ class BatchRepairSampler:
         minutes = minutes * self._post_factor[cause_idx]
         minutes = np.minimum(np.maximum(minutes, self._floor), self._ceiling)
         return minutes * SECONDS_PER_MINUTE
-
-    def sample_seconds_scalar(
-        self, generator: np.random.Generator, cause_idx: np.ndarray
-    ) -> np.ndarray:
-        """Scalar mirror of :meth:`sample_seconds` (reference engine).
-
-        Same stream consumption (block draws), per-event Python loop.
-        """
-        n = len(cause_idx)
-        u_tail = generator.random(n)
-        z = generator.standard_normal(n)
-        return self.resolve_seconds_scalar(u_tail, z, cause_idx)
-
-    def resolve_seconds_scalar(
-        self, u_tail: np.ndarray, z: np.ndarray, cause_idx: np.ndarray
-    ) -> np.ndarray:
-        """Scalar mirror of :meth:`resolve_seconds` (per-event loop)."""
-        n = len(cause_idx)
-        out = np.empty(n)
-        for i in range(n):
-            index = cause_idx[i]
-            mu = self._mu[index]
-            sigma = self._sigma[index]
-            if self._tailable[index] and u_tail[i] < self._tail_prob:
-                mu = mu + self._mu_shift
-                sigma = sigma + self._sigma_extra
-            minutes = np.exp(mu + sigma * z[i])
-            minutes = minutes * self._post_factor[index]
-            out[i] = min(max(minutes, self._floor), self._ceiling) * SECONDS_PER_MINUTE
-        return out

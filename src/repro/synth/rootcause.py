@@ -120,14 +120,13 @@ class CauseModel:
         return cause, detail
 
     # ------------------------------------------------------------------
-    # Batched sampling (the trace-generator hot path)
+    # Batched resolution (the trace generator's path)
     #
-    # Both engines consume the node's "marks" stream in the same fixed
-    # block order — u_cause, u_lost, u_detail — so the vectorized and
-    # scalar mirrors see identical uniforms.  The mirrors then perform
-    # the same IEEE-754 operations per element, batched vs. looped, and
-    # therefore return identical index arrays (asserted by the
-    # equivalence suite).
+    # The generator draws each node's "marks" stream in a fixed block
+    # order — u_cause, u_lost, u_detail — and resolves a whole system's
+    # uniforms here at once.  The reference engine of the equivalence
+    # suite resolves the same uniforms one event at a time with the same
+    # IEEE-754 operations, and gets identical index arrays.
     # ------------------------------------------------------------------
 
     def _unknown_probability_array(self, ages: np.ndarray) -> np.ndarray:
@@ -138,31 +137,6 @@ class CauseModel:
             -np.maximum(ages, 0.0) / tau
         )
 
-    def sample_batch(
-        self, generator: np.random.Generator, ages: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized cause/detail draws for a node's failures.
-
-        Parameters
-        ----------
-        generator:
-            The node's marks stream.
-        ages:
-            System age at each failure time.
-
-        Returns
-        -------
-        (cause_idx, detail_idx):
-            Integer arrays indexing :attr:`causes` and the cause's
-            detail table; ``detail_idx`` is -1 where the cause is
-            UNKNOWN (no low-level detail).
-        """
-        n = len(ages)
-        u_cause = generator.random(n)
-        u_lost = generator.random(n)
-        u_detail = generator.random(n)
-        return self.resolve_batch(u_cause, u_lost, u_detail, ages)
-
     def resolve_batch(
         self,
         u_cause: np.ndarray,
@@ -172,9 +146,19 @@ class CauseModel:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Resolve pre-drawn mark uniforms to (cause_idx, detail_idx).
 
-        Split from :meth:`sample_batch` so the trace generator can draw
-        each node's marks from its own stream but resolve a whole
-        system's events in one vectorized pass.
+        Parameters
+        ----------
+        u_cause / u_lost / u_detail:
+            The marks stream's uniform blocks, one value per failure.
+        ages:
+            System age at each failure time (drives the unknown era).
+
+        Returns
+        -------
+        (cause_idx, detail_idx):
+            Integer arrays indexing :attr:`causes` and the cause's
+            detail table; ``detail_idx`` is -1 where the cause is
+            UNKNOWN (no low-level detail).
         """
         n = len(ages)
         cause_idx = np.minimum(
@@ -194,50 +178,6 @@ class CauseModel:
                 )
         return cause_idx, detail_idx
 
-    def sample_batch_scalar(
-        self, generator: np.random.Generator, ages: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar mirror of :meth:`sample_batch` (reference engine).
-
-        Consumes the marks stream identically (same block draws) but
-        resolves each event in a Python loop.
-        """
-        n = len(ages)
-        u_cause = generator.random(n)
-        u_lost = generator.random(n)
-        u_detail = generator.random(n)
-        return self.resolve_batch_scalar(u_cause, u_lost, u_detail, ages)
-
-    def resolve_batch_scalar(
-        self,
-        u_cause: np.ndarray,
-        u_lost: np.ndarray,
-        u_detail: np.ndarray,
-        ages: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scalar mirror of :meth:`resolve_batch` (per-event loop)."""
-        n = len(ages)
-        cause_idx = np.empty(n, dtype=np.int64)
-        detail_idx = np.full(n, -1, dtype=np.int64)
-        n_causes = len(self._causes)
-        for i in range(n):
-            index = min(
-                int(np.searchsorted(self._cause_cdf, u_cause[i], side="right")),
-                n_causes - 1,
-            )
-            if self._unknown_era and self._unknown_index >= 0:
-                lost = self._unknown_probability_array(ages[i : i + 1])[0]
-                if u_lost[i] < lost:
-                    index = self._unknown_index
-            cause_idx[i] = index
-            detail_cdf = self._detail_cdfs.get(index)
-            if detail_cdf is not None:
-                detail_idx[i] = min(
-                    int(np.searchsorted(detail_cdf, u_detail[i], side="right")),
-                    len(detail_cdf) - 1,
-                )
-        return cause_idx, detail_idx
-
     def resolve_cause_codes(self, cause_idx: np.ndarray) -> np.ndarray:
         """Map a cause-index array to canonical int8 cause codes."""
         return self._cause_code_alphabet[cause_idx]
@@ -253,23 +193,5 @@ class CauseModel:
         for index, table in self._detail_code_tables.items():
             mask = (cause_idx == index) & (detail_idx >= 0)
             if mask.any():
-                out[mask] = table[detail_idx[mask]]
-        return out
-
-    def resolve_causes(self, cause_idx: np.ndarray) -> np.ndarray:
-        """Map a cause-index array to an object array of RootCause."""
-        alphabet = np.array(self._causes, dtype=object)
-        return alphabet[cause_idx]
-
-    def resolve_details(
-        self, cause_idx: np.ndarray, detail_idx: np.ndarray
-    ) -> np.ndarray:
-        """Map (cause, detail) index arrays to LowLevelCause (or None)."""
-        out = np.full(len(cause_idx), None, dtype=object)
-        for index, _ in self._detail_cdfs.items():
-            details, _probs = self._detail_tables[self._causes[index]]
-            mask = (cause_idx == index) & (detail_idx >= 0)
-            if mask.any():
-                table = np.array(details, dtype=object)
                 out[mask] = table[detail_idx[mask]]
         return out

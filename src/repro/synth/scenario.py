@@ -179,7 +179,7 @@ def scale_inventory(
     memory, and production windows intact.  Useful for exercising the
     generator at exascale-style fleet sizes — e.g. ``factor=10`` turns
     the 4750-node LANL inventory into ~47,500 nodes — and for the
-    throughput benchmarks in :mod:`repro.benchmark`.
+    ``ingest`` workload of ``perfbench/``.
     """
     if factor <= 0:
         raise ValueError(f"factor must be positive, got {factor}")

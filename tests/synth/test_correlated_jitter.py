@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.records.codes import CAUSE_CODE
+from repro.records.columns import batch_from_records, records_from_batch
 from repro.records.inventory import DATA_END, DATA_START, lanl_system
 from repro.records.record import FailureRecord, RootCause, Workload
 from repro.records.system import HardwareType
@@ -13,6 +15,8 @@ from repro.synth.correlated import inject_bursts
 from repro.synth.jitter import MonthlyJitter
 from repro.synth.lifecycle import LifecycleShape
 from repro.synth.repair import RepairModel
+
+from tests.synth import reference_engine
 
 
 def generator(seed=0):
@@ -32,6 +36,10 @@ def build_records(n, start, spacing, system_id=20):
     ]
 
 
+def build_rows(n, start, spacing, system_id=20):
+    return batch_from_records(build_records(n, start, spacing, system_id))
+
+
 class TestInjectBursts:
     def setup_method(self):
         self.system = lanl_system(20)
@@ -41,9 +49,9 @@ class TestInjectBursts:
         self.config = GeneratorConfig()
         self.repair = RepairModel(self.config)
 
-    def run_inject(self, records, config=None):
-        return inject_bursts(
-            records,
+    def run_inject(self, rows, config=None, inject=inject_bursts):
+        return inject(
+            rows,
             self.nodes,
             self.workloads,
             self.start,
@@ -53,48 +61,60 @@ class TestInjectBursts:
             generator(1),
         )
 
+    def clones(self, rows):
+        output = self.run_inject(rows)
+        return output.slice(len(rows), len(output))
+
     def test_clones_share_timestamp_and_cause(self):
-        records = build_records(500, self.start + 1e6, 3600.0)
-        output = self.run_inject(records)
-        clones = output[len(records):]
+        rows = build_rows(500, self.start + 1e6, 3600.0)
+        clones = self.clones(rows)
         assert len(clones) > 50
-        original_times = {record.start_time for record in records}
-        for clone in clones:
-            assert clone.start_time in original_times
-            assert clone.root_cause is RootCause.HARDWARE
+        assert np.isin(clones["start_time"], rows["start_time"]).all()
+        assert (clones["root_cause"] == CAUSE_CODE[RootCause.HARDWARE]).all()
 
     def test_clone_fraction_matches_burst_parameters(self):
         # Expected extra fraction = p * m = 0.32 * 1.8 ~ 0.58.
-        records = build_records(3000, self.start + 1e6, 3600.0)
-        output = self.run_inject(records)
-        extra = (len(output) - len(records)) / len(records)
+        rows = build_rows(3000, self.start + 1e6, 3600.0)
+        output = self.run_inject(rows)
+        extra = (len(output) - len(rows)) / len(rows)
         assert extra == pytest.approx(0.576, abs=0.1)
 
     def test_no_bursts_after_era(self):
         era_end = self.start + self.config.burst_era_months * SECONDS_PER_MONTH
-        records = build_records(500, era_end + 1e6, 3600.0)
-        output = self.run_inject(records)
-        assert len(output) == len(records)
+        rows = build_rows(500, era_end + 1e6, 3600.0)
+        assert len(self.run_inject(rows)) == len(rows)
 
     def test_disabled_config(self):
-        records = build_records(500, self.start + 1e6, 3600.0)
+        rows = build_rows(500, self.start + 1e6, 3600.0)
         config = GeneratorConfig(bursts_enabled=False)
-        assert len(self.run_inject(records, config)) == len(records)
+        assert len(self.run_inject(rows, config)) == len(rows)
 
     def test_clones_on_other_in_production_nodes(self):
-        records = build_records(500, self.start + 1e6, 3600.0)
-        output = self.run_inject(records)
+        rows = build_rows(500, self.start + 1e6, 3600.0)
         node_by_id = {node.node_id: node for node in self.nodes}
-        for clone in output[len(records):]:
-            node = node_by_id[clone.node_id]
-            assert node.in_production(clone.start_time)
+        clones = self.clones(rows)
+        for node_id, start in zip(clones["node_id"], clones["start_time"]):
+            assert node_by_id[int(node_id)].in_production(float(start))
 
     def test_clones_draw_fresh_repairs(self):
-        records = build_records(500, self.start + 1e6, 3600.0)
-        output = self.run_inject(records)
-        clones = output[len(records):]
-        repairs = {clone.repair_time for clone in clones}
+        rows = build_rows(500, self.start + 1e6, 3600.0)
+        clones = self.clones(rows)
+        repairs = set((clones["end_time"] - clones["start_time"]).tolist())
         assert len(repairs) > len(clones) // 2  # not copies of 600 s
+
+    def test_matches_the_record_injector(self):
+        # Same stream, same draws in the same order: the column
+        # injector reproduces the reference engine's record clones.
+        records = build_records(800, self.start + 1e6, 1800.0)
+        columns = self.run_inject(batch_from_records(records))
+        reference = self.run_inject(
+            records, inject=reference_engine.inject_bursts
+        )
+        assert len(columns) > len(records)
+        assert list(records_from_batch(columns)) == reference
+        for left, right in zip(records_from_batch(columns), reference):
+            assert repr(left.end_time) == repr(right.end_time)
+            assert left.workload is right.workload
 
 
 class TestMonthlyJitter:

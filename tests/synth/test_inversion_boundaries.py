@@ -5,9 +5,9 @@ Two cumulative-table inversions drive arrival sampling:
 * :meth:`WeeklyProfile.invert` / ``invert_array`` — position in the
   week from effective seconds (``side="right" - 1`` with an hour-index
   clamp);
-* :func:`invert_operational` / ``_invert_one`` — wall-clock time from
-  cumulative operational time (``side="left"`` over the weekly
-  capacity grid).
+* :func:`invert_operational` — wall-clock time from cumulative
+  operational time (``side="left"`` over the weekly capacity grid),
+  with the reference engine's per-event ``invert_one`` as its twin.
 
 These tests pin the off-by-one-prone cases: targets exactly on a
 bucket/week boundary, at zero, and at total mass — and assert the
@@ -27,6 +27,8 @@ from repro.synth.arrivals import (
     week_grid,
 )
 from repro.synth.diurnal import HOURS_PER_WEEK, WeeklyProfile
+
+from tests.synth.reference_engine import arrival_times, invert_one
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +123,11 @@ class TestInvertOperational:
         ]
 
     def test_vectorized_bitwise_equals_scalar_at_boundaries(
-        self, grid, profile, sampler
+        self, grid, profile
     ):
         totals = self._boundary_totals(grid)
         vectorized = invert_operational(grid, profile, np.array(totals))
-        scalar = [sampler._invert_one(grid, total) for total in totals]
+        scalar = [invert_one(grid, profile, total) for total in totals]
         assert vectorized.tolist() == scalar  # bitwise, incl. boundaries
 
     def test_week_boundary_total_lands_in_that_week(self, grid, profile):
@@ -149,13 +151,13 @@ class TestInvertOperational:
         with pytest.raises(ValueError, match="exceeds the grid's capacity"):
             invert_operational(grid, profile, np.array([beyond]))
 
-    def test_scalar_returns_none_past_capacity(self, grid, sampler):
-        # The scalar loop's sentinel for "window exhausted"; the
+    def test_scalar_returns_none_past_capacity(self, grid, profile):
+        # The reference loop's sentinel for "window exhausted"; the
         # vectorized path never sees such totals because
         # sample_operational_totals cuts at capacity first.
         capacity = float(grid.cumulative[-1])
         beyond = float(np.nextafter(capacity, np.inf))
-        assert sampler._invert_one(grid, beyond) is None
+        assert invert_one(grid, profile, beyond) is None
 
     def test_empty_totals(self, grid, profile):
         assert invert_operational(grid, profile, np.empty(0)).size == 0
@@ -175,24 +177,28 @@ class TestEngineAgreementAtBoundaries:
         assert count == 2
 
     def test_sample_paths_agree_bitwise(self, profile):
+        # The generator's two stages — operational totals, then one
+        # inversion, cut at the window end — against the reference
+        # engine's per-event loop on the same stream.
         start = 1.5 * SECONDS_PER_WEEK
         end = 6.0 * SECONDS_PER_WEEK
         weeks = week_grid(start, end)
+        grid = build_arrival_grid(profile, start, end, np.ones(len(weeks)))
         for seed in (0, 1, 2):
-            scalar_sampler = ModulatedWeibullArrivals(
+            sampler = ModulatedWeibullArrivals(
                 base_rate=2e-6, shape=0.8, profile=profile,
-                start=start, end=end, levels=np.ones(len(weeks)),
+                start=start, end=end, grid=grid,
             )
-            vector_sampler = ModulatedWeibullArrivals(
-                base_rate=2e-6, shape=0.8, profile=profile,
-                start=start, end=end, levels=np.ones(len(weeks)),
-            )
-            scalar = scalar_sampler.sample(
+            totals = sampler.sample_operational_totals(
                 np.random.Generator(np.random.PCG64(seed))
             )
-            vectorized = vector_sampler.sample_vectorized(
-                np.random.Generator(np.random.PCG64(seed))
+            times = invert_operational(grid, profile, totals)
+            vectorized = times[times < end]
+            scalar = arrival_times(
+                2e-6, 0.8, grid, profile, end,
+                np.random.Generator(np.random.PCG64(seed)),
             )
+            assert scalar, "the window must hold failures to compare"
             assert [repr(t) for t in scalar] == [
                 repr(float(t)) for t in vectorized
             ]

@@ -85,9 +85,10 @@ class TestAcceptanceChaosDrill:
             with pytest.raises(RuntimeError, match="system-2.*ChaosError"):
                 generator.generate([2, 13], workers=2)
 
-    def test_serial_chaos_injects_and_degrades(self):
+    def test_serial_chaos_is_retried(self):
         # The chaos hook sits on the per-shard execution point, so a
-        # --workers 1 drill injects too (not a silent plain run).
+        # --workers 1 drill injects too (not a silent plain run), and
+        # the serial path retries the shard like a worker shard.
         spec = make_chaos("flaky-shard", times=1)
         generator = TraceGenerator(seed=5)
         with chaos_env(spec):
@@ -95,28 +96,39 @@ class TestAcceptanceChaosDrill:
         assert spec.injections() == 1
         assert_traces_identical(TraceGenerator(seed=5).generate([2]), trace)
         report = generator.last_run_report
-        assert [s.shard for s in report.degraded_shards] == ["system-2"]
+        assert report.ok and not report.degraded_shards
+        assert [s.shard for s in report.retried_shards] == ["system-2"]
+        attempts = report.shards["system-2"].attempts
+        assert [a.outcome for a in attempts] == ["error", "ok"]
+        assert attempts[0].backoff == FAST.policy.backoff("system-2", 1)
 
     def test_exhausted_shard_becomes_structured_skip(self):
-        # An unbounded injection budget on one shard defeats retries
-        # *and* the scalar fallback: the breaker must open and the run
-        # must complete without that system instead of raising.
+        self._exhaust(workers=2)
+
+    def test_exhausted_serial_shard_becomes_structured_skip(self):
+        self._exhaust(workers=1)
+
+    def _exhaust(self, workers):
+        # An unbounded injection budget on one shard defeats every
+        # retry: the breaker must open after failure_threshold attempts
+        # and the run must complete without that system instead of
+        # raising.
         spec = make_chaos("flaky-shard", times=1000, shards=("system-2",))
         generator = TraceGenerator(seed=5)
         supervision = SupervisionConfig(
             policy=RetryPolicy(base_delay=0.0, jitter=0.0, max_attempts=2),
-            failure_threshold=1,
+            failure_threshold=2,
         )
         with chaos_env(spec):
             trace = generator.generate(
-                [2, 13], workers=2, supervision=supervision
+                [2, 13], workers=workers, supervision=supervision
             )
         assert {r.system_id for r in trace.records} == {13}
         report = generator.last_run_report
         assert not report.ok
         assert [s.shard for s in report.skipped_shards] == ["system-2"]
-        stages = [a.stage for a in report.shards["system-2"].attempts]
-        assert "scalar" in stages, "must try the scalar fallback before skipping"
+        outcomes = [a.outcome for a in report.shards["system-2"].attempts]
+        assert outcomes == ["error", "error"]
 
 
 class TestResume:
@@ -134,9 +146,9 @@ class TestResume:
         calls = []
         original = TraceGenerator._system_columns
 
-        def counting(self, system_id, engine):
+        def counting(self, system_id):
             calls.append(system_id)
-            return original(self, system_id, engine)
+            return original(self, system_id)
 
         TraceGenerator._system_columns = counting
         try:
@@ -170,25 +182,43 @@ class TestResume:
 
 
 class TestSerialSupervision:
-    def test_serial_degrades_to_scalar_on_vectorized_bug(self, monkeypatch):
+    def test_serial_retries_a_failed_attempt(self, monkeypatch):
+        from repro import obs
+
         original = TraceGenerator._system_columns
+        failures = []
 
-        def broken_vectorized(self, system_id, engine):
-            if engine == "vectorized":
-                raise RuntimeError("simulated vectorized defect")
-            return original(self, system_id, engine)
+        def fails_once(self, system_id):
+            if not failures:
+                failures.append(system_id)
+                raise RuntimeError("simulated transient defect")
+            return original(self, system_id)
 
-        monkeypatch.setattr(TraceGenerator, "_system_columns", broken_vectorized)
+        slept = []
+        monkeypatch.setattr(TraceGenerator, "_system_columns", fails_once)
+        monkeypatch.setattr("repro.synth.generator.time.sleep", slept.append)
         generator = TraceGenerator(seed=5)
-        trace = generator.generate([2], supervision=FAST)
-        assert len(trace) > 0
+        tracer = obs.Tracer()
+        with obs.observing(tracer):
+            trace = generator.generate([2], supervision=FAST)
+        monkeypatch.undo()
+        assert_traces_identical(TraceGenerator(seed=5).generate([2]), trace)
         report = generator.last_run_report
-        assert [s.shard for s in report.degraded_shards] == ["system-2"]
+        assert [s.shard for s in report.retried_shards] == ["system-2"]
+        assert report.shards["system-2"].status == "ok"
+        assert slept == [FAST.policy.backoff("system-2", 1)]
+        # One shard.attempt span per attempt, numbered like the report.
+        attempts = [
+            (event["attrs"]["attempt"], event["status"])
+            for event in tracer.events
+            if event["name"] == "shard.attempt"
+        ]
+        assert attempts == [(1, "error"), (2, "ok")]
 
     def test_bare_serial_run_still_raises(self, monkeypatch):
         # Without explicit supervision a genuine bug must propagate,
         # not silently skip a system.
-        def always_broken(self, system_id, engine):
+        def always_broken(self, system_id):
             raise RuntimeError("genuine defect")
 
         monkeypatch.setattr(TraceGenerator, "_system_columns", always_broken)

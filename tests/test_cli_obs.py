@@ -142,3 +142,17 @@ class TestObsGuard:
         text = capsys.readouterr().out
         assert "observability overhead guard" in text
         assert "REGRESSION" not in text
+
+    def test_bench_without_a_guard_flag_runs_every_guard(self, capsys):
+        code = main(["bench", "--seed", "5"])
+        text = capsys.readouterr().out
+        assert code == 0, text
+        assert "observability overhead guard" in text
+        assert "fs-faults overhead guard" in text
+        assert "serve overhead guard" in text
+
+    def test_bench_has_no_generator_suite(self):
+        # The throughput suite and its gate live in
+        # benchmarks/generator_gate.py.
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick"])

@@ -121,10 +121,30 @@ class TestSupervisedGenerateFlags:
         assert code == 1
         assert "error: ValueError" in capsys.readouterr().err
 
-    def test_scalar_engine_matches_vectorized(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["generate", "--seed", "5", "--systems", "2",
-              "--engine", "vectorized", "--out", str(a)])
-        main(["generate", "--seed", "5", "--systems", "2",
-              "--engine", "scalar", "--out", str(b)])
-        assert a.read_text() == b.read_text()
+    def test_resume_refuses_a_run_dir_of_another_payload_layout(
+        self, tmp_path, capsys
+    ):
+        # A run directory journaled with per-engine payloads
+        # ("columns-v2", with an "engine" identity key) must fail the
+        # identity check before any payload is unpickled.
+        run_dir = tmp_path / "run"
+        code = main(
+            ["generate", "--seed", "5", "--systems", "2",
+             "--run-dir", str(run_dir), "--out", str(tmp_path / "a.csv")]
+        )
+        assert code == 0
+        meta = json.loads((run_dir / "meta.json").read_text())
+        meta.update(payload="columns-v2", engine="vectorized")
+        (run_dir / "meta.json").write_text(json.dumps(meta))
+        for payload in (run_dir / "shards").glob("*.pkl"):
+            payload.write_bytes(b"not a pickle")
+        capsys.readouterr()
+        code = main(
+            ["generate", "--seed", "5", "--systems", "2", "--resume",
+             "--run-dir", str(run_dir), "--out", str(tmp_path / "b.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "JournalError" in err
+        assert "run identity changed (fields: engine, payload)" in err
+        assert not (tmp_path / "b.csv").exists()
