@@ -40,6 +40,10 @@ Each (system, node) consumes two dedicated streams:
   each, sized by the node's event count).  Untouched when the node has
   no failures.
 
+The arrival and mark stages each seed a system's per-node streams in
+one vectorized pass (:meth:`~repro.simulate.rng.RngStream.spawn_generators`)
+and draw each node's stream in full before the next node's begins.
+
 The system-level streams are ``jitter``, ``node-multipliers`` and
 ``bursts``.  Because every stream's seed is a pure function of (root
 seed, label path), serial and parallel runs, retried shards and
@@ -692,7 +696,13 @@ class TraceGenerator:
             # defer the time-rescaling inversion so all nodes sharing a
             # grid — a whole Table 1 category — invert in one call.
             pending: List[Tuple[object, np.ndarray, ArrivalGrid]] = []
-            for position, node in enumerate(nodes):
+            arrival_streams = self._root.spawn_generators(
+                [
+                    ("system", sys_label, "node", str(node.node_id), "arrivals")
+                    for node in nodes
+                ]
+            )
+            for position, (node, arrivals) in enumerate(zip(nodes, arrival_streams)):
                 grid = node_grid(node.production_start, node.production_end)
                 sampler = ModulatedWeibullArrivals(
                     base_rate=node_base_rate(position, node),
@@ -702,11 +712,7 @@ class TraceGenerator:
                     end=node.production_end,
                     grid=grid,
                 )
-                totals = sampler.sample_operational_totals(
-                    self._root.spawn_generator(
-                        "system", sys_label, "node", str(node.node_id), "arrivals"
-                    )
-                )
+                totals = sampler.sample_operational_totals(arrivals)
                 if totals.size:
                     pending.append((node, totals, grid))
             groups: Dict[int, List[int]] = {}
@@ -734,37 +740,40 @@ class TraceGenerator:
 
         # --- Mark stage: per-node block draws, system-level resolve --
         with obs.span("synth.marks", system=system_id) as marks_span:
-            parts_start: List[np.ndarray] = []
-            parts_node: List[np.ndarray] = []
-            parts_workload: List[np.ndarray] = []
             marks_u_cause: List[np.ndarray] = []
             marks_u_lost: List[np.ndarray] = []
             marks_u_detail: List[np.ndarray] = []
             marks_u_tail: List[np.ndarray] = []
             marks_z: List[np.ndarray] = []
-            for node, starts in node_starts:
+            marks_streams = self._root.spawn_generators(
+                [
+                    ("system", sys_label, "node", str(node.node_id), "marks")
+                    for node, _starts in node_starts
+                ]
+            )
+            for (_node, starts), marks_generator in zip(node_starts, marks_streams):
                 n_events = len(starts)
-                marks_generator = self._root.spawn_generator(
-                    "system", sys_label, "node", str(node.node_id), "marks"
-                )
                 marks_u_cause.append(marks_generator.random(n_events))
                 marks_u_lost.append(marks_generator.random(n_events))
                 marks_u_detail.append(marks_generator.random(n_events))
                 marks_u_tail.append(marks_generator.random(n_events))
                 marks_z.append(marks_generator.standard_normal(n_events))
-                parts_start.append(starts)
-                parts_node.append(np.full(n_events, node.node_id, dtype=np.int32))
-                parts_workload.append(
-                    np.full(
-                        n_events,
-                        WORKLOAD_CODE[workloads[node.node_id]],
-                        dtype=np.int8,
-                    )
-                )
-            if not parts_start:
+            if not node_starts:
                 rows = empty_batch()
             else:
-                starts_all = np.concatenate(parts_start)
+                starts_all = np.concatenate([starts for _node, starts in node_starts])
+                # Each node's id and workload code, once per event.
+                event_counts = [len(starts) for _node, starts in node_starts]
+                node_ids = np.array(
+                    [node.node_id for node, _starts in node_starts], dtype=np.int32
+                )
+                workload_codes = np.array(
+                    [
+                        WORKLOAD_CODE[workloads[node.node_id]]
+                        for node, _starts in node_starts
+                    ],
+                    dtype=np.int8,
+                )
                 cause_idx, detail_idx = cause_model.resolve_batch(
                     np.concatenate(marks_u_cause),
                     np.concatenate(marks_u_lost),
@@ -783,12 +792,12 @@ class TraceGenerator:
                         "system_id": np.full(
                             len(starts_all), system_id, dtype=np.int32
                         ),
-                        "node_id": np.concatenate(parts_node),
+                        "node_id": np.repeat(node_ids, event_counts),
                         "root_cause": cause_model.resolve_cause_codes(cause_idx),
                         "low_level_cause": cause_model.resolve_detail_codes(
                             cause_idx, detail_idx
                         ),
-                        "workload": np.concatenate(parts_workload),
+                        "workload": np.repeat(workload_codes, event_counts),
                         "record_id": np.full(
                             len(starts_all), NO_RECORD_ID, dtype=np.int64
                         ),

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simulate.rng import RngStream, derive_seed
+from repro.simulate.rng import RngStream, derive_seed, pcg64_states
+
+# Labels as callers could write them: empty, the path separator itself,
+# and non-ASCII text.
+LABELS = st.one_of(st.sampled_from(["", "/", "nœud", "節点"]), st.text(max_size=12))
+LABEL_PATHS = st.lists(
+    st.lists(LABELS, min_size=1, max_size=5).map(tuple), min_size=1, max_size=8
+)
 
 
 class TestDeriveSeed:
@@ -84,3 +91,57 @@ class TestRngStream:
     def test_generator_cached(self):
         stream = RngStream(5)
         assert stream.generator is stream.generator
+
+    def test_negative_root_rejected_like_derive_seed(self):
+        with pytest.raises(ValueError) as derived:
+            derive_seed(-1, "a")
+        with pytest.raises(ValueError) as constructed:
+            RngStream(-1)
+        assert str(constructed.value) == str(derived.value)
+
+
+class TestBulkSeeding:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_raw_seed_matches_numpy(self, seed):
+        # One and two 32-bit entropy words, and the edges between them.
+        assert pcg64_states([seed]) == [np.random.PCG64(seed).state]
+
+    def test_no_seeds(self):
+        assert pcg64_states([]) == []
+
+    @given(st.integers(min_value=0, max_value=2**66), LABEL_PATHS)
+    def test_states_match_numpy_seeding(self, root, paths):
+        expected = [np.random.PCG64(derive_seed(root, *path)).state for path in paths]
+        assert pcg64_states([derive_seed(root, *path) for path in paths]) == expected
+        streams = RngStream(root).spawn_generators(paths)
+        assert [stream.bit_generator.state for stream in streams] == expected
+
+    def test_child_path_is_prefixed(self):
+        child = RngStream(3).child("system", "7")
+        (stream,) = child.spawn_generators([("node", "1")])
+        expected = RngStream(3).spawn_generator("system", "7", "node", "1")
+        assert stream.random(8).tolist() == expected.random(8).tolist()
+
+    def test_repointed_stream_matches_fresh_generator(self):
+        root = RngStream(17)
+        paths = [("node", "1", "marks"), ("node", "2", "marks")]
+        streams = root.spawn_generators(paths)
+        first = next(streams)
+        first.random(dtype=np.float32)  # leaves half of a 64-bit draw unused
+        assert first.bit_generator.state["has_uint32"] == 1
+        reused = next(streams)
+        fresh = root.spawn_generator(*paths[1])
+        # A 32-bit draw would take a stale half word first.
+        assert (
+            reused.random(3, dtype=np.float32).tolist()
+            == fresh.random(3, dtype=np.float32).tolist()
+        )
+        assert reused.random(5).tolist() == fresh.random(5).tolist()
+        assert reused.weibull(0.7, 5).tolist() == fresh.weibull(0.7, 5).tolist()
+        assert (
+            reused.standard_normal(5).tolist() == fresh.standard_normal(5).tolist()
+        )
+
+    def test_empty_label_path_rejected(self):
+        with pytest.raises(ValueError, match="at least one label"):
+            RngStream(0).spawn_generators([("a",), ()])

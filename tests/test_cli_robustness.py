@@ -43,6 +43,19 @@ class TestErrorBoundary:
         assert err.startswith("error: ")
         assert "99" in err
 
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["generate", "--seed", "-1", "--systems", "20", "--out", str(out)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: ValueError: root_seed must be non-negative, got -1\n"
+        )
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
 
 class TestSupervisedGenerateFlags:
     def test_resume_requires_run_dir(self):
