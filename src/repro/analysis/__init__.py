@@ -90,7 +90,7 @@ from repro.analysis.comparison import MetricComparison, compare_traces, two_samp
 from repro.analysis.errors import DegenerateSampleError
 from repro.analysis.hazard_study import HazardStudy, hazard_study
 from repro.analysis.outliers import NodeOutlier, find_node_outliers
-from repro.analysis.outofcore import PaperAccumulator, scan_store
+from repro.analysis.outofcore import FoldCore, PaperAccumulator, scan_store
 from repro.analysis.related import RELATED_STUDIES, RelatedStudy, literature_ranges
 from repro.analysis.summary import PaperSummary, summarize
 
@@ -139,6 +139,7 @@ __all__ = [
     "hazard_study",
     "NodeOutlier",
     "find_node_outliers",
+    "FoldCore",
     "PaperAccumulator",
     "scan_store",
     "MetricComparison",

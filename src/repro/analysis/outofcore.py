@@ -1,45 +1,47 @@
 """Out-of-core paper analysis: one streaming pass, mergeable state.
 
-:class:`PaperAccumulator` folds bounded column chunks from
-:meth:`~repro.store.reader.ColumnarStore.iter_batches` into the
-mergeable sketches of :mod:`repro.stats.sketch`, carrying *everything*
-the full paper report needs — per-system/per-cause counts and downtime
-(Figures 1-2), per-node counts and first-seen workloads for system 20
-(Figure 3), monthly lifecycle grids (Figure 4), hour/weekday bins
-(Figure 5), interarrival-gap segments for the node/system x early/late
-panels (Figure 6), and repair-time sample sketches per cause and per
-system (Table 2, Figure 7).  Peak memory is one chunk plus this fixed
-state, independent of the trace size.
+:func:`scan_store` is the one scan loop over a store, serial or
+parallel, with deadlines.  It folds the rows a predicate admits into
+:class:`FoldCore` — the row count, failures and downtime per (system,
+cause), repair-time total/min/max and the start-time range, of which
+:func:`~repro.store.analytics.summarize_store` is a projection — or
+into :class:`PaperAccumulator`, that core plus everything else the
+paper report needs: per-node counts and earliest workloads for
+system 20 (Figure 3), monthly lifecycle grids (Figure 4), hour/weekday
+bins (Figure 5), interarrival-gap segments for the node/system x
+early/late panels (Figure 6), and repair-time sample sketches per
+cause and per system (Table 2, Figure 7).  Peak memory is one chunk
+plus this fixed state, independent of the trace size.
 
-It is the only implementation of the paper report:
+The accumulator is the only implementation of the paper report:
 :func:`~repro.report.paper.run_paper_report` folds an in-memory trace
-into it as one chunk, and :func:`scan_store` folds a store chunk by
-chunk.
+into it as one chunk.
 
 Exactness: everything held as integer counts is exact.  The repair
 samples and the Figure 6 start times are kept whole while each holds
 at most :data:`~repro.stats.sketch.EXACT_LIMIT` values, so medians,
 fits and CDF plots come from the exact sample and every section
 renders byte-identical to the in-memory fold.  Float sums (downtime,
-and the means of the kept samples) follow chunk/merge order, agreeing
-with a one-chunk fold to last-ulp rounding.  Past the limit a sample
-falls back to its moments and log-bucket histogram, whose quantiles
-carry the pinned relative-error bound
-(:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR`), and
+the repair total, and the means of the kept samples) follow
+chunk/merge order, agreeing with a one-chunk fold to last-ulp
+rounding.  Past the limit a sample falls back to its moments and
+log-bucket histogram, whose quantiles carry the pinned relative-error
+bound (:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR`), and
 :meth:`PaperAccumulator.approximate_sections` names the sections that
 read one.
 
-Two accumulators over *adjacent* row ranges combine with
-:meth:`PaperAccumulator.merge_ordered` — order matters only for the
-order-sensitive state (first-seen workloads, boundary interarrival
-gaps), which is why the parallel scan hands each worker a contiguous
-slice of the manifest and folds results back in manifest order.
+Two folds over *adjacent* row ranges combine with ``merge_ordered`` —
+order matters only for the boundary interarrival gaps and for ties
+between earliest workloads (left wins), which is why the parallel scan
+hands each worker a contiguous slice of the manifest and folds results
+back in manifest order.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from repro.analysis.lifecycle import (
 )
 from repro.analysis.pernode import (
     NodeCountStudy,
-    first_workloads,
+    earliest_workloads,
     node_count_study_from_counts,
 )
 from repro.analysis.periodicity import (
@@ -69,29 +71,18 @@ from repro.records.record import HIGH_LEVEL_CAUSES, RootCause, Workload
 from repro.records.timeutils import SECONDS_PER_MONTH, from_datetime
 from repro.resilience.deadline import Deadline, DeadlineExceeded
 from repro.resilience.supervisor import supervised_map
-from repro.stats.sketch import (
-    GroupedCounts,
-    GroupedSums,
-    HeldValues,
-    SampleSketch,
-)
+from repro.stats.sketch import GroupedCounts, HeldValues, SampleSketch
 from repro.stats.streamfit import sketch_empirical
-from repro.store.manifest import StoreError
+from repro.store.manifest import Predicate, StoreError
 from repro.store.reader import DEFAULT_BATCH_ROWS, ColumnarStore
 
 __all__ = [
+    "FoldCore",
     "PaperAccumulator",
     "GapSegment",
     "scan_store",
     "DEFAULT_ERA_BOUNDARY",
-    "REPORT_COLUMNS",
 ]
-
-#: Columns one report pass needs per chunk.
-REPORT_COLUMNS = (
-    "start_time", "end_time", "system_id", "node_id", "root_cause",
-    "workload",
-)
 
 #: The paper's era split for Figure 6 (2000-01-01, as in repro.report.paper).
 DEFAULT_ERA_BOUNDARY = from_datetime(_dt.datetime(2000, 1, 1))
@@ -121,6 +112,121 @@ _TABLE2_ORDER = (
     RootCause.SOFTWARE,
     RootCause.HARDWARE,
 )
+
+
+def _core_columns(chunk) -> Tuple[np.ndarray, ...]:
+    """A chunk's start times, repair seconds, system ids and cause codes."""
+    starts = np.asarray(chunk["start_time"], dtype=float)
+    repairs = np.asarray(chunk["end_time"], dtype=float) - starts
+    systems = np.asarray(chunk["system_id"], dtype=np.int64)
+    causes = np.asarray(chunk["root_cause"], dtype=np.int64)
+    return starts, repairs, systems, causes
+
+
+class FoldCore:
+    """The aggregates every store endpoint reads, from four columns.
+
+    Holds the row count; failures and downtime seconds per system,
+    indexed by cause code (:attr:`counts`, :attr:`downtime`); the
+    repair-seconds total, minimum and maximum; and the start-time
+    range.  Build with :meth:`from_store`, feed chunks to
+    :meth:`observe`, and combine folds over adjacent row ranges with
+    :meth:`merge_ordered`.
+    """
+
+    #: Columns :meth:`observe` reads.
+    COLUMNS = ("start_time", "end_time", "system_id", "root_cause")
+
+    def __init__(self) -> None:
+        self.rows = 0
+        self.counts: Dict[int, np.ndarray] = {}
+        self.downtime: Dict[int, np.ndarray] = {}
+        self.repair_total = 0.0
+        self.repair_min = math.inf
+        self.repair_max = -math.inf
+        self.start_min = math.inf
+        self.start_max = -math.inf
+
+    @classmethod
+    def from_store(cls, store: ColumnarStore) -> "FoldCore":
+        """An empty fold for a scan of ``store``."""
+        return cls()
+
+    def observe(self, chunk) -> None:
+        """Fold one column chunk into the state."""
+        self._observe_core(*_core_columns(chunk))
+
+    def _observe_core(self, starts, repairs, systems, causes) -> None:
+        n = starts.size
+        if not n:
+            return
+        if causes.min() < 0 or causes.max() >= _N_CAUSES:
+            raise ValueError(f"root_cause codes outside 0..{_N_CAUSES - 1}")
+        self.rows += n
+        self.repair_total += float(repairs.sum())
+        self.repair_min = min(self.repair_min, float(repairs.min()))
+        self.repair_max = max(self.repair_max, float(repairs.max()))
+        self.start_min = min(self.start_min, float(starts.min()))
+        self.start_max = max(self.start_max, float(starts.max()))
+        # One bincount per table over (system, cause) keys.  A store
+        # chunk holds one system; ids spread wider than the chunk has
+        # rows (damaged ones, say) are ranked, so tables stay O(n).
+        low, high = int(systems.min()), int(systems.max())
+        if high - low < n:
+            ids, index = np.arange(low, high + 1), systems - low
+        else:
+            ids, index = np.unique(systems, return_inverse=True)
+        keys = index * _N_CAUSES + causes
+        size = ids.size * _N_CAUSES
+        counts = np.bincount(keys, minlength=size).reshape(-1, _N_CAUSES)
+        downtime = np.bincount(
+            keys, weights=repairs, minlength=size
+        ).reshape(-1, _N_CAUSES)
+        for row, system_id in enumerate(ids.tolist()):
+            if counts[row].any():
+                self._add_system(system_id, counts[row], downtime[row])
+
+    def _add_system(self, system_id: int, counts, downtime) -> None:
+        if system_id in self.counts:
+            self.counts[system_id] += counts
+            self.downtime[system_id] += downtime
+        else:
+            self.counts[system_id] = counts.copy()
+            self.downtime[system_id] = downtime.copy()
+
+    def merge_ordered(self, other: "FoldCore") -> None:
+        """Fold in a fold over strictly *later* rows."""
+        self.rows += other.rows
+        self.repair_total += other.repair_total
+        self.repair_min = min(self.repair_min, other.repair_min)
+        self.repair_max = max(self.repair_max, other.repair_max)
+        self.start_min = min(self.start_min, other.start_min)
+        self.start_max = max(self.start_max, other.start_max)
+        for system_id, counts in other.counts.items():
+            self._add_system(system_id, counts, other.downtime[system_id])
+
+    def failures_by_system(self) -> Dict[int, int]:
+        """Failures per system seen, in system order."""
+        return {
+            system_id: int(self.counts[system_id].sum())
+            for system_id in sorted(self.counts)
+        }
+
+    def cause_totals(
+        self, systems: Iterable[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Failures and downtime seconds by cause code over ``systems``.
+
+        Downtime adds up one system at a time in the order given, so
+        the same systems in the same order give the same floats.
+        """
+        counts = np.zeros(_N_CAUSES, dtype=np.int64)
+        downtime = np.zeros(_N_CAUSES)
+        for system_id in systems:
+            if system_id in self.counts:
+                counts += self.counts[system_id]
+                downtime += self.downtime[system_id]
+        return counts, downtime
 
 
 class GapSegment:
@@ -233,17 +339,20 @@ class _LifecycleState:
         self.min_start = min(self.min_start, other.min_start)
 
 
-class PaperAccumulator:
+class PaperAccumulator(FoldCore):
     """Mergeable bounded-memory state for the full paper report.
 
-    Build with :meth:`from_store` (or from a trace's inventory and
-    window), feed chunks to :meth:`observe` — a whole trace's
-    ``columns`` is one chunk — and read the analysis objects off the
+    The report-only state on top of :class:`FoldCore`.  Build with
+    :meth:`from_store` (or from a trace's inventory and window), feed
+    chunks to :meth:`observe` — a whole trace's ``columns`` is one
+    chunk — and read the analysis objects off the
     ``*_rows``/``*_study`` finishers.
     The constructor parameters pin the figure targets (system 20's
     per-node view, systems 5/19's lifecycle curves, the node-22 era
     split) to the paper's defaults.
     """
+
+    COLUMNS = FoldCore.COLUMNS + ("node_id", "workload")
 
     def __init__(
         self,
@@ -256,6 +365,7 @@ class PaperAccumulator:
         fig6_system: int = 20,
         fig6_node: int = 22,
     ) -> None:
+        super().__init__()
         self.systems = dict(systems)
         self.data_start = float(data_start)
         self.data_end = float(data_end)
@@ -265,20 +375,17 @@ class PaperAccumulator:
         self.fig6_system = int(fig6_system)
         self.fig6_node = int(fig6_node)
 
-        self.rows = 0
         # Figure 5: hour-of-day / day-of-week bins (exact ints).
         self.hourly = np.zeros(24, dtype=np.int64)
         self.weekday = np.zeros(7, dtype=np.int64)
-        # Figures 1-2: counts and downtime per (system, cause).
-        self.cause_counts = GroupedCounts()
-        self.cause_downtime = GroupedSums()
         # Table 2 / Figure 7: repair-minute sketches.
         self.repairs = SampleSketch(clamp_epsilon=REPAIR_CLAMP_MINUTES)
         self.repair_by_cause: Dict[int, SampleSketch] = {}
         self.repair_by_system: Dict[int, SampleSketch] = {}
-        # Figure 3: per-node counts + first-seen workloads (system 20).
+        # Figure 3: per-node counts, and each node's workload code on
+        # its earliest row as (start, code) (system 20).
         self.node_counts = GroupedCounts()
-        self.node_workloads: Dict[int, int] = {}
+        self.node_workloads: Dict[int, Tuple[float, int]] = {}
         # Figure 4: monthly grids for the systems present in inventory.
         # A production window that misses the data window is Figure 4's
         # error alone: keep its message for lifecycle_curves to raise.
@@ -300,15 +407,12 @@ class PaperAccumulator:
         self.gap_segments = tuple(GapSegment() for _ in _FIG6_PANELS)
 
     @classmethod
-    def from_store(
-        cls, store: ColumnarStore, era_boundary: float = DEFAULT_ERA_BOUNDARY
-    ) -> "PaperAccumulator":
+    def from_store(cls, store: ColumnarStore) -> "PaperAccumulator":
         """An empty accumulator configured from a store's manifest."""
         return cls(
             store.manifest.systems,
             store.manifest.data_start,
             store.manifest.data_end,
-            era_boundary=era_boundary,
         )
 
     # ------------------------------------------------------------------
@@ -317,25 +421,17 @@ class PaperAccumulator:
 
     def observe(self, chunk) -> None:
         """Fold one column chunk (in row order) into the state."""
-        n = len(chunk)
-        if not n:
+        if not len(chunk):
             return
-        starts = np.asarray(chunk["start_time"], dtype=float)
-        ends = np.asarray(chunk["end_time"], dtype=float)
-        systems = np.asarray(chunk["system_id"], dtype=np.int64)
+        starts, repairs, systems, causes = _core_columns(chunk)
+        # Figures 1-2 read the core.
+        self._observe_core(starts, repairs, systems, causes)
         nodes = np.asarray(chunk["node_id"], dtype=np.int64)
-        causes = np.asarray(chunk["root_cause"], dtype=np.int64)
         workloads = np.asarray(chunk["workload"], dtype=np.int64)
-        self.rows += n
 
         # Figure 5: the same binning as the materialized study.
         self.hourly += hour_counts(starts)
         self.weekday += weekday_counts(starts)
-
-        # Figures 1-2.
-        self.cause_counts.observe(systems, causes)
-        repairs = ends - starts
-        self.cause_downtime.observe(repairs, systems, causes)
 
         # Table 2 / Figure 7 (minutes, the paper's repair unit).
         minutes = repairs / 60.0
@@ -351,15 +447,16 @@ class PaperAccumulator:
                     sketches[key] = sketch
                 sketch.observe(minutes[keys == key])
 
-        # Figure 3: per-node counts and first-seen workload, system 20.
+        # Figure 3: per-node counts and earliest workload, system 20.
         mask3 = systems == self.fig3_system
         if mask3.any():
             fig3_nodes = nodes[mask3]
             self.node_counts.observe(fig3_nodes)
-            for node_id, code in first_workloads(
-                fig3_nodes, workloads[mask3]
-            ).items():
-                self.node_workloads.setdefault(node_id, code)
+            self._keep_earliest(
+                earliest_workloads(
+                    fig3_nodes, starts[mask3], workloads[mask3]
+                )
+            )
 
         # Figure 4.
         for system_id, state in self.lifecycle.items():
@@ -385,10 +482,17 @@ class PaperAccumulator:
             ):
                 segment.observe(seg_starts[mask])
 
+    def _keep_earliest(self, workloads: Dict[int, Tuple[float, int]]) -> None:
+        """Take each node's workload from a strictly earlier row."""
+        for node_id, (start, code) in workloads.items():
+            held = self.node_workloads.get(node_id)
+            if held is None or start < held[0]:
+                self.node_workloads[node_id] = (start, code)
+
     def merge_ordered(self, other: "PaperAccumulator") -> None:
         """Fold in an accumulator covering strictly *later* rows.
 
-        The order-sensitive state — first-seen workloads (left wins)
+        The order-sensitive state — earliest workloads (left wins ties)
         and the interarrival gap that straddles the boundary — assumes
         ``other`` scanned a later contiguous slice of the manifest.
         """
@@ -401,11 +505,9 @@ class PaperAccumulator:
                 "cannot merge accumulators configured over different "
                 "data windows or era boundaries"
             )
-        self.rows += other.rows
+        super().merge_ordered(other)
         self.hourly += other.hourly
         self.weekday += other.weekday
-        self.cause_counts.merge(other.cause_counts)
-        self.cause_downtime.merge(other.cause_downtime)
         self.repairs.merge(other.repairs)
         for sketches, theirs in (
             (self.repair_by_cause, other.repair_by_cause),
@@ -417,8 +519,7 @@ class PaperAccumulator:
                 else:
                     sketches[key] = sketch.copy()
         self.node_counts.merge(other.node_counts)
-        for node_id, code in other.node_workloads.items():
-            self.node_workloads.setdefault(node_id, code)
+        self._keep_earliest(other.node_workloads)
         for system_id, state in self.lifecycle.items():
             state.merge(other.lifecycle[system_id])
         for segment, theirs in zip(self.gap_segments, other.gap_segments):
@@ -431,13 +532,11 @@ class PaperAccumulator:
     def failure_rates(self) -> List[SystemRate]:
         """Figure 2 rates — same floats as the materialized path."""
         rates: List[SystemRate] = []
+        by_system = self.failures_by_system()
         for system_id in sorted(self.systems.keys()):
             config = self.systems[system_id]
             years = config.production_years(self.data_start, self.data_end)
-            failures = sum(
-                self.cause_counts.get(system_id, code)
-                for code in range(_N_CAUSES)
-            )
+            failures = by_system.get(system_id, 0)
             per_year = failures / years
             rates.append(
                 SystemRate(
@@ -472,31 +571,23 @@ class PaperAccumulator:
             )
             for hardware_type in FIGURE1_TYPES
         ]
-        everything = {key[0] for key in self.cause_counts.counts}
-        groups.append(("All systems", sorted(everything | set(self.systems))))
+        groups.append(
+            ("All systems", sorted(set(self.counts) | set(self.systems)))
+        )
         by_count: Dict[str, CauseBreakdown] = {}
         by_downtime: Dict[str, CauseBreakdown] = {}
         for label, group in groups:
-            counts = {
-                cause: float(
-                    sum(
-                        self.cause_counts.get(system_id, CAUSE_CODE[cause])
-                        for system_id in group
-                    )
-                )
-                for cause in HIGH_LEVEL_CAUSES
-            }
-            if label != "All systems" and sum(counts.values()) == 0:
+            counts, downtime = self.cause_totals(group)
+            if label != "All systems" and not counts.any():
                 continue  # mirrors the study's len(sub) == 0 skip
-            downtime = {
-                cause: sum(
-                    self.cause_downtime.get(system_id, CAUSE_CODE[cause])
-                    for system_id in group
+            for result, totals in ((by_count, counts), (by_downtime, downtime)):
+                result[label] = _breakdown(
+                    label,
+                    {
+                        cause: float(totals[CAUSE_CODE[cause]])
+                        for cause in HIGH_LEVEL_CAUSES
+                    },
                 )
-                for cause in HIGH_LEVEL_CAUSES
-            }
-            by_count[label] = _breakdown(label, counts)
-            by_downtime[label] = _breakdown(label, downtime)
         return by_count, by_downtime
 
     def failures_per_node(self) -> Dict[int, int]:
@@ -526,7 +617,7 @@ class PaperAccumulator:
             raise KeyError(f"system {self.fig3_system} not in inventory")
         workloads: Dict[int, Workload] = {
             node_id: WORKLOAD_VOCAB[code]
-            for node_id, code in self.node_workloads.items()
+            for node_id, (_, code) in self.node_workloads.items()
         }
         return node_count_study_from_counts(
             config,
@@ -630,94 +721,99 @@ class PaperAccumulator:
         )
 
 
-def _scan_shard_group(payload) -> PaperAccumulator:
-    """Worker task: fold one contiguous manifest slice (picklable)."""
-    root, indices, batch_rows, era_boundary = payload
-    store = ColumnarStore(root, on_damage="raise")
-    accumulator = PaperAccumulator.from_store(store, era_boundary=era_boundary)
+def _fold_chunks(
+    store, accumulator, predicate, batch_rows, deadline=None, shards=None
+):
+    """Feed every chunk ``store`` yields to ``accumulator``; return it."""
     for chunk in store.iter_batches(
-        columns=REPORT_COLUMNS, batch_rows=batch_rows, shards=list(indices)
+        columns=accumulator.COLUMNS,
+        predicate=predicate,
+        batch_rows=batch_rows,
+        deadline=deadline,
+        shards=shards,
     ):
         accumulator.observe(chunk)
     return accumulator
 
 
+def _scan_shard_group(payload) -> FoldCore:
+    """Worker task: fold one contiguous manifest slice (picklable)."""
+    root, shards, fold, predicate, batch_rows = payload
+    store = ColumnarStore(root, on_damage="raise")
+    return _fold_chunks(
+        store, fold.from_store(store), predicate, batch_rows, shards=shards
+    )
+
+
+def _scan_parallel(store, accumulator, predicate, workers, batch_rows) -> None:
+    """Fold the admitted healthy shards in contiguous manifest slices,
+    one supervised worker each, and merge them back in manifest order."""
+    healthy = store._healthy(store._admitted(predicate))
+    if not healthy:
+        return
+    position = {
+        shard.name: index for index, shard in enumerate(store.manifest.shards)
+    }
+    indices = np.asarray([position[shard.name] for shard in healthy])
+    groups = [
+        [int(i) for i in group]
+        for group in np.array_split(indices, min(int(workers), len(healthy)))
+        if group.size
+    ]
+    keys = [f"group-{index}" for index in range(len(groups))]
+    fold = type(accumulator)
+    results = supervised_map(
+        _scan_shard_group,
+        [(str(store.root), group, fold, predicate, batch_rows) for group in groups],
+        workers=len(groups),
+        keys=keys,
+    )
+    for key in keys:
+        part = results.get(key)
+        if part is None:
+            raise StoreError(f"parallel store scan failed for shard {key}")
+        accumulator.merge_ordered(part)
+
+
 def scan_store(
     store: ColumnarStore,
+    fold: Type[FoldCore],
     *,
+    predicate: Optional[Predicate] = None,
     deadline: Optional[Deadline] = None,
     on_deadline: str = "raise",
     workers: Optional[int] = None,
     batch_rows: int = DEFAULT_BATCH_ROWS,
-    era_boundary: float = DEFAULT_ERA_BOUNDARY,
-) -> Tuple[PaperAccumulator, Optional[dict]]:
-    """One report pass over ``store``; returns ``(accumulator, partial)``.
+) -> Tuple[FoldCore, Optional[dict]]:
+    """Fold the rows of ``store`` that ``predicate`` admits into a new
+    ``fold``; returns ``(fold, partial)``.
 
-    Serial by default.  ``workers > 1`` (without a deadline) splits the
-    healthy shards into contiguous manifest slices, folds each in a
-    supervised worker process via
-    :func:`~repro.resilience.supervisor.supervised_map`, and merges the
-    partial accumulators back in manifest order — the associative-merge
-    step that keeps order-sensitive state correct.  A deadline forces
-    the serial path (chunk-boundary budget checks need one scan loop);
-    with ``on_deadline="partial"`` a blown budget stops the scan cleanly
-    and the second element describes the truncation, mirroring
-    :func:`repro.store.analytics.summarize_store`.
+    The one scan loop of the store's analytics.  It resets the handle's
+    scan counters first, so they count exactly this pass.  ``workers >
+    1`` (without a deadline) folds contiguous manifest slices of the
+    healthy admitted shards in supervised worker processes
+    (:func:`~repro.resilience.supervisor.supervised_map`) and merges
+    the partial folds back in manifest order.  A deadline forces the
+    serial path, which checks the budget at chunk boundaries: with
+    ``on_deadline="raise"`` a blown budget propagates as
+    :class:`~repro.resilience.deadline.DeadlineExceeded`; with
+    ``"partial"`` the scan stops and the second element describes the
+    truncation — a partial answer, never a hang.
     """
     if on_deadline not in ("raise", "partial"):
         raise ValueError(
             f"on_deadline must be 'raise' or 'partial', got {on_deadline!r}"
         )
     store.reset_scan_stats()
-    accumulator = PaperAccumulator.from_store(store, era_boundary=era_boundary)
-    if workers is not None and workers > 1 and deadline is None:
-        healthy = store._healthy(store._admitted(None))
-        if healthy:
-            position = {
-                shard.name: index
-                for index, shard in enumerate(store.manifest.shards)
-            }
-            indices = np.asarray([position[shard.name] for shard in healthy])
-            groups = [
-                group for group in np.array_split(
-                    indices, min(int(workers), len(healthy))
-                )
-                if group.size
-            ]
-            keys = [f"group-{index}" for index in range(len(groups))]
-            with obs.span("report.scan", mode="parallel", groups=len(groups)):
-                results = supervised_map(
-                    _scan_shard_group,
-                    [
-                        (
-                            str(store.root),
-                            tuple(int(i) for i in group),
-                            batch_rows,
-                            era_boundary,
-                        )
-                        for group in groups
-                    ],
-                    workers=len(groups),
-                    keys=keys,
-                )
-            for key in keys:
-                part = results.get(key)
-                if part is None:
-                    raise StoreError(
-                        f"parallel report scan failed for shard {key}"
-                    )
-                accumulator.merge_ordered(part)
-        obs.metrics().counter("report.rows_scanned").add(accumulator.rows)
-        return accumulator, None
+    accumulator = fold.from_store(store)
     partial: Optional[dict] = None
-    with obs.span("report.scan", mode="serial"):
+    parallel = workers is not None and workers > 1 and deadline is None
+    with obs.span("store.scan", fold=fold.__name__, parallel=parallel):
         try:
-            for chunk in store.iter_batches(
-                columns=REPORT_COLUMNS,
-                batch_rows=batch_rows,
-                deadline=deadline,
-            ):
-                accumulator.observe(chunk)
+            if parallel:
+                _scan_parallel(store, accumulator, predicate, workers, batch_rows)
+            else:
+                _fold_chunks(store, accumulator, predicate, batch_rows, deadline)
         except DeadlineExceeded:
             if on_deadline == "raise":
                 raise
@@ -726,6 +822,6 @@ def scan_store(
                 "rows_seen": accumulator.rows,
                 "rows_total": store.manifest.row_count,
             }
-            obs.metrics().counter("report.scans_deadline_partial").add(1)
-    obs.metrics().counter("report.rows_scanned").add(accumulator.rows)
+            obs.metrics().counter("store.scans_deadline_partial").add(1)
+    obs.metrics().counter("store.rows_folded").add(accumulator.rows)
     return accumulator, partial

@@ -29,7 +29,7 @@ __all__ = [
     "NodeCountStudy",
     "node_count_study",
     "node_count_study_from_counts",
-    "first_workloads",
+    "earliest_workloads",
 ]
 
 
@@ -122,8 +122,8 @@ def node_count_study(
     # Workload per node: from its records if any, else compute.
     node_workloads = {
         node_id: WORKLOAD_VOCAB[code]
-        for node_id, code in first_workloads(
-            rows["node_id"], rows["workload"]
+        for node_id, (_, code) in earliest_workloads(
+            rows["node_id"], rows["start_time"], rows["workload"]
         ).items()
     }
     counts = failures_per_node(trace, system_id)
@@ -140,10 +140,17 @@ def node_count_study(
     )
 
 
-def first_workloads(nodes: np.ndarray, workloads: np.ndarray) -> Dict[int, int]:
-    """Each node's workload code on its first row."""
-    unique_nodes, first_index = np.unique(nodes, return_index=True)
-    return dict(zip(unique_nodes.tolist(), workloads[first_index].tolist()))
+def earliest_workloads(
+    nodes: np.ndarray, starts: np.ndarray, workloads: np.ndarray
+) -> Dict[int, Tuple[float, int]]:
+    """Each node's ``(start, workload code)`` on its earliest row.
+
+    Among rows that tie on the earliest start, the first one wins.
+    """
+    order = np.lexsort((starts, nodes))
+    rows = order[np.unique(nodes[order], return_index=True)[1]]
+    pairs = zip(starts[rows].tolist(), workloads[rows].tolist())
+    return dict(zip(nodes[rows].tolist(), pairs))
 
 
 def node_count_study_from_counts(
@@ -160,8 +167,8 @@ def node_count_study_from_counts(
     """:func:`node_count_study` from pre-aggregated per-node state.
 
     The trace-derived inputs — lifetime failure counts per node
-    (zero-filled over the inventory) and each node's first-seen
-    workload — can be streamed from a columnar store, so the out-of-
+    (zero-filled over the inventory) and each node's workload on its
+    earliest row — can be streamed from a columnar store, so the out-of-
     core path shares this exact filtering/fitting core and produces
     bit-identical studies.
     """

@@ -799,15 +799,10 @@ def _report_from_store(args: argparse.Namespace) -> int:
     store = ColumnarStore(
         args.trace, on_damage=getattr(args, "on_damage", "raise")
     )
-    result = run_store_report(
-        store,
-        workers=args.workers,
-        batch_rows=(
-            args.batch_rows
-            if args.batch_rows is not None
-            else DEFAULT_BATCH_ROWS
-        ),
+    batch_rows = (
+        DEFAULT_BATCH_ROWS if args.batch_rows is None else args.batch_rows
     )
+    result = run_store_report(store, workers=args.workers, batch_rows=batch_rows)
     if result.degraded is not None:
         print(
             f"warning: degraded read: skipped "
@@ -1287,6 +1282,9 @@ def _command_store(args: argparse.Namespace) -> int:
 
         store = ColumnarStore(args.root, on_damage=args.on_damage)
         predicate = _store_predicate(args)
+        batch_rows = (
+            DEFAULT_BATCH_ROWS if args.batch_rows is None else args.batch_rows
+        )
         if args.full:
             from repro.report.streaming import run_store_report
 
@@ -1296,13 +1294,7 @@ def _command_store(args: argparse.Namespace) -> int:
                     "does not compose with --since/--until/--systems"
                 )
             result = run_store_report(
-                store,
-                workers=args.workers,
-                batch_rows=(
-                    args.batch_rows
-                    if args.batch_rows is not None
-                    else DEFAULT_BATCH_ROWS
-                ),
+                store, workers=args.workers, batch_rows=batch_rows
             )
             if args.json:
                 print(_json.dumps(
@@ -1321,13 +1313,7 @@ def _command_store(args: argparse.Namespace) -> int:
                 print(result.report.diagnostics())
             return 0 if result.report.ok else 1
         summary = summarize_store(
-            store,
-            predicate=predicate,
-            batch_rows=(
-                args.batch_rows
-                if args.batch_rows is not None
-                else DEFAULT_BATCH_ROWS
-            ),
+            store, predicate=predicate, batch_rows=batch_rows
         )
         if args.json:
             print(_json.dumps(summary.to_dict(), indent=2, sort_keys=True))

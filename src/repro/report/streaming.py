@@ -199,6 +199,7 @@ def run_store_report(
     """
     accumulator, partial = scan_store(
         store,
+        PaperAccumulator,
         deadline=deadline,
         on_deadline=on_deadline,
         workers=workers,

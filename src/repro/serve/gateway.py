@@ -1,7 +1,7 @@
 """Circuit-broken store access with a three-rung degradation ladder.
 
 Every query the service executes goes through :class:`StoreGateway`,
-which walks the ladder the ISSUE specifies:
+which walks a three-rung ladder:
 
 1. **primary** — fresh ``ColumnarStore(root, on_damage="raise")``
    scan.  Guarded by a time-based-recovery
@@ -199,27 +199,24 @@ class StoreGateway:
     ):
         store = ColumnarStore(self.root, on_damage=on_damage)
         if query.kind == "report":
-            # Full out-of-core paper report: same streaming scan
-            # machinery, same ladder/caching semantics (StoreReport
-            # exposes the to_dict()/partial surface this method's
-            # callers rely on).
+            # The paper report folds the summary's core plus its own
+            # state through the same scan, ladder and cache (StoreReport
+            # has the to_dict()/partial surface the callers rely on).
             from repro.report.streaming import run_store_report
 
-            result = run_store_report(
+            return store, run_store_report(
                 store,
                 batch_rows=self.batch_rows,
                 deadline=deadline,
                 on_deadline="partial",
             )
-            return store, result
-        summary = summarize_store(
+        return store, summarize_store(
             store,
             predicate=query.predicate(),
             batch_rows=self.batch_rows,
             deadline=deadline,
             on_deadline="partial",
         )
-        return store, summary
 
     def query(
         self, query: Query, deadline: Optional[Deadline] = None

@@ -1,9 +1,11 @@
 """The always-on analytics service: stdlib asyncio HTTP over a store.
 
 ``repro serve <store-dir>`` answers the core out-of-core analytics as
-versioned JSON endpoints.  The design goal is the robustness posture
-of the ISSUE: *a slow or damaged store degrades responses, it never
-hangs or crashes the service.*
+versioned JSON endpoints: ``/v1/summary`` and ``/v1/analyze`` project
+the fold core of a store scan, and ``/v1/report`` renders the paper
+report from the same fold.  The design goal is robustness: *a slow or
+damaged store degrades responses, it never hangs or crashes the
+service.*
 
 - **Admission control** (:mod:`repro.serve.admission`): bounded
   concurrency plus a capped wait queue; beyond that, HTTP 429 with

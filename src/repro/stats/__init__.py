@@ -71,7 +71,6 @@ from repro.stats.gof import (
 )
 from repro.stats.sketch import (
     GroupedCounts,
-    GroupedSums,
     LogBucketSketch,
     MomentSketch,
     QUANTILE_RELATIVE_ERROR,
@@ -142,7 +141,6 @@ __all__ = [
     "MomentSketch",
     "LogBucketSketch",
     "GroupedCounts",
-    "GroupedSums",
     "SampleSketch",
     "QUANTILE_RELATIVE_ERROR",
     "sketch_empirical",

@@ -16,8 +16,8 @@ Exact vs approximate
   min, max.  Counts/min/max are exact; the float moments use Chan's
   parallel-update formulas, so they equal a single-pass NumPy result
   up to last-ulp summation-order differences.
-* :class:`GroupedCounts` / :class:`GroupedSums` — exact per-key
-  integer counts / float sums over small categorical key spaces.
+* :class:`GroupedCounts` — exact per-key integer counts over small
+  categorical key spaces.
 * :class:`LogBucketSketch` — a fixed-log-bucket histogram reusing the
   ``repro.obs`` metrics convention (edges at ``10**(k/bpd)``),
   generalized from 4 to a configurable number of buckets per decade.
@@ -51,7 +51,6 @@ __all__ = [
     "MomentSketch",
     "LogBucketSketch",
     "GroupedCounts",
-    "GroupedSums",
     "SampleSketch",
     "HeldValues",
     "EXACT_LIMIT",
@@ -375,48 +374,6 @@ class GroupedCounts:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GroupedCounts({len(self.counts)} keys)"
-
-
-class GroupedSums:
-    """Exact-per-key mergeable float sums (e.g. downtime per cause).
-
-    Sums are exact in the counting sense — every row contributes once —
-    while the float additions follow chunk order, so totals agree with
-    a sequential pass up to last-ulp rounding.
-    """
-
-    __slots__ = ("sums",)
-
-    def __init__(self) -> None:
-        self.sums: Dict[tuple, float] = {}
-
-    def observe(self, weights: np.ndarray, *key_columns: np.ndarray) -> None:
-        """Add ``weights[i]`` to the key at each row ``i``."""
-        if not key_columns:
-            raise ValueError("need at least one key column")
-        weights = np.asarray(weights, dtype=float)
-        columns = [np.asarray(column, dtype=np.int64) for column in key_columns]
-        if columns[0].size == 0:
-            return
-        _, first, inverse = np.unique(
-            _row_keys(columns), return_index=True, return_inverse=True
-        )
-        totals = np.bincount(
-            inverse.ravel(), weights=weights, minlength=first.size
-        )
-        for row, total in zip(first.tolist(), totals.tolist()):
-            key = tuple(int(column[row]) for column in columns)
-            self.sums[key] = self.sums.get(key, 0.0) + total
-
-    def merge(self, other: "GroupedSums") -> None:
-        for key, total in other.sums.items():
-            self.sums[key] = self.sums.get(key, 0.0) + total
-
-    def get(self, *key: int) -> float:
-        return self.sums.get(tuple(int(part) for part in key), 0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GroupedSums({len(self.sums)} keys)"
 
 
 class HeldValues:

@@ -1,39 +1,27 @@
-"""Out-of-core analytics over a columnar store.
+"""The store summary: headline aggregates from one streaming pass.
 
-:func:`summarize_store` computes the headline aggregates — failure
-counts by system and by root cause, downtime by cause, repair-time
-statistics — in one bounded-memory pass over
-:meth:`~repro.store.reader.ColumnarStore.iter_batches`, with predicate
-pushdown pruning shards first.  Peak memory is one chunk, independent
-of the trace size; the RSS-capped CI job runs exactly this path over a
+:func:`summarize_store` — failure counts by system and by root cause,
+downtime by cause, repair-time statistics and the start-time range —
+is a projection of :class:`~repro.analysis.outofcore.FoldCore`, the
+core of the paper report's fold, filled by the one scan loop
+:func:`~repro.analysis.outofcore.scan_store` with predicate pushdown
+pruning shards first.  Peak memory is one chunk, independent of the
+trace size; the RSS-capped CI job runs this path over a
 million-record store.
-
-This is intentionally *not* the full paper analysis
-(:func:`repro.analysis.summary.summarize` wants a materialized
-:class:`~repro.records.trace.FailureTrace`); it is the streaming
-subset that makes sense per-row without global context.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
-from repro import obs
 from repro.records.codes import CAUSE_VOCAB
-from repro.resilience.deadline import Deadline, DeadlineExceeded
+from repro.resilience.deadline import Deadline
 from repro.store.manifest import Predicate
 from repro.store.reader import DEFAULT_BATCH_ROWS, ColumnarStore, ScanStats
 
 __all__ = ["StoreSummary", "summarize_store"]
-
-#: Columns the streaming summary needs per chunk.
-_SUMMARY_COLUMNS = (
-    "start_time", "end_time", "system_id", "root_cause",
-)
 
 
 @dataclass
@@ -58,27 +46,17 @@ class StoreSummary:
     def to_dict(self) -> dict:
         """A JSON-able view for ``repro store analyze --json``.
 
-        The ``partial`` key appears only when a deadline truncated the
-        scan, so complete summaries stay byte-identical to pre-deadline
-        output.
+        Extrema still at their ±inf initials read as null, never as
+        non-RFC ``Infinity`` tokens.  The ``partial`` key appears only
+        when a deadline truncated the scan.
         """
-        payload = self._base_dict()
-        if self.partial is not None:
-            payload["partial"] = self.partial
-        return payload
-
-    def _base_dict(self) -> dict:
-        # Guard on durations/timestamps actually observed, not on rows:
-        # a deadline-partial or degraded pass can count rows while the
-        # extrema stay at their ±inf initials, and json.dumps would then
-        # emit non-RFC "Infinity" tokens.
         has_durations = math.isfinite(self.repair_min) and math.isfinite(
             self.repair_max
         )
         has_window = math.isfinite(self.start_min) and math.isfinite(
             self.start_max
         )
-        return {
+        payload = {
             "rows": self.rows,
             "counts_by_system": {
                 str(k): v for k, v in sorted(self.counts_by_system.items())
@@ -100,14 +78,12 @@ class StoreSummary:
             "start_time_range": (
                 [self.start_min, self.start_max] if has_window else None
             ),
-            "scan": {
-                "shards_scanned": self.scan.shards_scanned,
-                "shards_pruned": self.scan.shards_pruned,
-                "rows_scanned": self.scan.rows_scanned,
-                "rows_matched": self.scan.rows_matched,
-            },
+            "scan": asdict(self.scan),
             "degraded": self.degraded,
         }
+        if self.partial is not None:
+            payload["partial"] = self.partial
+        return payload
 
     def describe(self) -> str:
         lines = [f"rows: {self.rows}"]
@@ -156,77 +132,44 @@ def summarize_store(
 ) -> StoreSummary:
     """One streaming pass of headline aggregates over ``store``.
 
-    The store handle's scan counters are reset first, so the returned
-    summary's ``scan`` reflects exactly this pass (the CI job asserts
-    ``shards_pruned >= 1`` from it).
-
-    ``deadline`` bounds the pass's wall time via chunk-boundary checks
-    in :meth:`~repro.store.reader.ColumnarStore.iter_batches`.  With
-    ``on_deadline="raise"`` a blown budget propagates as
-    :class:`~repro.resilience.deadline.DeadlineExceeded`; with
-    ``"partial"`` the pass stops cleanly and the returned summary
-    carries a ``partial`` record describing the truncation — the
-    serving layer's deadline contract: a partial answer, never a hang.
+    :func:`~repro.analysis.outofcore.scan_store` folds the rows
+    ``predicate`` admits into a :class:`~repro.analysis.outofcore.FoldCore`,
+    with its deadline semantics: ``on_deadline="raise"`` lets a blown
+    deadline raise, and ``"partial"`` returns a summary of the scanned
+    prefix carrying a ``partial`` record.  The summary's ``scan`` counts
+    exactly this pass (the CI job asserts ``shards_pruned >= 1`` from
+    it).  Downtime per cause adds up system by system in system order.
     """
-    if on_deadline not in ("raise", "partial"):
-        raise ValueError(
-            f"on_deadline must be 'raise' or 'partial', got {on_deadline!r}"
-        )
-    store.reset_scan_stats()
-    n_causes = len(CAUSE_VOCAB)
-    cause_counts = np.zeros(n_causes, dtype=np.int64)
-    cause_downtime = np.zeros(n_causes, dtype=np.float64)
-    system_counts: Dict[int, int] = {}
-    summary = StoreSummary()
-    repair_total = 0.0
-    with obs.span("store.summarize"):
-        try:
-            for chunk in store.iter_batches(
-                columns=_SUMMARY_COLUMNS,
-                predicate=predicate,
-                batch_rows=batch_rows,
-                deadline=deadline,
-            ):
-                n = len(chunk)
-                if not n:
-                    continue
-                summary.rows += n
-                starts = chunk["start_time"]
-                repairs = chunk["end_time"] - starts
-                causes = chunk["root_cause"].astype(np.int64)
-                cause_counts += np.bincount(causes, minlength=n_causes)
-                cause_downtime += np.bincount(
-                    causes, weights=repairs, minlength=n_causes
-                )
-                repair_total += float(repairs.sum())
-                summary.repair_min = min(summary.repair_min, float(repairs.min()))
-                summary.repair_max = max(summary.repair_max, float(repairs.max()))
-                summary.start_min = min(summary.start_min, float(starts.min()))
-                summary.start_max = max(summary.start_max, float(starts.max()))
-                ids, counts = np.unique(chunk["system_id"], return_counts=True)
-                for system_id, count in zip(ids.tolist(), counts.tolist()):
-                    system_counts[system_id] = (
-                        system_counts.get(system_id, 0) + count
-                    )
-        except DeadlineExceeded:
-            if on_deadline == "raise":
-                raise
-            summary.partial = {
-                "reason": "deadline-exceeded",
-                "rows_seen": summary.rows,
-                "rows_total": store.manifest.row_count,
-            }
-            obs.metrics().counter("store.scans_deadline_partial").add(1)
-    summary.counts_by_system = system_counts
-    for code, cause in enumerate(CAUSE_VOCAB):
-        if cause_counts[code]:
-            summary.counts_by_cause[cause.value] = int(cause_counts[code])
-            summary.downtime_by_cause[cause.value] = float(
-                cause_downtime[code]
-            )
-    summary.repair_mean = repair_total / summary.rows if summary.rows else 0.0
-    summary.scan = store.scan
-    if store.degraded:
-        summary.degraded = store.degraded.to_dict()
-    obs.metrics().counter("store.rows_summarized").add(summary.rows)
-    return summary
+    # Imported here: repro.analysis.outofcore imports repro.store.
+    from repro.analysis.outofcore import FoldCore, scan_store
+
+    core, partial = scan_store(
+        store,
+        FoldCore,
+        predicate=predicate,
+        deadline=deadline,
+        on_deadline=on_deadline,
+        batch_rows=batch_rows,
+    )
+    counts, downtime = core.cause_totals(sorted(core.counts))
+    causes = [
+        (cause.value, code)
+        for code, cause in enumerate(CAUSE_VOCAB)
+        if counts[code]
+    ]
+    return StoreSummary(
+        rows=core.rows,
+        counts_by_system=core.failures_by_system(),
+        counts_by_cause={name: int(counts[code]) for name, code in causes},
+        downtime_by_cause={
+            name: float(downtime[code]) for name, code in causes
+        },
+        repair_mean=core.repair_total / core.rows if core.rows else 0.0,
+        repair_min=core.repair_min,
+        repair_max=core.repair_max,
+        start_min=core.start_min,
+        start_max=core.start_max,
+        scan=store.scan,
+        degraded=store.degraded.to_dict() if store.degraded else None,
+        partial=partial,
+    )

@@ -25,6 +25,8 @@ import pytest
 
 import repro.stats.sketch as sketch_module
 from repro.cli import main
+from repro.records.record import FailureRecord, RootCause, Workload
+from repro.records.trace import FailureTrace
 from repro.report import run_paper_report, run_store_report
 from repro.report.paper import SECTIONS
 from repro.resilience.deadline import Deadline
@@ -276,3 +278,43 @@ class TestInterleavedAppend:
             failed = [(section.name, section.status) for section in report.failed]
             assert failed == [("fig6", "failed")], kwargs
             assert "out of time order" in _sections(report)["fig6"].error
+
+
+class TestEarliestWorkload:
+    """Figure 3(b) takes each node's workload from its earliest row.
+
+    A row appended after the store was written, an hour before compute
+    node 48's first failure and labelled graphics, is the node's
+    earliest but not its first scanned: the node must count as
+    graphics, as it does in the trace.
+    """
+
+    NODE = 48
+
+    @pytest.fixture(scope="class")
+    def appended(self, tmp_path_factory):
+        trace = TraceGenerator(seed=3).generate([20])
+        root = tmp_path_factory.mktemp("earliest") / "store"
+        store_from_trace(trace, root)
+        first = min(
+            record for record in trace.records if record.node_id == self.NODE
+        )
+        assert first.workload is Workload.COMPUTE
+        earlier = first.start_time - 3600.0
+        row = FailureRecord(
+            start_time=earlier,
+            end_time=earlier + 600.0,
+            system_id=20,
+            node_id=self.NODE,
+            root_cause=RootCause.HARDWARE,
+            workload=Workload.GRAPHICS,
+        )
+        append_trace(root, FailureTrace([row], trace.systems))
+        return ColumnarStore(root)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"workers": 2}])
+    def test_store_fig3_equals_trace_fig3(self, appended, kwargs):
+        want = _sections(run_paper_report(appended.to_trace()))["fig3"]
+        got = _sections(run_store_report(appended, **kwargs).report)["fig3"]
+        assert want.ok
+        assert (got.status, got.text) == (want.status, want.text)

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from repro.report import run_store_report
 from repro.resilience import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.serve import Query, StoreGateway, StoreUnavailable
@@ -34,6 +35,17 @@ def make_gateway(root, threshold=3, cooldown=60.0):
         ),
     )
     return gateway, clock
+
+
+def ticking_deadline(budget=2.0):
+    """A deadline whose clock advances one second per reading."""
+    ticks = {"n": 0}
+
+    def clock():
+        ticks["n"] += 1
+        return float(ticks["n"])
+
+    return Deadline(budget, clock=clock)
 
 
 class TestPrimaryPath:
@@ -67,21 +79,36 @@ class TestPrimaryPath:
 
     def test_partial_result_not_cached(self, store_dir):
         gateway, _ = make_gateway(store_dir)
-        ticks = {"n": 0}
-
-        def clock():
-            ticks["n"] += 1
-            return float(ticks["n"])
-
-        partial = gateway.query(
-            Query.build(), deadline=Deadline(2.0, clock=clock)
-        )
+        partial = gateway.query(Query.build(), deadline=ticking_deadline())
         assert partial.partial
         assert partial.status() == "partial"
         # The truncated answer must not poison the cache.
         complete = gateway.query(Query.build())
         assert complete.cache == "miss"
         assert not complete.partial
+
+
+class TestReportQuery:
+    def test_report_matches_direct_store_report(self, store_dir):
+        gateway, _ = make_gateway(store_dir)
+        result = gateway.query(Query.build(kind="report"))
+        expected = run_store_report(ColumnarStore(store_dir)).to_dict()
+        assert result.data == expected
+        assert result.status() == "ok"
+        assert result.cache == "miss"
+        assert gateway.query(Query.build(kind="report")).cache == "hit"
+
+    def test_partial_report_not_cached(self, store_dir):
+        gateway, _ = make_gateway(store_dir)
+        partial = gateway.query(
+            Query.build(kind="report"), deadline=ticking_deadline()
+        )
+        assert partial.status() == "partial"
+        assert partial.data["partial"]["reason"] == "deadline-exceeded"
+        complete = gateway.query(Query.build(kind="report"))
+        assert complete.cache == "miss"
+        assert not complete.partial
+        assert complete.data["partial"] is None
 
 
 class TestDegradedPath:

@@ -25,7 +25,6 @@ from repro.stats.errors import DegenerateSampleError
 from repro.stats.fitting import fit_all
 from repro.stats.sketch import (
     GroupedCounts,
-    GroupedSums,
     HeldValues,
     LogBucketSketch,
     MomentSketch,
@@ -185,27 +184,6 @@ class TestGroupedCounts:
         assert a.counts == before
 
 
-class TestGroupedSums:
-    @settings(max_examples=100, deadline=None)
-    @given(weights=nonneg_samples, groups=keys, fraction=st.floats(0.0, 1.0))
-    def test_merge_equals_single_pass(self, weights, groups, fraction):
-        n = min(len(weights), len(groups))
-        weights, groups = weights[:n], groups[:n]
-        cut = int(n * fraction)
-        a = GroupedSums()
-        a.observe(np.asarray(weights[:cut]), np.asarray(groups[:cut]))
-        b = GroupedSums()
-        b.observe(np.asarray(weights[cut:]), np.asarray(groups[cut:]))
-        a.merge(b)
-        whole = GroupedSums()
-        whole.observe(np.asarray(weights), np.asarray(groups))
-        assert set(a.sums) == set(whole.sums)
-        for key in whole.sums:
-            assert a.sums[key] == pytest.approx(
-                whole.sums[key], rel=1e-9, abs=1e-6
-            )
-
-
 class TestSampleSketch:
     @settings(max_examples=100, deadline=None)
     @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
@@ -270,11 +248,6 @@ class TestGroupedKeys:
         counts = GroupedCounts()
         counts.observe(systems, causes)
         assert counts.counts == {(-big, 2): 1, (0, -big): 1, (big, 1): 2}
-        sums = GroupedSums()
-        sums.observe(np.asarray([1.0, 2.0, 4.0, 8.0]), systems, causes)
-        assert list(sums.sums.items()) == [
-            ((-big, 2), 2.0), ((0, -big), 8.0), ((big, 1), 5.0),
-        ]
 
 
 class TestExactSample:
