@@ -70,6 +70,7 @@ from repro.records.codes import CAUSE_CODE, CAUSE_VOCAB, WORKLOAD_VOCAB
 from repro.records.record import HIGH_LEVEL_CAUSES, RootCause, Workload
 from repro.records.timeutils import SECONDS_PER_MONTH, from_datetime
 from repro.resilience.deadline import Deadline, DeadlineExceeded
+from repro.resilience.report import RunReport
 from repro.resilience.supervisor import supervised_map
 from repro.stats.sketch import GroupedCounts, HeldValues, SampleSketch
 from repro.stats.streamfit import sketch_empirical
@@ -762,16 +763,23 @@ def _scan_parallel(store, accumulator, predicate, workers, batch_rows) -> None:
     ]
     keys = [f"group-{index}" for index in range(len(groups))]
     fold = type(accumulator)
+    report = RunReport()
     results = supervised_map(
         _scan_shard_group,
         [(str(store.root), group, fold, predicate, batch_rows) for group in groups],
         workers=len(groups),
         keys=keys,
+        report=report,
     )
-    for key in keys:
-        part = results.get(key)
+    for key, group in zip(keys, groups):
+        part = results[key]
         if part is None:
-            raise StoreError(f"parallel store scan failed for shard {key}")
+            names = ", ".join(store.manifest.shards[i].name for i in group)
+            attempts = report.shards[key].attempts
+            raise StoreError(
+                f"parallel store scan failed for shard(s) {names} after "
+                f"{len(attempts)} attempt(s): {attempts[-1].error}"
+            )
         accumulator.merge_ordered(part)
 
 
@@ -793,7 +801,8 @@ def scan_store(
     1`` (without a deadline) folds contiguous manifest slices of the
     healthy admitted shards in supervised worker processes
     (:func:`~repro.resilience.supervisor.supervised_map`) and merges
-    the partial folds back in manifest order.  A deadline forces the
+    the partial folds back in manifest order; a single slice runs in
+    process, with no pool.  A deadline forces the
     serial path, which checks the budget at chunk boundaries: with
     ``on_deadline="raise"`` a blown budget propagates as
     :class:`~repro.resilience.deadline.DeadlineExceeded`; with

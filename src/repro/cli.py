@@ -679,7 +679,6 @@ def _command_generate(args: argparse.Namespace) -> int:
     supervision = SupervisionConfig(
         policy=RetryPolicy(max_attempts=args.max_attempts, seed=args.seed),
         shard_timeout=args.shard_timeout,
-        failure_threshold=args.max_attempts,
     )
     chaos = contextlib.nullcontext()
     if args.chaos:
@@ -776,11 +775,11 @@ def _command_generate(args: argparse.Namespace) -> int:
             print(f"wrote {run_dir / 'run_report.json'}")
         if report.resumed_shards:
             print(f"resumed {len(report.resumed_shards)} shard(s) from the journal")
-        if report.retried_shards or report.degraded_shards or report.skipped_shards:
+        if report.retried_shards or report.skipped_shards:
             print(report.describe())
         if report.skipped_shards:
-            # The run *completed*, but degraded past the last ladder
-            # stage for some shards: the trace is missing systems.
+            # The run *completed*, but some shards failed past every
+            # retry: the trace is missing systems.
             return 3
     return 0
 

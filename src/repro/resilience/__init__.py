@@ -5,17 +5,19 @@ pipelines; this subsystem applies its lessons — retry with backoff,
 checkpointing, graceful degradation — to our own hot path:
 
 * :class:`~repro.resilience.retry.RetryPolicy` — exponential backoff
-  with deterministic jitter and an overall deadline;
-* :class:`~repro.resilience.breaker.CircuitBreaker` — per-shard
-  failure counting over a degradation ladder (generation has one
-  stage: retried, then a structured skip);
-* :func:`~repro.resilience.supervisor.supervised_map` — a process-pool
-  map that survives crashed (``BrokenProcessPool``), hung and failing
-  workers by respawning the pool and retrying only unfinished shards;
+  with deterministic jitter, an attempt limit and an overall deadline;
+* :func:`~repro.resilience.supervisor.supervised_map` — the one retry
+  loop: maps a task over shards, in process or in a process pool,
+  retries failed, crashed (``BrokenProcessPool``) and hung attempts
+  under one policy, and records a structured skip once a shard's
+  retries are spent;
+* :class:`~repro.resilience.breaker.CircuitBreaker` — the three-state
+  (closed, open, half-open) breaker guarding the serving gateway's
+  primary read;
 * :class:`~repro.resilience.journal.ShardJournal` — a crash-safe
   per-run record of completed shards enabling ``--resume``;
 * :class:`~repro.resilience.report.RunReport` — the audit trail of
-  every attempt, retry, degradation and skip;
+  every attempt, retry and skip;
 * :mod:`~repro.resilience.atomic` — tmp + fsync + ``os.replace``
   artifact writes used by every writer in the toolkit.
 

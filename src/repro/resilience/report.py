@@ -2,8 +2,8 @@
 
 Every supervised generation produces a :class:`RunReport`: one
 :class:`ShardOutcome` per shard, each with its full attempt history —
-stage (degradation ladder position), outcome, error text, and the
-backoff delay the supervisor applied before the next attempt.  The
+outcome, error text, wall time and the backoff delay the supervisor
+applied before the next attempt.  The
 report is what turns silent retries into auditable behavior, and what
 CI uploads when a chaos drill fails.
 """
@@ -26,7 +26,6 @@ DEADLINE = "deadline"    # retry deadline exhausted
 
 #: Final shard statuses.
 STATUS_OK = "ok"
-STATUS_DEGRADED = "ok-degraded"
 STATUS_SKIPPED = "skipped"
 STATUS_RESUMED = "resumed"
 STATUS_PENDING = "pending"
@@ -37,7 +36,6 @@ class ShardAttempt:
     """One attempt at one shard."""
 
     attempt: int
-    stage: str
     outcome: str
     error: str = ""
     #: Backoff applied after this (failed) attempt, seconds; None for
@@ -50,7 +48,6 @@ class ShardAttempt:
     def to_dict(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
             "attempt": self.attempt,
-            "stage": self.stage,
             "outcome": self.outcome,
         }
         if self.error:
@@ -105,7 +102,6 @@ class RunReport:
     def record_attempt(
         self,
         key: str,
-        stage: str,
         outcome: str,
         error: str = "",
         backoff: Optional[float] = None,
@@ -115,7 +111,6 @@ class RunReport:
         shard.attempts.append(
             ShardAttempt(
                 attempt=len(shard.attempts) + 1,
-                stage=stage,
                 outcome=outcome,
                 error=error,
                 backoff=backoff,
@@ -144,10 +139,6 @@ class RunReport:
         return [s for s in self.shards.values() if s.retried]
 
     @property
-    def degraded_shards(self) -> List[ShardOutcome]:
-        return self._with_status(STATUS_DEGRADED)
-
-    @property
     def skipped_shards(self) -> List[ShardOutcome]:
         return self._with_status(STATUS_SKIPPED)
 
@@ -157,9 +148,9 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        """True when every shard completed (possibly degraded/resumed)."""
+        """True when every shard completed (possibly resumed)."""
         return all(
-            s.status in (STATUS_OK, STATUS_DEGRADED, STATUS_RESUMED)
+            s.status in (STATUS_OK, STATUS_RESUMED)
             for s in self.shards.values()
         )
 
@@ -174,7 +165,6 @@ class RunReport:
             "summary": {
                 "total": len(self.shards),
                 "ok": len(self._with_status(STATUS_OK)),
-                "degraded": len(self.degraded_shards),
                 "skipped": len(self.skipped_shards),
                 "resumed": len(self.resumed_shards),
                 "retried": len(self.retried_shards),
@@ -189,8 +179,8 @@ class RunReport:
         """Human-readable one-screen summary."""
         summary = self.to_dict()["summary"]
         lines = [
-            "run report: {total} shard(s) — {ok} ok, {degraded} degraded, "
-            "{skipped} skipped, {resumed} resumed, {retried} retried".format(
+            "run report: {total} shard(s) — {ok} ok, {skipped} skipped, "
+            "{resumed} resumed, {retried} retried".format(
                 **summary
             )
         ]
@@ -198,7 +188,7 @@ class RunReport:
             if not shard.retried and shard.status in (STATUS_OK, STATUS_RESUMED):
                 continue
             history = " -> ".join(
-                f"{a.outcome}@{a.stage}"
+                a.outcome
                 + (f" (backoff {a.backoff:.3f}s)" if a.backoff is not None else "")
                 for a in shard.attempts
             )

@@ -10,9 +10,8 @@ keeps run reports reproducible and lets tests assert exact schedules.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 __all__ = ["RetryPolicy"]
 
@@ -24,9 +23,8 @@ class RetryPolicy:
     Parameters
     ----------
     max_attempts:
-        Attempts per degradation stage before the circuit breaker moves
-        the shard down the ladder (see
-        :class:`~repro.resilience.breaker.CircuitBreaker`).
+        Attempts per shard; a shard that fails this many times is
+        skipped (see :func:`~repro.resilience.supervisor.supervised_map`).
     base_delay:
         Delay before the second attempt, in seconds.
     multiplier:
@@ -81,34 +79,3 @@ class RetryPolicy:
         ).digest()
         unit = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
-
-    def schedule(self, key: str, attempts: Optional[int] = None) -> List[float]:
-        """The full backoff schedule for ``key`` (one delay per retry)."""
-        n = self.max_attempts if attempts is None else attempts
-        return [self.backoff(key, attempt) for attempt in range(1, n)]
-
-    def sleep(self, key: str, attempt: int) -> float:
-        """Block for :meth:`backoff`'s delay; returns the delay slept.
-
-        The synchronous hook the process supervisor uses; the delay is
-        the same deterministic value :meth:`backoff` computes.
-        """
-        delay = self.backoff(key, attempt)
-        if delay > 0:
-            time.sleep(delay)
-        return delay
-
-    async def sleep_async(self, key: str, attempt: int) -> float:
-        """Await :meth:`backoff`'s delay without blocking the event loop.
-
-        The async-aware hook for long-running asyncio services
-        (``repro serve``): identical deterministic jitter, but the wait
-        yields to the loop via :func:`asyncio.sleep` so other requests
-        keep flowing while one retries.
-        """
-        delay = self.backoff(key, attempt)
-        if delay > 0:
-            import asyncio
-
-            await asyncio.sleep(delay)
-        return delay

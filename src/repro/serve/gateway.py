@@ -49,10 +49,6 @@ from repro.store.reader import DEFAULT_BATCH_ROWS, ColumnarStore
 
 __all__ = ["Query", "QueryResult", "StoreGateway", "StoreUnavailable"]
 
-#: Breaker key for the single data source a gateway fronts.
-_SOURCE = "store"
-
-
 class StoreUnavailable(Exception):
     """Every rung of the degradation ladder failed for this query."""
 
@@ -134,11 +130,7 @@ class StoreGateway:
     """Degradation-ladder access to one columnar store directory."""
 
     root: Path
-    breaker: CircuitBreaker = field(
-        default_factory=lambda: CircuitBreaker(
-            stages=("primary",), failure_threshold=3, cooldown_seconds=5.0
-        )
-    )
+    breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     cache: ResultCache = field(default_factory=ResultCache)
     batch_rows: int = DEFAULT_BATCH_ROWS
     #: Degradation-path counters for ``/v1/stats``.
@@ -178,19 +170,19 @@ class StoreGateway:
 
     def _breaker_allow(self) -> bool:
         with self._lock:
-            return self.breaker.allow(_SOURCE)
+            return self.breaker.allow()
 
     def _breaker_success(self) -> None:
         with self._lock:
-            self.breaker.record_success(_SOURCE)
+            self.breaker.record_success()
 
     def _breaker_failure(self) -> None:
         with self._lock:
-            self.breaker.record_failure(_SOURCE)
+            self.breaker.record_failure()
 
     def breaker_state(self) -> str:
         with self._lock:
-            return self.breaker.state(_SOURCE)
+            return self.breaker.state()
 
     # -- ladder rungs ------------------------------------------------------
 

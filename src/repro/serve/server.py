@@ -118,7 +118,6 @@ class AnalyticsServer:
         self.gateway = StoreGateway(
             root=self.root,
             breaker=CircuitBreaker(
-                stages=("primary",),
                 failure_threshold=self.config.breaker_threshold,
                 cooldown_seconds=self.config.breaker_cooldown,
             ),

@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -84,13 +83,11 @@ from repro.records.timeutils import (
 )
 from repro.records.trace import FailureTrace
 from repro.resilience import (
-    CircuitBreaker,
     RetryPolicy,
     RunReport,
     ShardJournal,
     supervised_map,
 )
-from repro.resilience import report as report_mod
 from repro.simulate.rng import RngStream
 from repro.synth.arrivals import (
     ArrivalGrid,
@@ -113,10 +110,6 @@ from repro.synth.repair import RepairModel
 from repro.synth.rootcause import CauseModel
 
 __all__ = ["TraceGenerator", "SupervisionConfig"]
-
-#: The stage every shard attempt runs in.  Generation has one stage, so
-#: a shard that fails past its retries is skipped, never degraded.
-_STAGE = "synth"
 
 
 def _shard_key(system_id: int) -> str:
@@ -158,19 +151,18 @@ class SupervisionConfig:
     Parameters
     ----------
     policy:
-        Retry/backoff policy for failed shards.
+        Retry/backoff policy for failed shards: a shard, serial or
+        parallel, that fails ``policy.max_attempts`` times becomes a
+        structured skip.
     shard_timeout:
         Hang detection: if no shard completes for this many seconds,
         the worker pool is terminated and respawned and the unfinished
-        shards retried.  ``None`` disables hang detection.
-    failure_threshold:
-        Failed attempts per shard, serial or parallel, before the
-        circuit breaker opens and the shard becomes a structured skip.
+        shards retried.  ``None`` disables hang detection; an
+        in-process (``workers=1``) attempt has none.
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     shard_timeout: Optional[float] = None
-    failure_threshold: int = 3
 
 
 class TraceGenerator:
@@ -246,12 +238,11 @@ class TraceGenerator:
             number of systems are clamped (with a warning for the CPU
             case).
         supervision:
-            Fault-tolerance knobs (retry policy, hang timeout, failure
-            threshold); defaults apply when omitted.  Graceful
-            degradation is opt-in: when omitted, a shard that fails
-            past every retry raises (serial and parallel alike) instead
-            of being skipped, so a bare run never returns a silently
-            incomplete trace.  The resulting
+            Fault-tolerance knobs (retry policy, hang timeout); defaults
+            apply when omitted.  Graceful degradation is opt-in: when
+            omitted, a shard that fails past every retry raises (serial
+            and parallel alike) instead of being skipped, so a bare run
+            never returns a silently incomplete trace.  The resulting
             :class:`~repro.resilience.report.RunReport` is available as
             :attr:`last_run_report`.
         journal:
@@ -450,7 +441,6 @@ class TraceGenerator:
                     "jitter": supervision.policy.jitter,
                     "deadline": supervision.policy.deadline,
                 },
-                "failure_threshold": supervision.failure_threshold,
                 "shard_timeout": supervision.shard_timeout,
             },
         )
@@ -467,25 +457,33 @@ class TraceGenerator:
                 pending.append(system_id)
         effective = self._effective_workers(workers, len(pending))
         report.meta["workers"] = effective
-        if pending and effective == 1:
-            for system_id in pending:
-                results[system_id] = self._serial_shard(
-                    system_id,
-                    supervision if explicit_supervision else None,
-                    report,
-                    journal,
+        if pending:
+            if effective == 1:
+                task, payloads = self._system_columns, pending
+            else:
+                identity = (
+                    self.seed, self.config, self.systems,
+                    self.data_start, self.data_end,
                 )
-        elif pending:
-            results.update(
-                self._parallel_supervised(
-                    pending, effective, supervision, report, journal
-                )
+                task = _system_columns_task
+                payloads = [identity + (system_id,) for system_id in pending]
+
+            def journal_shard(key: str, columns: ColumnBatch) -> None:
+                journal.record(key, columns, extra={"records": len(columns)})
+
+            keys = [_shard_key(system_id) for system_id in pending]
+            shards = supervised_map(
+                task,
+                payloads,
+                workers=effective,
+                keys=keys,
+                policy=supervision.policy,
+                shard_timeout=supervision.shard_timeout,
+                report=report,
+                on_result=journal_shard if journal is not None else None,
             )
+            results.update(zip(pending, (shards[key] for key in keys)))
             if not explicit_supervision and report.skipped_shards:
-                # Mirror the bare serial path, where the exception
-                # propagates directly: a caller who never asked for
-                # graceful degradation gets an error, not a trace
-                # missing systems (with silently renumbered records).
                 raise RuntimeError(self._describe_skips(report))
         return {
             system_id: results[system_id]
@@ -508,103 +506,6 @@ class TraceGenerator:
             f"retries: {'; '.join(details)}; pass an explicit "
             "SupervisionConfig to skip failing shards instead of raising"
         )
-
-    def _journal_shard(
-        self,
-        journal: Optional[ShardJournal],
-        key: str,
-        columns: ColumnBatch,
-    ) -> None:
-        if journal is not None:
-            journal.record(key, columns, extra={"records": len(columns)})
-
-    def _parallel_supervised(
-        self,
-        system_ids: List[int],
-        workers: int,
-        supervision: SupervisionConfig,
-        report: RunReport,
-        journal: Optional[ShardJournal],
-    ) -> Dict[int, Optional[ColumnBatch]]:
-        """Supervised process fan-out: crashes, hangs and errors survive."""
-        breaker = CircuitBreaker(
-            stages=(_STAGE,), failure_threshold=supervision.failure_threshold
-        )
-        keys = [_shard_key(system_id) for system_id in system_ids]
-        by_key = dict(zip(keys, system_ids))
-
-        def on_result(key: str, columns: ColumnBatch) -> None:
-            self._journal_shard(journal, key, columns)
-
-        payloads = [
-            (
-                self.seed,
-                self.config,
-                self.systems,
-                self.data_start,
-                self.data_end,
-                system_id,
-            )
-            for system_id in system_ids
-        ]
-        shard_results = supervised_map(
-            _system_columns_task,
-            payloads,
-            keys=keys,
-            workers=workers,
-            policy=supervision.policy,
-            breaker=breaker,
-            shard_timeout=supervision.shard_timeout,
-            report=report,
-            on_result=on_result,
-        )
-        return {by_key[key]: columns for key, columns in shard_results.items()}
-
-    def _serial_shard(
-        self,
-        system_id: int,
-        supervision: Optional[SupervisionConfig],
-        report: RunReport,
-        journal: Optional[ShardJournal],
-    ) -> Optional[ColumnBatch]:
-        """Generate one shard in-process.
-
-        Unsupervised, the shard gets one attempt and an error
-        propagates.  Supervised, a failed attempt is retried the way
-        the parallel path retries it: after the policy's backoff, up to
-        ``failure_threshold`` attempts, then a structured skip.
-        """
-        key = _shard_key(system_id)
-        attempts = 1 if supervision is None else supervision.failure_threshold
-        for attempt in range(1, attempts + 1):
-            begin = time.perf_counter()
-            try:
-                with obs.span(
-                    "shard.attempt", shard=key, stage=_STAGE, attempt=attempt
-                ) as span:
-                    columns = self._system_columns(system_id)
-                    span.add("records", len(columns))
-            except Exception as exc:
-                if supervision is None:
-                    raise
-                report.record_attempt(
-                    key, _STAGE, report_mod.ERROR,
-                    error=f"{type(exc).__name__}: {exc}",
-                    wall_s=time.perf_counter() - begin,
-                )
-                if attempt < attempts:
-                    delay = supervision.policy.backoff(key, attempt)
-                    report.shards[key].attempts[-1].backoff = delay
-                    time.sleep(delay)
-                continue
-            report.record_attempt(
-                key, _STAGE, report_mod.OK, wall_s=time.perf_counter() - begin
-            )
-            report.finish_shard(key, report_mod.STATUS_OK, records=len(columns))
-            self._journal_shard(journal, key, columns)
-            return columns
-        report.finish_shard(key, report_mod.STATUS_SKIPPED)
-        return None
 
     def _system_columns(self, system_id: int) -> ColumnBatch:
         """One system's failures as full-schema rows: node-major, burst

@@ -18,6 +18,8 @@ from repro.analysis.outofcore import FoldCore, scan_store
 from repro.records.codes import CAUSE_VOCAB
 from repro.records.columns import ColumnBatch
 from repro.store import ColumnarStore, Predicate, store_from_trace
+from repro.store.manifest import StoreError
+from repro.synth import TraceGenerator
 
 _N_CAUSES = len(CAUSE_VOCAB)
 
@@ -55,6 +57,14 @@ def _fold(*parts) -> FoldCore:
 
 def _counts(core: FoldCore) -> dict:
     return {system: table.tolist() for system, table in core.counts.items()}
+
+
+class _DiskGoneAway(Predicate):
+    """A predicate whose row mask fails in the worker, as a read from a
+    vanished disk would."""
+
+    def mask(self, batch):
+        raise OSError("disk went away")
 
 
 class TestFoldCore:
@@ -133,3 +143,44 @@ class TestScanStore:
         assert parallel.rows == serial.rows
         assert _counts(parallel) == _counts(serial)
         assert list(parallel.counts) == [13]
+
+    def test_parallel_scan_failure_names_shards_and_error(
+        self, tmp_path, small_trace
+    ):
+        store_from_trace(small_trace, tmp_path / "store", shard_rows=100)
+        store = ColumnarStore(tmp_path / "store")
+        predicate = _DiskGoneAway(systems=frozenset({2, 13}))
+        with pytest.raises(StoreError) as caught:
+            scan_store(store, FoldCore, predicate=predicate, workers=2)
+        message = str(caught.value)
+        assert "group-" not in message
+        assert store.manifest.shards[0].name in message
+        assert "after 3 attempt(s): OSError: disk went away" in message
+
+    def test_one_admitted_shard_scans_without_a_pool(
+        self, tmp_path, monkeypatch
+    ):
+        trace = TraceGenerator(seed=5).generate([2, 13, 20])
+        store_from_trace(trace, tmp_path / "store")
+        store = ColumnarStore(tmp_path / "store")
+        predicate = Predicate.build(systems=[20])
+        assert len(store._admitted(predicate)) == 1
+        serial, _ = scan_store(store, FoldCore, predicate=predicate)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-group scan built a process pool")
+
+        monkeypatch.setattr(
+            "repro.resilience.supervisor.ProcessPoolExecutor", no_pool
+        )
+        parallel, _ = scan_store(
+            store, FoldCore, predicate=predicate, workers=2
+        )
+        assert parallel.rows == serial.rows > 0
+        assert _counts(parallel) == _counts(serial)
+        assert parallel.downtime.keys() == serial.downtime.keys()
+        for system, table in serial.downtime.items():
+            assert parallel.downtime[system].tolist() == table.tolist()
+        assert (parallel.repair_total, parallel.start_min) == (
+            serial.repair_total, serial.start_min
+        )

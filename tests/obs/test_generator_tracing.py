@@ -66,7 +66,6 @@ class TestAcceptanceMergedTrace:
         expected = [
             {
                 "shard": key,
-                "stage": entry.stage,
                 "attempt": entry.attempt,
                 "outcome": entry.outcome,
             }
@@ -77,7 +76,6 @@ class TestAcceptanceMergedTrace:
         got = [
             {
                 "shard": event["attrs"]["shard"],
-                "stage": event["attrs"]["stage"],
                 "attempt": event["attrs"]["attempt"],
                 "outcome": event["attrs"]["outcome"],
             }
@@ -137,19 +135,28 @@ class TestSerialTracing:
         assert validate_events(events) == []
         names = {event["name"] for event in span_events(events)}
         # The bare serial path has no worker wrapper (synth.system is
-        # the worker-process span), but the stage spans and per-shard
-        # attempt spans are all there.
+        # the worker-process span), but the supervisor's spans, the
+        # stage spans and the per-shard attempt spans are all there.
         assert {
-            "generate", "generate.sort", "shard.attempt",
+            "generate", "generate.sort", "supervise", "shard.attempt",
             "synth.arrivals", "synth.marks",
         } <= names
-        # Stage spans nest under their shard's attempt span.
+        # One live attempt span per shard, under the supervisor, and the
+        # stage spans nest under their shard's attempt span.
         roots = build_span_tree(events)
-        attempts = [
+        supervise = [
             node for root in roots for node in root.walk()
+            if node.name == "supervise"
+        ]
+        assert len(supervise) == 1
+        attempts = [
+            node for node in supervise[0].children
             if node.name == "shard.attempt"
         ]
-        assert len(attempts) == 2
+        assert [node.event["attrs"] for node in attempts] == [
+            {"shard": "system-2", "attempt": 1},
+            {"shard": "system-13", "attempt": 1},
+        ]
         for node in attempts:
             child_names = [child.name for child in node.children]
             assert child_names[0] == "synth.arrivals"

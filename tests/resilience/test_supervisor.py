@@ -1,9 +1,11 @@
-"""supervised_map: surviving crashed, hung and failing workers.
+"""supervised_map: surviving crashed, hung and failing attempts.
 
-These tests run real ``ProcessPoolExecutor`` pools with tiny tasks.
-Cross-process "fail only the first N times" coordination uses the same
-claim-file scheme as :mod:`repro.faults.process_ops`: a worker injects
-its failure only if it can exclusively create the next claim file.
+With ``workers > 1`` these tests run real ``ProcessPoolExecutor`` pools
+with tiny tasks; with ``workers=1`` every attempt runs in the calling
+process under the same retry loop.  Cross-process "fail only the first
+N times" coordination uses the same claim-file scheme as
+:mod:`repro.faults.process_ops`: a worker injects its failure only if
+it can exclusively create the next claim file.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.resilience import (
-    CircuitBreaker,
     RetryPolicy,
     RunReport,
     SupervisorError,
@@ -68,13 +70,6 @@ def _hang(payload):
 
 def _always_fails(payload):
     raise ValueError("permanent defect")
-
-
-def _staged(payload):
-    value, stage = payload
-    if stage == "primary":
-        raise RuntimeError("primary engine broken")
-    return (value, stage)
 
 
 class TestHappyPath:
@@ -172,24 +167,6 @@ class TestDegradationAndSkip:
         assert {s.shard for s in report.skipped_shards} == {"bad-0", "bad-1"}
         assert not report.ok
 
-    def test_stage_ladder_degrades_payload(self):
-        report = RunReport()
-        breaker = CircuitBreaker(
-            stages=("primary", "fallback"), failure_threshold=1
-        )
-        results = supervised_map(
-            _staged,
-            [(1, "primary"), (2, "primary")],
-            keys=["a", "b"],
-            workers=2,
-            policy=RetryPolicy(base_delay=0.0, jitter=0.0, max_attempts=1),
-            breaker=breaker,
-            stage_payload=lambda payload, stage: (payload[0], stage),
-            report=report,
-        )
-        assert results == {"a": (1, "fallback"), "b": (2, "fallback")}
-        assert {s.shard for s in report.degraded_shards} == {"a", "b"}
-
     def test_deadline_skips_remaining_shards(self):
         report = RunReport()
         results = supervised_map(
@@ -218,3 +195,124 @@ class TestValidation:
     def test_duplicate_keys(self):
         with pytest.raises(SupervisorError, match="unique"):
             supervised_map(_square, [1, 2], keys=["x", "x"], workers=1)
+
+
+def _no_pool(workers):
+    raise AssertionError(f"an in-process run built a {workers}-worker pool")
+
+
+class TestInProcess:
+    """``workers=1``: the same retry loop, no process pool."""
+
+    def test_maps_without_a_pool(self):
+        results = supervised_map(
+            _square, [1, 2, 3], workers=1, policy=FAST,
+            executor_factory=_no_pool,
+        )
+        assert results == {"shard-0": 1, "shard-1": 4, "shard-2": 9}
+
+    def test_failed_attempt_retried_after_backoff(self):
+        calls = []
+
+        def flaky(value):
+            calls.append(value)
+            if calls.count(value) == 1 and value == 2:
+                raise RuntimeError("transient")
+            return value * 10
+
+        slept = []
+        report = RunReport()
+        tracer = obs.Tracer()
+        with obs.observing(tracer):
+            results = supervised_map(
+                flaky, [1, 2], keys=["a", "b"], workers=1, policy=FAST,
+                report=report, sleep=slept.append, executor_factory=_no_pool,
+            )
+        assert results == {"a": 10, "b": 20}
+        assert calls == [1, 2, 2]
+        assert slept == [FAST.backoff("b", 1)]
+        attempts = report.shards["b"].attempts
+        assert [a.outcome for a in attempts] == ["error", "ok"]
+        assert attempts[0].error == "RuntimeError: transient"
+        assert attempts[0].backoff == slept[0]
+        # One live shard.attempt span per attempt, inside supervise.
+        spans = [
+            (e["attrs"]["shard"], e["attrs"]["attempt"], e["status"])
+            for e in tracer.events if e["name"] == "shard.attempt"
+        ]
+        assert spans == [("a", 1, "ok"), ("b", 1, "error"), ("b", 2, "ok")]
+        assert tracer.events[-1]["name"] == "supervise"
+
+    @pytest.mark.parametrize(
+        "base_delay, delays", [(0.1, [0.1, 0.2]), (0.0, [])]
+    )
+    def test_exhausted_shard_skipped_after_max_attempts(
+        self, base_delay, delays
+    ):
+        # Sleeps are the policy's backoffs between attempts, none when
+        # the backoff is zero.
+        report = RunReport()
+        slept = []
+        results = supervised_map(
+            _always_fails, [0], keys=["bad"], workers=1,
+            policy=RetryPolicy(
+                base_delay=base_delay, jitter=0.0, max_attempts=3
+            ),
+            report=report, sleep=slept.append,
+        )
+        assert results == {"bad": None}
+        assert [a.outcome for a in report.shards["bad"].attempts] == [
+            "error", "error", "error",
+        ]
+        assert slept == delays
+        assert report.shards["bad"].status == "skipped"
+
+    def test_deadline_skips_remaining_shards(self):
+        report = RunReport()
+        results = supervised_map(
+            _always_fails, [0], keys=["slow"], workers=1,
+            policy=RetryPolicy(
+                base_delay=0.01, jitter=0.0, max_attempts=100, deadline=0.005
+            ),
+            report=report,
+        )
+        assert results == {"slow": None}
+        outcomes = [a.outcome for a in report.shards["slow"].attempts]
+        assert outcomes[-1] == "deadline"
+        assert set(outcomes[:-1]) == {"error"} and len(outcomes) <= 3
+
+    def test_results_journaled_as_each_shard_completes(self):
+        # on_result runs before the next shard's attempt: a crash after
+        # shard "a" leaves "a" journaled for --resume.
+        order = []
+
+        def task(value):
+            order.append(("run", value))
+            return value
+
+        supervised_map(
+            task, [1, 2], keys=["a", "b"], workers=1,
+            on_result=lambda key, value: order.append(("journal", key)),
+        )
+        assert order == [
+            ("run", 1), ("journal", "a"), ("run", 2), ("journal", "b"),
+        ]
+
+    def test_on_result_failure_propagates_without_retry(self):
+        # A failed journal write is not a shard failure: it is raised,
+        # not retried.
+        calls = []
+
+        def task(value):
+            calls.append(value)
+            return value
+
+        def broken_journal(key, value):
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            supervised_map(
+                task, [1, 2], workers=1, policy=FAST,
+                on_result=broken_journal,
+            )
+        assert calls == [1]

@@ -28,7 +28,6 @@ def make_gateway(root, threshold=3, cooldown=60.0):
     gateway = StoreGateway(
         root=root,
         breaker=CircuitBreaker(
-            stages=("primary",),
             failure_threshold=threshold,
             cooldown_seconds=cooldown,
             clock=lambda: clock["now"],

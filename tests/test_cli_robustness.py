@@ -91,6 +91,27 @@ class TestSupervisedGenerateFlags:
         assert "resumed 2 shard(s)" in capsys.readouterr().out
         assert first.read_text() == second.read_text()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_max_attempts_is_the_only_attempt_limit(
+        self, tmp_path, capsys, workers
+    ):
+        # Every shard fails every attempt: each is skipped after exactly
+        # --max-attempts attempts, and the incomplete run exits 3.
+        run_dir = tmp_path / "run"
+        code = main(
+            ["generate", "--seed", "5", "--systems", "2,13",
+             "--workers", workers, "--max-attempts", "2",
+             "--chaos", "flaky-shard:1000", "--run-dir", str(run_dir),
+             "--out", str(tmp_path / "out.csv")]
+        )
+        assert code == 3
+        report = json.loads((run_dir / "run_report.json").read_text())
+        assert report["summary"]["skipped"] == report["summary"]["total"] == 2
+        for shard in report["shards"]:
+            assert shard["status"] == "skipped"
+            assert [a["outcome"] for a in shard["attempts"]] == ["error"] * 2
+        assert "2 skipped" in capsys.readouterr().out
+
     def test_resume_with_different_seed_refused(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
         main(["generate", "--seed", "5", "--systems", "2",
