@@ -29,6 +29,18 @@ def pristine(tmp_path_factory, small_trace):
 
 
 @pytest.fixture()
+def version2(tmp_path, pristine):
+    """The store with every column file re-saved in ``.npy`` format 2.0."""
+    root = tmp_path / "version2"
+    shutil.copytree(pristine, root)
+    for path in (root / "shards").glob("*.npy"):
+        array = np.load(path)
+        with open(path, "wb") as file:
+            np.lib.format.write_array(file, array, version=(2, 0))
+    return root
+
+
+@pytest.fixture()
 def damaged(tmp_path, pristine):
     root = tmp_path / "damaged"
     shutil.copytree(pristine, root)
@@ -148,10 +160,31 @@ class TestConcurrentReaders:
         for output in outputs:
             assert repr(output) == repr(serial)
 
-    def test_header_parses_never_overlap(self, pristine, monkeypatch):
+    def test_writer_store_parses_no_header(self, pristine, monkeypatch):
+        """A column file laid out as the writer lays it out is mapped
+        past its known header: no read path calls ``np.load``."""
+        calls = []
+        real_load = np.load
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting)
+        store = ColumnarStore(pristine)
+        assert sum(len(chunk) for chunk in store.iter_batches()) == len(store)
+        assert len(store.to_trace()) == len(store)
+        summarize_store(store)
+        assert calls == []
+
+    def test_header_parses_never_overlap(
+        self, pristine, version2, monkeypatch
+    ):
         """``np.load`` parses ``.npy`` headers with ``ast.literal_eval``,
-        which CPython 3.11 cannot run on two threads at once, so the
-        reader opens one column file at a time."""
+        which CPython 3.11 cannot run on two threads at once, so a store
+        whose headers the reader must parse (format 2.0 here) has its
+        column files opened one at a time — with the same answer."""
+        want = summarize_store(ColumnarStore(pristine)).to_dict()
         real_load = np.load
         counter = threading.Lock()
         inside = peak = 0
@@ -170,12 +203,15 @@ class TestConcurrentReaders:
 
         monkeypatch.setattr(np, "load", probe)
         start = threading.Barrier(4)
+        outputs = []
         errors = []
 
         def work():
             try:
                 start.wait(timeout=30)
-                summarize_store(ColumnarStore(pristine))
+                outputs.append(
+                    summarize_store(ColumnarStore(version2)).to_dict()
+                )
             except Exception as exc:  # noqa: BLE001 - surfaced via the test
                 errors.append(f"{type(exc).__name__}: {exc}")
 
@@ -187,3 +223,4 @@ class TestConcurrentReaders:
         assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
         assert peak == 1
+        assert [repr(output) for output in outputs] == [repr(want)] * 4
