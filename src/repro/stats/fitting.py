@@ -289,6 +289,10 @@ def fit_weibull(
     low, high = 1e-3, 1e3
     for _ in range(max_iterations):
         g, g_prime = _weibull_shape_equation(k, values, mean_log)
+        if g == 0.0:
+            # k is the root.  Below, it would become the bracket's open
+            # end, and bisection would walk back to it from the midpoint.
+            break
         # Maintain the bisection bracket: g is increasing in -1/k term...
         # empirically g(k) is monotone increasing in k for positive data.
         if g > 0:

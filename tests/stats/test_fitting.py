@@ -197,3 +197,26 @@ def test_weibull_newton_always_converges(shape, scale, seed):
     assert fit.distribution.scale > 0
     exponential = fit_exponential(data)
     assert fit.nll <= exponential.nll + 1e-6
+
+
+def test_weibull_newton_stops_on_an_exact_root(monkeypatch):
+    """A Newton step that lands exactly on the root ends the search.
+
+    The bracket is open, so an exact root (g == 0) would become its low
+    end and bisection would walk back to it from the midpoint, dozens
+    of evaluations over the whole sample.  Here g(k) = k - 0.5 and
+    Newton from k0 = 1.2 / std(ln x) ~ 0.45 reaches 0.5 in one step.
+    """
+    import repro.stats.fitting as fitting
+
+    calls = []
+
+    def equation(k, values, mean_log):
+        calls.append(k)
+        return k - 0.5, 1.0
+
+    monkeypatch.setattr(fitting, "_weibull_shape_equation", equation)
+    fit = fit_weibull(np.geomspace(1.0, 1e4, 50))
+    assert fit.distribution.shape == 0.5
+    assert calls[-1] == 0.5
+    assert len(calls) == 2
