@@ -4,8 +4,7 @@ One module per study, each consuming a
 :class:`~repro.records.trace.FailureTrace` (synthetic or loaded from
 the real CFDR CSV) and returning plain data structures:
 
-* :mod:`~repro.analysis.rootcause` — root-cause breakdowns (Figure 1,
-  Section 4 details).
+* :mod:`~repro.analysis.rootcause` — root-cause breakdowns (Figure 1).
 * :mod:`~repro.analysis.rates` — failure rates across systems
   (Figure 2).
 * :mod:`~repro.analysis.pernode` — failures per node and count-CDF
@@ -18,8 +17,8 @@ the real CFDR CSV) and returning plain data structures:
   (Figure 6, Section 5.3).
 * :mod:`~repro.analysis.repair` — time-to-repair studies (Table 2,
   Figure 7).
-* :mod:`~repro.analysis.correlation` — simultaneous failures and
-  workload correlation.
+* :mod:`~repro.analysis.burstiness` — failure bursts (the correlated-
+  failure ablation).
 * :mod:`~repro.analysis.related` — Table 3 (related studies) and where
   our measurements fall in the literature's ranges.
 * :mod:`~repro.analysis.summary` — everything at once.
@@ -29,9 +28,6 @@ from repro.analysis.rootcause import (
     CauseBreakdown,
     breakdown_by_hardware_type,
     downtime_breakdown_by_hardware_type,
-    low_level_shares,
-    memory_share,
-    top_software_cause,
 )
 from repro.analysis.rates import (
     SystemRate,
@@ -69,26 +65,15 @@ from repro.analysis.repair import (
     repair_fit_study,
     repair_statistics_by_cause,
 )
-from repro.analysis.correlation import (
-    simultaneous_fraction,
-    workload_rates,
-)
 from repro.analysis.availability import (
     SystemAvailability,
     availability_report,
     merge_intervals,
     system_availability,
 )
-from repro.analysis.burstiness import (
-    Burst,
-    burst_size_distribution,
-    co_failure_ratio,
-    extract_bursts,
-    index_of_dispersion,
-)
+from repro.analysis.burstiness import Burst, burst_size_distribution, extract_bursts
 from repro.analysis.comparison import MetricComparison, compare_traces, two_sample_ks
 from repro.analysis.errors import DegenerateSampleError
-from repro.analysis.hazard_study import HazardStudy, hazard_study
 from repro.analysis.outliers import NodeOutlier, find_node_outliers
 from repro.analysis.outofcore import FoldCore, PaperAccumulator, scan_store
 from repro.analysis.related import RELATED_STUDIES, RelatedStudy, literature_ranges
@@ -99,9 +84,6 @@ __all__ = [
     "CauseBreakdown",
     "breakdown_by_hardware_type",
     "downtime_breakdown_by_hardware_type",
-    "low_level_shares",
-    "memory_share",
-    "top_software_cause",
     "SystemRate",
     "failure_rates",
     "normalized_variability",
@@ -126,8 +108,6 @@ __all__ = [
     "repair_statistics_by_cause",
     "repair_fit_study",
     "repair_by_system",
-    "simultaneous_fraction",
-    "workload_rates",
     "SystemAvailability",
     "system_availability",
     "availability_report",
@@ -135,8 +115,6 @@ __all__ = [
     "RELATED_STUDIES",
     "RelatedStudy",
     "literature_ranges",
-    "HazardStudy",
-    "hazard_study",
     "NodeOutlier",
     "find_node_outliers",
     "FoldCore",
@@ -148,8 +126,6 @@ __all__ = [
     "Burst",
     "extract_bursts",
     "burst_size_distribution",
-    "index_of_dispersion",
-    "co_failure_ratio",
     "PaperSummary",
     "summarize",
 ]

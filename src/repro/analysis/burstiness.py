@@ -1,17 +1,11 @@
-"""Correlation and burstiness analysis — the paper's named gap.
+"""Burst extraction — the paper's named correlation gap.
 
 Section 5.3: "While we did not perform a rigorous analysis of
 correlations between nodes, this high number of simultaneous failures
-indicates the existence of a tight correlation."  This module performs
-that analysis:
-
-* **burst extraction** — group failures into bursts (events within a
-  coalescing window), yielding the burst-size distribution;
-* **co-failure matrix** — for each node pair, how often they fail in
-  the same burst, against the independence expectation;
-* **index of dispersion** — variance-to-mean ratio of failure counts
-  in fixed windows; 1 for a Poisson process, > 1 for clustered
-  failures.
+indicates the existence of a tight correlation."  This module groups
+failures into bursts (events within a coalescing window), yielding the
+burst-size distribution that the correlated-failure ablation claim
+checks.
 """
 
 from __future__ import annotations
@@ -19,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.analysis.errors import DegenerateSampleError
 from repro.records.trace import FailureTrace
 
-__all__ = ["Burst", "extract_bursts", "burst_size_distribution", "index_of_dispersion", "co_failure_ratio"]
+__all__ = ["Burst", "extract_bursts", "burst_size_distribution"]
 
 
 @dataclass(frozen=True)
@@ -100,72 +91,3 @@ def burst_size_distribution(
     for burst in extract_bursts(trace, window):
         histogram[burst.size] = histogram.get(burst.size, 0) + 1
     return histogram
-
-
-def index_of_dispersion(
-    trace: FailureTrace, window_seconds: float = 86400.0
-) -> float:
-    """Variance-to-mean ratio of failure counts per fixed window.
-
-    Exactly 1 (in expectation) for a homogeneous Poisson process;
-    values well above 1 signal clustering — driven in this data by
-    bursts, the diurnal/weekly cycle and lifecycle nonstationarity.
-    """
-    if window_seconds <= 0:
-        raise ValueError(f"window must be positive, got {window_seconds}")
-    starts = trace.start_times()
-    if starts.size < 10:
-        raise DegenerateSampleError(
-            f"index of dispersion needs at least 10 records, got {starts.size}"
-        )
-    span_start = trace.data_start
-    n_windows = int((trace.data_end - span_start) // window_seconds)
-    if n_windows < 2:
-        raise DegenerateSampleError(
-            "observation window shorter than two count windows"
-        )
-    bins = ((starts - span_start) // window_seconds).astype(int)
-    bins = bins[(bins >= 0) & (bins < n_windows)]
-    counts = np.bincount(bins, minlength=n_windows).astype(float)
-    mean = counts.mean()
-    if mean == 0:
-        raise DegenerateSampleError(
-            "variance-to-mean ratio is undefined: no failures inside "
-            "the observation window (zero-mean counts)"
-        )
-    return float(counts.var() / mean)
-
-
-def co_failure_ratio(
-    trace: FailureTrace,
-    node_a: int,
-    node_b: int,
-    window: float = 0.0,
-) -> float:
-    """Observed / expected rate of nodes a and b sharing a burst.
-
-    Expectation is computed under independence from each node's
-    marginal burst participation: ``E = n_a * n_b / n_bursts``.  A
-    ratio >> 1 means the pair fails together far more often than
-    chance — the paper's "tight correlation", quantified.
-
-    Returns 0.0 when the pair never co-fails; raises if either node
-    never participates in any burst.
-    """
-    bursts = extract_bursts(trace, window)
-    n = len(bursts)
-    if n == 0:
-        raise DegenerateSampleError("trace has no failures")
-    in_a = sum(1 for burst in bursts if node_a in burst.node_ids)
-    in_b = sum(1 for burst in bursts if node_b in burst.node_ids)
-    if in_a == 0 or in_b == 0:
-        raise DegenerateSampleError(
-            f"node {node_a if in_a == 0 else node_b} never fails"
-        )
-    together = sum(
-        1
-        for burst in bursts
-        if node_a in burst.node_ids and node_b in burst.node_ids
-    )
-    expected = in_a * in_b / n
-    return together / expected

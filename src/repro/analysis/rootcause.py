@@ -2,18 +2,16 @@
 
 Figure 1(a) breaks the *number* of failures into the six high-level
 root-cause categories per hardware type; Figure 1(b) does the same for
-*downtime*.  Section 4 additionally examines low-level causes: memory
-is the most common low-level cause everywhere except type E (CPU design
-flaw), and the dominant software cause differs per type.
+*downtime*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.analysis.errors import DegenerateSampleError
-from repro.records.record import HIGH_LEVEL_CAUSES, LowLevelCause, RootCause
+from repro.records.record import HIGH_LEVEL_CAUSES, RootCause
 from repro.records.system import HardwareType
 from repro.records.trace import FailureTrace
 
@@ -21,9 +19,6 @@ __all__ = [
     "CauseBreakdown",
     "breakdown_by_hardware_type",
     "downtime_breakdown_by_hardware_type",
-    "low_level_shares",
-    "memory_share",
-    "top_software_cause",
 ]
 
 #: The hardware types Figure 1 plots (A-C are single-node systems and
@@ -107,55 +102,3 @@ def downtime_breakdown_by_hardware_type(
         )
     result["All systems"] = _breakdown("All systems", trace.downtime_by_cause())
     return result
-
-
-def low_level_shares(
-    trace: FailureTrace, hardware_type: Optional[HardwareType] = None
-) -> Dict[LowLevelCause, float]:
-    """Share of *all* failures per low-level cause (Section 4).
-
-    Records without a low-level cause (all UNKNOWN records, plus any
-    under-specified ones) are part of the denominator but appear under
-    no key — matching the paper's "X% of all failures were due to
-    memory" phrasing.
-    """
-    sub = trace if hardware_type is None else trace.filter_hardware(hardware_type)
-    if len(sub) == 0:
-        raise ValueError("no failures in the selected group")
-    shares: Dict[LowLevelCause, float] = {}
-    for record in sub:
-        if record.low_level_cause is not None:
-            shares[record.low_level_cause] = shares.get(record.low_level_cause, 0.0) + 1.0
-    total = float(len(sub))
-    return {cause: count / total for cause, count in shares.items()}
-
-
-def memory_share(trace: FailureTrace, hardware_type: Optional[HardwareType] = None) -> float:
-    """Fraction of all failures attributed to memory (Section 4)."""
-    return low_level_shares(trace, hardware_type).get(LowLevelCause.MEMORY, 0.0)
-
-
-def top_software_cause(
-    trace: FailureTrace, hardware_type: HardwareType
-) -> Tuple[LowLevelCause, float]:
-    """The most common low-level *software* cause for a hardware type.
-
-    Section 4: parallel filesystem for F, scheduler for H, OS for E,
-    unspecified for D and G.
-
-    Returns
-    -------
-    (cause, share):
-        The winning software cause and its share of software failures.
-    """
-    sub = trace.filter_hardware(hardware_type).filter_cause(RootCause.SOFTWARE)
-    if len(sub) == 0:
-        raise ValueError(f"no software failures for type {hardware_type}")
-    counts: Dict[LowLevelCause, int] = {}
-    for record in sub:
-        if record.low_level_cause is not None:
-            counts[record.low_level_cause] = counts.get(record.low_level_cause, 0) + 1
-    if not counts:
-        raise ValueError(f"software failures for type {hardware_type} lack detail")
-    winner = max(counts, key=lambda cause: counts[cause])
-    return winner, counts[winner] / len(sub)

@@ -26,7 +26,6 @@ from repro.checkpoint.models import (
 )
 from repro.checkpoint.strategies import (
     CheckpointStrategy,
-    DalyStrategy,
     DistributionAwareStrategy,
     FixedIntervalStrategy,
     YoungStrategy,
@@ -44,7 +43,6 @@ __all__ = [
     "CheckpointStrategy",
     "FixedIntervalStrategy",
     "YoungStrategy",
-    "DalyStrategy",
     "DistributionAwareStrategy",
     "CheckpointSimulation",
     "SimulationResult",

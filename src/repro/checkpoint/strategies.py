@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.checkpoint.models import daly_interval, optimal_interval, young_interval
+from repro.checkpoint.models import optimal_interval, young_interval
 from repro.stats.distributions import Distribution
 from repro.stats.fitting import fit_all
 
@@ -26,7 +26,6 @@ __all__ = [
     "CheckpointStrategy",
     "FixedIntervalStrategy",
     "YoungStrategy",
-    "DalyStrategy",
     "DistributionAwareStrategy",
 ]
 
@@ -65,18 +64,6 @@ class YoungStrategy(CheckpointStrategy):
         if values.size == 0:
             raise ValueError("no interarrival observations")
         return young_interval(checkpoint_cost, float(np.mean(values)))
-
-
-class DalyStrategy(CheckpointStrategy):
-    """Daly's higher-order formula on the empirical MTBF."""
-
-    name = "daly"
-
-    def interval(self, interarrivals: Sequence[float], checkpoint_cost: float) -> float:
-        values = np.asarray(interarrivals, dtype=float)
-        if values.size == 0:
-            raise ValueError("no interarrival observations")
-        return daly_interval(checkpoint_cost, float(np.mean(values)))
 
 
 class DistributionAwareStrategy(CheckpointStrategy):

@@ -48,7 +48,6 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.records.trace import FailureTrace
 
 __all__ = ["main", "build_parser"]
 
@@ -85,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     generate = sub.add_parser("generate", help="generate a synthetic LANL trace")
+    generate.set_defaults(handler=_command_generate)
     generate.add_argument("--seed", type=int, default=0, help="generator seed")
     generate.add_argument(
         "--systems", type=str, default="",
@@ -150,14 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the metrics registry and print its summary",
     )
 
-    for name, help_text in (
-        ("report", "render a paper table/figure from a trace"),
-        ("summary", "print the whole-paper summary"),
-        ("availability", "per-system MTBF/MTTR/availability"),
-        ("validate", "check a trace file against the data model"),
-        ("outliers", "flag statistically anomalous nodes of a system"),
+    for name, help_text, handler in (
+        ("report", "render a paper table/figure from a trace", _command_report),
+        ("summary", "print the whole-paper summary", _command_summary),
+        ("availability", "per-system MTBF/MTTR/availability", _command_availability),
+        ("validate", "check a trace file against the data model", _command_validate),
+        ("outliers", "flag statistically anomalous nodes of a system", _command_outliers),
     ):
         command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
         command.add_argument("trace", nargs="?", default=None, help="CSV/JSONL path")
         command.add_argument(
             "--synthetic", action="store_true",
@@ -197,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     compare = sub.add_parser("compare", help="compare two traces metric by metric")
+    compare.set_defaults(handler=_command_compare)
     compare.add_argument("trace_a", help="first CSV/JSONL path")
     compare.add_argument("trace_b", help="second CSV/JSONL path")
 
     ingest = sub.add_parser(
         "ingest", help="load a (possibly dirty) trace under an ingest policy"
     )
+    ingest.set_defaults(handler=_command_ingest)
     ingest.add_argument("trace", help="CSV/JSONL path, optionally gzipped")
     ingest.add_argument(
         "--mode", choices=INGEST_MODES, default="lenient",
@@ -229,6 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="corrupt a trace, re-ingest it, and check survival"
     )
+    chaos.set_defaults(handler=_command_chaos)
     chaos.add_argument("trace", nargs="?", default=None, help="CSV/JSONL path")
     chaos.add_argument(
         "--synthetic", action="store_true",
@@ -263,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a deterministic chaos campaign and verify recovery "
              "invariants (also: 'chaos campaign')",
     )
+    campaign.set_defaults(handler=_command_chaos_campaign)
     campaign.add_argument(
         "--preset", choices=("smoke", "full"), default="smoke",
         help="scenario matrix to run (smoke: CI-sized; full: everything)",
@@ -290,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="overhead guards: what disabled instrumentation costs "
              "(runs every guard unless some are selected)",
     )
+    bench.set_defaults(handler=_command_bench)
     bench.add_argument("--seed", type=int, default=1, help="generator seed")
     bench.add_argument(
         "--obs-guard", action="store_true",
@@ -312,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a scaled workload under tracing and print the span "
              "tree and top hotspots",
     )
+    profile.set_defaults(handler=_command_profile)
     profile.add_argument("--seed", type=int, default=1, help="generator seed")
     profile.add_argument(
         "--systems", type=str, default="2,13,20",
@@ -348,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     store = sub.add_parser(
         "store", help="inspect, verify, convert a columnar trace store"
     )
+    store.set_defaults(handler=_command_store)
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
     store_info = store_sub.add_parser(
@@ -514,6 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve store analytics over HTTP until SIGTERM "
              "(admission control, deadlines, degraded serving)",
     )
+    serve.set_defaults(handler=_command_serve)
     serve.add_argument("root", help="columnar store directory to serve")
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument(
@@ -550,6 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load-test the analytics service in-process and report "
              "latency percentiles and error/degraded rates",
     )
+    serve_bench.set_defaults(handler=_command_serve_bench)
     serve_bench.add_argument("root", help="columnar store directory")
     serve_bench.add_argument(
         "--requests", type=int, default=200, help="total requests to issue"
@@ -582,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail if the 5xx/connection-error rate exceeds this",
     )
 
-    sub.add_parser("schema", help="print the trace CSV schema")
+    schema = sub.add_parser("schema", help="print the trace CSV schema")
+    schema.set_defaults(handler=_command_schema)
     # --verbose is accepted before or after the subcommand; SUPPRESS
     # keeps a subparser without the flag from clobbering the root value.
     for subparser in sub.choices.values():
@@ -1445,26 +1456,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if len(argv) >= 2 and argv[0] == "chaos" and argv[1] == "campaign":
         argv = ["chaos-campaign"] + list(argv[2:])
     args = parser.parse_args(argv)
-    commands = {
-        "generate": _command_generate,
-        "report": _command_report,
-        "summary": _command_summary,
-        "availability": _command_availability,
-        "validate": _command_validate,
-        "outliers": _command_outliers,
-        "compare": _command_compare,
-        "ingest": _command_ingest,
-        "chaos": _command_chaos,
-        "chaos-campaign": _command_chaos_campaign,
-        "bench": _command_bench,
-        "profile": _command_profile,
-        "store": _command_store,
-        "serve": _command_serve,
-        "serve-bench": _command_serve_bench,
-        "schema": _command_schema,
-    }
     try:
-        return commands[args.command](args)
+        return args.handler(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130

@@ -41,7 +41,6 @@ from repro.faults.fsfaults import (
     FsFaults,
     TornWriteError,
     fsfaults_env,
-    make_fsfaults,
 )
 from repro.faults.injector import CorruptionInjector, CorruptionResult
 from repro.faults.process_ops import (
@@ -101,7 +100,6 @@ __all__ = [
     "FsFaults",
     "TornWriteError",
     "fsfaults_env",
-    "make_fsfaults",
     "CampaignResult",
     "PRESETS",
     "Scenario",

@@ -74,7 +74,6 @@ import errno
 import hashlib
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -89,7 +88,6 @@ __all__ = [
     "maybe_fault",
     "fault_write",
     "fsfaults_env",
-    "make_fsfaults",
     "reset_counts",
     "call_count",
 ]
@@ -385,17 +383,3 @@ def fsfaults_env(spec: Optional[FsFaults]) -> Iterator[Optional[FsFaults]]:
             os.environ.pop(FS_FAULTS_ENV_VAR, None)
         else:
             os.environ[FS_FAULTS_ENV_VAR] = previous
-
-
-def make_fsfaults(
-    operator: str,
-    times: int = 1,
-    state_dir: Optional[str] = None,
-    **kwargs,
-) -> FsFaults:
-    """Convenience builder that provisions a state directory if needed."""
-    if state_dir is None and operator not in _PASSIVE_OPERATORS:
-        state_dir = tempfile.mkdtemp(prefix="repro-fsfaults-")
-    return FsFaults(
-        operator=operator, times=times, state_dir=state_dir or "", **kwargs
-    )

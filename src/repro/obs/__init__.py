@@ -72,7 +72,6 @@ __all__ = [
     "TRACE_KIND",
     "Span",
     "Tracer",
-    "active_metrics",
     "active_tracer",
     "enabled",
     "load_spool_events",
@@ -117,10 +116,6 @@ def enabled() -> bool:
 
 def active_tracer() -> Optional[Tracer]:
     return _ACTIVE_TRACER
-
-
-def active_metrics() -> Optional[MetricsRegistry]:
-    return _ACTIVE_METRICS
 
 
 @contextmanager

@@ -19,7 +19,6 @@ from typing import Any, Dict, List, Optional
 __all__ = [
     "SpanNode",
     "span_events",
-    "metric_events",
     "build_span_tree",
     "format_span_tree",
     "hotspots",
@@ -68,11 +67,6 @@ class SpanNode:
 def span_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Just the span lines of a trace event stream."""
     return [event for event in events if event.get("type") == "span"]
-
-
-def metric_events(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Just the metric lines of a trace event stream."""
-    return [event for event in events if event.get("type") == "metric"]
 
 
 def build_span_tree(events: List[Dict[str, Any]]) -> List[SpanNode]:

@@ -31,7 +31,6 @@ from repro.records.inventory import (
     DATA_END,
     DATA_START,
     LANL_SYSTEMS,
-    lanl_system,
     total_nodes,
     total_processors,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "HardwareArchitecture",
     "SystemConfig",
     "LANL_SYSTEMS",
-    "lanl_system",
     "total_nodes",
     "total_processors",
     "DATA_START",

@@ -32,7 +32,6 @@ __all__ = [
     "DATA_START",
     "DATA_END",
     "LANL_SYSTEMS",
-    "lanl_system",
     "total_nodes",
     "total_processors",
 ]
@@ -153,16 +152,6 @@ LANL_SYSTEMS: Dict[int, SystemConfig] = {
         _system(22, "H", _NUMA, _cat(1, 256, 1024, 0, "11/04", "now")),
     )
 }
-
-
-def lanl_system(system_id: int) -> SystemConfig:
-    """Return the :class:`SystemConfig` for a paper system ID (1-22)."""
-    try:
-        return LANL_SYSTEMS[system_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown system id {system_id}; valid ids are 1..22"
-        ) from None
 
 
 def total_nodes() -> int:

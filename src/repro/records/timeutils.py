@@ -37,7 +37,6 @@ __all__ = [
     "day_of_week",
     "month_index",
     "parse_month_year",
-    "format_timestamp",
 ]
 
 #: The origin of toolkit time: 1996-01-01 00:00:00 UTC, stored naive.
@@ -144,11 +143,6 @@ def parse_month_year(text: str, end_of_month: bool = False) -> Optional[float]:
             month = 1
             year += 1
     return from_datetime(_dt.datetime(year, month, 1))
-
-
-def format_timestamp(timestamp: float) -> str:
-    """Human-readable ``YYYY-MM-DD HH:MM:SS`` rendering of a timestamp."""
-    return to_datetime(timestamp).strftime("%Y-%m-%d %H:%M:%S")
 
 
 def production_window(

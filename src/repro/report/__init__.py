@@ -9,10 +9,11 @@ a user can hand to matplotlib instead.
   plots, and stacked-percentage bars, all as strings.
 * :mod:`~repro.report.paper` — one renderer per paper artifact
   (Table 1/2/3, Figures 1-7).
+* :mod:`~repro.report.streaming` — the same report folded from a
+  columnar store in bounded memory.
 """
 
 from repro.report.tables import format_table
-from repro.report.markdown import markdown_summary, markdown_table
 from repro.report.charts import (
     bar_chart,
     cdf_plot,
@@ -39,8 +40,6 @@ from repro.report.streaming import StoreReport, run_store_report
 
 __all__ = [
     "format_table",
-    "markdown_table",
-    "markdown_summary",
     "bar_chart",
     "cdf_plot",
     "cdf_plot_weighted",

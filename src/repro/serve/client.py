@@ -15,9 +15,8 @@ import asyncio
 import http.client
 import json
 from dataclasses import dataclass
-from typing import Optional
 
-__all__ = ["Response", "get", "aget", "wait_ready"]
+__all__ = ["Response", "get", "aget"]
 
 
 @dataclass(frozen=True)
@@ -74,18 +73,3 @@ async def aget(
     status_line = head.split(b"\r\n", 1)[0].split()
     status = int(status_line[1]) if len(status_line) >= 2 else 0
     return _parse(status, rest)
-
-
-def wait_ready(
-    host: str, port: int, timeout: float = 10.0, interval: float = 0.05
-) -> Optional[Response]:
-    """Poll ``/healthz`` until the service answers (or return None)."""
-    import time
-
-    limit = time.monotonic() + timeout
-    while time.monotonic() < limit:
-        try:
-            return get(host, port, "/healthz", timeout=interval * 10)
-        except OSError:
-            time.sleep(interval)
-    return None

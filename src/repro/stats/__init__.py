@@ -7,16 +7,16 @@ likelihood, ranking fits by negative log-likelihood.  This subpackage
 implements all of that from scratch on numpy, using scipy only for
 special functions (``gammaln``, ``digamma``, ``erf`` and inverses):
 
-* :class:`~repro.stats.empirical.EmpiricalDistribution` — summary
-  statistics and the empirical CDF.
+* :class:`~repro.stats.empirical.EmpiricalDistribution` — mean,
+  median and C².
 * :mod:`~repro.stats.distributions` — parametric distributions with
   pdf/cdf/hazard/sampling.
 * :mod:`~repro.stats.fitting` — MLE fitters and the
   :func:`~repro.stats.fitting.fit_all` ranking API.
-* :mod:`~repro.stats.gof` — negative log-likelihood, AIC/BIC, KS.
-* :mod:`~repro.stats.hazard` — hazard-rate analysis (the decreasing-
-  hazard finding is one of the paper's headline results).
-* :mod:`~repro.stats.bootstrap` — nonparametric bootstrap CIs.
+* :mod:`~repro.stats.gof` — AIC/BIC and the KS statistic.
+* :mod:`~repro.stats.hazard` — the hazard direction of a fitted
+  distribution (the decreasing-hazard finding is one of the paper's
+  headline results).
 * :mod:`~repro.stats.sketch` — mergeable bounded-memory accumulators
   (moments, log-bucket quantile histogram, grouped counts/sums, and
   samples kept exactly up to a fixed size) for out-of-core analysis.
@@ -24,7 +24,7 @@ special functions (``gammaln``, ``digamma``, ``erf`` and inverses):
   sketches instead of materialized samples.
 """
 
-from repro.stats.empirical import EmpiricalDistribution, empirical_cdf
+from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.distributions import (
     Distribution,
     Exponential,
@@ -38,13 +38,9 @@ from repro.stats.errors import DegenerateSampleError, DegenerateStatisticError
 from repro.stats.fitting import (
     DegenerateFitError,
     FitError,
-    FitOutcome,
     FitResult,
-    describe_fits,
     fit_all,
     fit_all_discrete,
-    fit_all_discrete_safe,
-    fit_all_safe,
     fit_exponential,
     fit_gamma,
     fit_lognormal,
@@ -53,22 +49,7 @@ from repro.stats.fitting import (
     fit_weibull,
     prepare_positive,
 )
-from repro.stats.censoring import (
-    censored_nll,
-    fit_all_censored,
-    fit_exponential_censored,
-    fit_gamma_censored,
-    fit_lognormal_censored,
-    fit_weibull_censored,
-)
-from repro.stats.gof import (
-    aic,
-    aic_weights,
-    bic,
-    ks_statistic,
-    likelihood_ratio_pvalue,
-    log_likelihood,
-)
+from repro.stats.gof import aic, bic, ks_statistic
 from repro.stats.sketch import (
     GroupedCounts,
     LogBucketSketch,
@@ -85,14 +66,10 @@ from repro.stats.streamfit import (
     sketch_fit_weibull,
     sketch_ks,
 )
-from repro.stats.hazard import HazardDirection, empirical_hazard, hazard_direction
-from repro.stats.kaplan_meier import KaplanMeier, kaplan_meier
-from repro.stats.trend import TrendResult, mann_kendall
-from repro.stats.bootstrap import bootstrap_ci
+from repro.stats.hazard import HazardDirection, hazard_direction
 
 __all__ = [
     "EmpiricalDistribution",
-    "empirical_cdf",
     "Distribution",
     "Exponential",
     "Weibull",
@@ -104,9 +81,7 @@ __all__ = [
     "DegenerateSampleError",
     "DegenerateStatisticError",
     "FitError",
-    "FitOutcome",
     "FitResult",
-    "describe_fits",
     "fit_exponential",
     "fit_weibull",
     "fit_gamma",
@@ -115,29 +90,12 @@ __all__ = [
     "fit_poisson",
     "fit_all",
     "fit_all_discrete",
-    "fit_all_safe",
-    "fit_all_discrete_safe",
     "prepare_positive",
-    "censored_nll",
-    "fit_exponential_censored",
-    "fit_weibull_censored",
-    "fit_gamma_censored",
-    "fit_lognormal_censored",
-    "fit_all_censored",
-    "log_likelihood",
     "aic",
-    "aic_weights",
     "bic",
     "ks_statistic",
-    "likelihood_ratio_pvalue",
-    "KaplanMeier",
-    "kaplan_meier",
-    "TrendResult",
-    "mann_kendall",
     "HazardDirection",
-    "empirical_hazard",
     "hazard_direction",
-    "bootstrap_ci",
     "MomentSketch",
     "LogBucketSketch",
     "GroupedCounts",

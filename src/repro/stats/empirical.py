@@ -3,39 +3,21 @@
 Implements the three metrics of the paper's methodology section: the
 mean, the median, and the squared coefficient of variation C² (variance
 divided by squared mean — normalized so variability can be compared
-across distributions with different means).  Also provides the
-empirical CDF used in every distribution-fitting figure.
+across distributions with different means).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from repro.stats.errors import DegenerateStatisticError
 
-__all__ = ["EmpiricalDistribution", "empirical_cdf"]
+__all__ = ["EmpiricalDistribution"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
-
-
-def empirical_cdf(data: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-    """The empirical CDF of ``data``.
-
-    Returns
-    -------
-    (x, p):
-        ``x`` the sorted sample values and ``p`` the fraction of the
-        sample <= x (right-continuous step heights, i/n).
-    """
-    values = np.asarray(data, dtype=float)
-    if values.size == 0:
-        raise ValueError("empirical_cdf requires at least one observation")
-    x = np.sort(values)
-    p = np.arange(1, x.size + 1, dtype=float) / x.size
-    return x, p
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ __all__ = [
     "FitError",
     "DegenerateFitError",
     "FitResult",
-    "FitOutcome",
     "prepare_positive",
     "fit_exponential",
     "fit_weibull",
@@ -60,8 +59,6 @@ __all__ = [
     "fit_poisson",
     "fit_all",
     "fit_all_discrete",
-    "fit_all_safe",
-    "fit_all_discrete_safe",
 ]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
@@ -416,105 +413,6 @@ def fit_all(
     """
     values = prepare_positive(data, zero_policy=zero_policy, epsilon=epsilon)
     return _fit_ranked(CONTINUOUS_FITTERS, values)
-
-
-def describe_fits(fits: Sequence[FitResult]) -> str:
-    """A comparison table of ranked fits, with Akaike weights.
-
-    One line per candidate: parameters, NLL, AIC, KS, and the share of
-    Akaike support ("the lognormal carries 97% of the evidence").
-    """
-    from repro.stats.gof import aic_weights
-
-    if not fits:
-        raise FitError("describe_fits requires at least one fit")
-    weights = aic_weights([fit.aic for fit in fits])
-    lines = [
-        f"{'distribution':<42} {'NLL':>12} {'AIC':>12} {'KS':>8} {'weight':>8}"
-    ]
-    for fit, weight in zip(fits, weights):
-        lines.append(
-            f"{fit.distribution.describe():<42} {fit.nll:>12.2f} "
-            f"{fit.aic:>12.2f} {fit.ks:>8.4f} {weight:>8.3f}"
-        )
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class FitOutcome:
-    """The result of a fitting attempt that cannot crash the caller.
-
-    Degenerate samples are the normal case on messy operational data
-    (a node with one failure, a slice where every repair time is
-    identical).  The ``fit_all*`` functions raise :class:`FitError`
-    for such samples; the ``*_safe`` variants return this status object
-    instead, so analysis and report code can degrade per-slice rather
-    than abort a whole run.
-
-    Attributes
-    ----------
-    status:
-        ``"ok"`` when at least one candidate was fitted;
-        ``"degenerate"`` when fitting failed because the sample is too
-        thin/flat (:class:`DegenerateFitError` — a data condition, not
-        a bug); ``"failed"`` for every other :class:`FitError`.
-    fits:
-        Ranked fits (empty when not ok).
-    error:
-        The :class:`FitError` message when not ok, else ``None``.
-    """
-
-    status: str
-    fits: Tuple[FitResult, ...] = ()
-    error: Union[str, None] = None
-
-    @property
-    def ok(self) -> bool:
-        """True when fitting succeeded."""
-        return self.status == "ok"
-
-    @property
-    def degenerate(self) -> bool:
-        """True when fitting failed because the data is too thin."""
-        return self.status == "degenerate"
-
-    @property
-    def best(self) -> Union[FitResult, None]:
-        """The winning fit, or ``None`` when fitting failed."""
-        return self.fits[0] if self.fits else None
-
-    def describe(self) -> str:
-        """One line per fit, or the failure reason."""
-        if self.degenerate:
-            return f"fit failed (degenerate sample): {self.error}"
-        if not self.ok:
-            return f"fit failed: {self.error}"
-        return "\n".join(fit.describe() for fit in self.fits)
-
-
-def _failed_outcome(exc: FitError) -> FitOutcome:
-    status = "degenerate" if isinstance(exc, DegenerateSampleError) else "failed"
-    return FitOutcome(status=status, error=str(exc))
-
-
-def fit_all_safe(
-    data: ArrayLike,
-    zero_policy: ZeroPolicy = "error",
-    epsilon: float = 1.0,
-) -> FitOutcome:
-    """:func:`fit_all` that reports failure as a status, not a raise."""
-    try:
-        return FitOutcome(status="ok", fits=tuple(fit_all(data, zero_policy, epsilon)))
-    except FitError as exc:
-        return _failed_outcome(exc)
-
-
-def fit_all_discrete_safe(data: ArrayLike) -> FitOutcome:
-    """:func:`fit_all_discrete` that reports failure as a status."""
-    try:
-        return FitOutcome(status="ok", fits=tuple(fit_all_discrete(data)))
-    except FitError as exc:
-        return _failed_outcome(exc)
 
 
 def fit_all_discrete(data: ArrayLike) -> List[FitResult]:

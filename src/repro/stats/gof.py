@@ -9,26 +9,13 @@ stand-in for "visual inspection" of CDF plots).
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-__all__ = [
-    "log_likelihood",
-    "aic",
-    "bic",
-    "ks_statistic",
-    "qq_points",
-    "aic_weights",
-    "likelihood_ratio_pvalue",
-]
+__all__ = ["aic", "bic", "ks_statistic"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
-
-
-def log_likelihood(data: ArrayLike, distribution) -> float:
-    """Total log-likelihood of ``data`` under ``distribution``."""
-    return float(np.sum(distribution.logpdf(np.asarray(data, dtype=float))))
 
 
 def aic(nll: float, n_params: int) -> float:
@@ -57,83 +44,3 @@ def ks_statistic(data: ArrayLike, distribution) -> float:
     upper = np.arange(1, n + 1, dtype=float) / n
     lower = np.arange(0, n, dtype=float) / n
     return float(np.max(np.maximum(np.abs(upper - cdf), np.abs(cdf - lower))))
-
-
-def aic_weights(aics) -> np.ndarray:
-    """Akaike weights: relative support for each candidate model.
-
-    ``w_i = exp(-(AIC_i - AIC_min)/2) / sum_j exp(-(AIC_j - AIC_min)/2)``
-    — a [0, 1] normalization of the fit ranking that is easier to read
-    than raw NLL differences ("the lognormal carries 97% of the
-    support").
-    """
-    values = np.asarray(aics, dtype=float)
-    if values.size == 0:
-        raise ValueError("aic_weights requires at least one model")
-    deltas = values - values.min()
-    raw = np.exp(-0.5 * deltas)
-    return raw / raw.sum()
-
-
-def likelihood_ratio_pvalue(nll_null: float, nll_alternative: float, df: int = 1) -> float:
-    """P-value of a likelihood-ratio test for *nested* models.
-
-    The exponential is Weibull with shape fixed at 1 (and gamma with
-    shape 1), so "is the decreasing hazard statistically significant?"
-    is a 1-degree-of-freedom LR test: ``2 * (NLL_exp - NLL_weibull)``
-    is asymptotically chi-squared.
-
-    Parameters
-    ----------
-    nll_null:
-        Negative log-likelihood of the restricted model (exponential).
-    nll_alternative:
-        NLL of the larger model (Weibull/gamma); must be <= nll_null
-        up to numerical noise.
-    df:
-        Difference in parameter count.
-    """
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    statistic = 2.0 * (nll_null - nll_alternative)
-    statistic = max(statistic, 0.0)
-    from scipy import special as _special
-
-    return float(_special.gammaincc(df / 2.0, statistic / 2.0))
-
-
-def qq_points(data: ArrayLike, distribution, points: int = 100) -> Tuple[np.ndarray, np.ndarray]:
-    """Quantile-quantile pairs (model quantile, sample quantile).
-
-    The model quantiles are found by bisection on the CDF, so this
-    works for any distribution exposing ``cdf`` without requiring an
-    analytic inverse.
-    """
-    values = np.sort(np.asarray(data, dtype=float))
-    if values.size < 2:
-        raise ValueError("qq_points requires at least two observations")
-    probabilities = (np.arange(points) + 0.5) / points
-    sample_q = np.quantile(values, probabilities)
-    low = min(values.min(), 0.0) - 1.0
-    high = values.max() * 2.0 + 1.0
-    model_q = np.array(
-        [_invert_cdf(distribution, p, low, high) for p in probabilities]
-    )
-    return model_q, sample_q
-
-
-def _invert_cdf(distribution, probability: float, low: float, high: float) -> float:
-    """Bisection inverse of a CDF on [low, high] (expands high if needed)."""
-    for _ in range(200):
-        if distribution.cdf(high) >= probability:
-            break
-        high *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (low + high)
-        if distribution.cdf(mid) < probability:
-            low = mid
-        else:
-            high = mid
-        if high - low <= 1e-9 * max(1.0, abs(high)):
-            break
-    return 0.5 * (low + high)

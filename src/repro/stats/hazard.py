@@ -6,22 +6,16 @@ says "long quiet spell => failure imminent", a decreasing hazard says
 the reverse.  The paper finds *decreasing* hazard (Weibull shape
 0.7-0.8) for time between failures.
 
-This module estimates the empirical hazard from a sample and
-classifies a fitted distribution's hazard direction.
+This module classifies a fitted distribution's hazard direction.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.stats.distributions import Distribution, Exponential, Gamma, LogNormal, Weibull
 
-__all__ = ["HazardDirection", "hazard_direction", "empirical_hazard"]
-
-ArrayLike = Union[Sequence[float], np.ndarray]
+__all__ = ["HazardDirection", "hazard_direction"]
 
 
 class HazardDirection(enum.Enum):
@@ -55,50 +49,3 @@ def hazard_direction(distribution: Distribution, shape_tolerance: float = 0.02) 
     if isinstance(distribution, LogNormal):
         return HazardDirection.NON_MONOTONE
     raise TypeError(f"no hazard classification for {type(distribution).__name__}")
-
-
-def empirical_hazard(
-    data: ArrayLike, bins: int = 20
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Estimate the hazard rate from an iid duration sample.
-
-    Log-spaced bins (heavy-tailed failure durations need them) with the
-    constant-hazard-within-bin estimator::
-
-        q = deaths / at_risk          (conditional death probability)
-        h = -ln(1 - q) / bin width
-
-    Unlike the naive life-table rate ``deaths / (at_risk * width)``,
-    this is unbiased for an exponential sample even on wide bins, where
-    the at-risk population decays substantially within a bin.  Bins
-    where everything at risk dies (q = 1, usually the last) are
-    dropped — their hazard is unbounded below by the data.
-
-    Returns
-    -------
-    (midpoints, hazard):
-        Geometric bin midpoints and estimated hazard rates.
-    """
-    values = np.sort(np.asarray(data, dtype=float))
-    if values.size < 4:
-        raise ValueError("empirical_hazard requires at least 4 observations")
-    if np.any(values <= 0):
-        raise ValueError("durations must be strictly positive")
-    edges = np.geomspace(values[0], values[-1] * (1.0 + 1e-12), bins + 1)
-    midpoints = []
-    hazards = []
-    for left, right in zip(edges[:-1], edges[1:]):
-        at_risk = int(np.sum(values >= left))
-        deaths = int(np.sum((values >= left) & (values < right)))
-        if at_risk == 0 or deaths >= at_risk:
-            continue
-        width = right - left
-        q = deaths / at_risk
-        midpoints.append(math_sqrt_mid(left, right))
-        hazards.append(-np.log1p(-q) / width)
-    return np.asarray(midpoints), np.asarray(hazards)
-
-
-def math_sqrt_mid(left: float, right: float) -> float:
-    """Geometric midpoint of a (log-spaced) bin."""
-    return float(np.sqrt(left * right))

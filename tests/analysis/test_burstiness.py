@@ -1,17 +1,10 @@
-"""Tests for burstiness/correlation analysis and the trend test."""
+"""Tests for burst extraction."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.burstiness import (
-    burst_size_distribution,
-    co_failure_ratio,
-    extract_bursts,
-    index_of_dispersion,
-)
+from repro.analysis.burstiness import burst_size_distribution, extract_bursts
 from repro.records.record import FailureRecord, RootCause
 from repro.records.trace import FailureTrace
-from repro.stats.trend import mann_kendall
 
 
 def record(start, node=0, system=20):
@@ -62,94 +55,3 @@ class TestBurstStatistics:
             record(1.2e8, node=4),
         ])
         assert burst_size_distribution(trace) == {2: 1, 1: 2}
-
-    def test_index_of_dispersion_poisson_near_one(self):
-        generator = np.random.Generator(np.random.PCG64(0))
-        starts = 1e7 + np.cumsum(generator.exponential(5e4, 4000))
-        # Tie the observation window to the sample span: counting empty
-        # windows the process never covered would inflate the variance.
-        trace = FailureTrace(
-            [record(float(t)) for t in starts],
-            data_start=float(starts[0]) - 1.0,
-            data_end=float(starts[-1]) + 1.0,
-        )
-        dispersion = index_of_dispersion(trace, window_seconds=86400.0)
-        assert 0.7 < dispersion < 1.5
-
-    def test_index_of_dispersion_detects_clustering(self, system20_trace):
-        # Bursts + diurnal modulation + lifecycle => clearly > 1.
-        assert index_of_dispersion(system20_trace, window_seconds=86400.0) > 3.0
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            index_of_dispersion(FailureTrace([record(1e8)]), window_seconds=0.0)
-
-    def test_co_failure_ratio_independent_pair(self):
-        generator = np.random.Generator(np.random.PCG64(1))
-        records = []
-        t = 1e7
-        for _ in range(4000):
-            t += float(generator.exponential(3e4))
-            records.append(record(t, node=int(generator.integers(0, 10))))
-        trace = FailureTrace(records)
-        ratio = co_failure_ratio(trace, 0, 1, window=0.0)
-        assert ratio < 5.0  # no excess correlation
-
-    def test_co_failure_ratio_correlated_pair(self):
-        # Nodes 1 and 2 always fail together; node 3 alone.
-        records = []
-        for k in range(50):
-            t = 1e7 + k * 1e5
-            records.append(record(t, node=1))
-            records.append(record(t, node=2))
-            records.append(record(t + 5e4, node=3))
-        trace = FailureTrace(records)
-        ratio = co_failure_ratio(trace, 1, 2)
-        # in_a = in_b = together = 50 of 100 bursts => 50/(50*50/100) = 2;
-        # perfectly dependent given marginals.
-        assert ratio == pytest.approx(2.0)
-        assert co_failure_ratio(trace, 1, 3) == 0.0
-
-    def test_co_failure_never_failing_node_rejected(self):
-        trace = FailureTrace([record(1e8, node=1), record(1.1e8, node=2)])
-        with pytest.raises(ValueError):
-            co_failure_ratio(trace, 1, 9)
-
-
-class TestMannKendall:
-    def test_increasing_series(self):
-        result = mann_kendall(np.arange(30, dtype=float))
-        assert result.direction == "increasing"
-        assert result.tau == pytest.approx(1.0)
-        assert result.p_value < 1e-6
-
-    def test_decreasing_series(self):
-        result = mann_kendall(np.arange(30, dtype=float)[::-1])
-        assert result.direction == "decreasing"
-        assert result.tau == pytest.approx(-1.0)
-
-    def test_noise_has_no_trend(self):
-        generator = np.random.Generator(np.random.PCG64(3))
-        result = mann_kendall(generator.normal(0, 1, 100))
-        assert result.direction == "no trend"
-
-    def test_constant_series(self):
-        result = mann_kendall([5.0] * 10)
-        assert result.p_value == 1.0
-        assert result.direction == "no trend"
-
-    def test_too_short(self):
-        with pytest.raises(ValueError):
-            mann_kendall([1.0, 2.0, 3.0])
-
-    def test_lifecycle_trends_on_synthetic(self, full_trace):
-        from repro.analysis.lifecycle import monthly_failures
-
-        # System 5 decays: a significant decreasing trend over its life
-        # (the steep part is the first few months, so the full series
-        # carries the signal).
-        curve5 = monthly_failures(full_trace, 5)
-        assert mann_kendall(curve5.totals).direction == "decreasing"
-        # System 19 ramps: increasing trend over the first 20 months.
-        curve19 = monthly_failures(full_trace, 19)
-        assert mann_kendall(curve19.totals[:20]).direction == "increasing"

@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DegenerateSampleError
-from repro.analysis.burstiness import co_failure_ratio, index_of_dispersion
 from repro.analysis.rates import (
     _coefficient_of_variation,
     normalized_variability,
@@ -70,38 +69,3 @@ class TestRates:
         result = normalized_variability(small_trace)
         assert result["raw"] > 0
         assert -1.0 <= rate_size_correlation(full_trace) <= 1.0
-
-
-class TestBurstiness:
-    def test_dispersion_needs_ten_records(self, single_failure_trace):
-        with pytest.raises(DegenerateSampleError, match="at least 10"):
-            index_of_dispersion(single_failure_trace)
-
-    def test_dispersion_needs_two_windows(self):
-        records = [record(1.6e8 + i, node=i) for i in range(12)]
-        trace = FailureTrace(records)
-        # One giant window covering the whole observation period.
-        with pytest.raises(DegenerateSampleError, match="two count windows"):
-            index_of_dispersion(trace, window_seconds=1e12)
-
-    def test_zero_mean_counts_rejected_not_nan(self):
-        # Records pinned before data_start: every window counts zero.
-        records = [record(1.0 + i) for i in range(12)]
-        trace = FailureTrace(records, data_start=1.5e8, data_end=2.5e8)
-        with pytest.raises(DegenerateSampleError, match="zero-mean"):
-            index_of_dispersion(trace)
-
-    def test_co_failure_empty_trace(self):
-        with pytest.raises(DegenerateSampleError, match="no failures"):
-            co_failure_ratio(FailureTrace([]), 1, 2)
-
-    def test_co_failure_absent_node_named(self, single_failure_trace):
-        with pytest.raises(DegenerateSampleError, match="node 9 never fails"):
-            co_failure_ratio(single_failure_trace, 1, 9)
-
-    def test_argument_errors_stay_plain(self):
-        # Invalid *arguments* are caller bugs, not thin samples: they
-        # stay plain ValueError, never DegenerateSampleError.
-        with pytest.raises(ValueError) as excinfo:
-            index_of_dispersion(FailureTrace([]), window_seconds=0.0)
-        assert not isinstance(excinfo.value, DegenerateSampleError)

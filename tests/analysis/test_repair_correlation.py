@@ -1,9 +1,7 @@
-"""Tests for repair-time analyses (Table 2, Figure 7) and correlations."""
+"""Tests for repair-time analyses (Table 2, Figure 7)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.correlation import simultaneous_fraction, workload_rates
 from repro.analysis.repair import (
     repair_by_system,
     repair_fit_study,
@@ -105,30 +103,3 @@ class TestFigure7:
 
     def test_minimum_records_filter(self, full_trace):
         assert 1 not in repair_by_system(full_trace, minimum_records=100)
-
-
-class TestCorrelation:
-    def test_simultaneous_fraction_constructed(self):
-        trace = FailureTrace(
-            [record(1e8, 60.0, node=0), record(1e8, 60.0, node=1),
-             record(1.1e8, 60.0, node=2)]
-        )
-        assert simultaneous_fraction(trace) == pytest.approx(0.5)
-
-    def test_simultaneous_fraction_empty(self):
-        with pytest.raises(ValueError):
-            simultaneous_fraction(FailureTrace([record(1e8, 60.0)]))
-
-    def test_workload_rates_per_node(self, system20_trace):
-        rates = workload_rates(system20_trace, 20)
-        assert rates[Workload.GRAPHICS].nodes == 3
-        # Graphics nodes fail several times more per node than compute.
-        ratio = (
-            rates[Workload.GRAPHICS].failures_per_node
-            / rates[Workload.COMPUTE].failures_per_node
-        )
-        assert ratio > 2.0
-
-    def test_workload_rates_count_all_nodes(self, system20_trace):
-        rates = workload_rates(system20_trace, 20)
-        assert sum(r.nodes for r in rates.values()) == 49

@@ -1,13 +1,12 @@
 """Tests for root-cause breakdowns (Figure 1, Section 4)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis.rootcause import (
     breakdown_by_hardware_type,
     downtime_breakdown_by_hardware_type,
-    low_level_shares,
-    memory_share,
-    top_software_cause,
 )
 from repro.records.record import (
     FailureRecord,
@@ -65,34 +64,17 @@ class TestBreakdownSmall:
             breakdown_by_hardware_type(FailureTrace([]))
 
 
-class TestLowLevel:
-    def test_shares_relative_to_all_failures(self):
-        trace = FailureTrace(
-            [
-                record(1e8, detail=LowLevelCause.MEMORY),
-                record(1.1e8, detail=LowLevelCause.MEMORY),
-                record(1.2e8, cause=RootCause.UNKNOWN),
-                record(1.3e8, cause=RootCause.UNKNOWN),
-            ]
-        )
-        shares = low_level_shares(trace)
-        assert shares[LowLevelCause.MEMORY] == pytest.approx(0.5)
-        assert memory_share(trace) == pytest.approx(0.5)
+def low_level_shares(trace, hardware_type, cause=None):
+    """Share of a type's failures (of one cause, if given) per low-level cause.
 
-    def test_top_software_cause(self):
-        trace = FailureTrace(
-            [
-                record(1e8, cause=RootCause.SOFTWARE,
-                       detail=LowLevelCause.PARALLEL_FILESYSTEM),
-                record(1.1e8, cause=RootCause.SOFTWARE,
-                       detail=LowLevelCause.PARALLEL_FILESYSTEM),
-                record(1.2e8, cause=RootCause.SOFTWARE,
-                       detail=LowLevelCause.OPERATING_SYSTEM),
-            ]
-        )
-        winner, share = top_software_cause(trace, HardwareType.G)
-        assert winner is LowLevelCause.PARALLEL_FILESYSTEM
-        assert share == pytest.approx(2 / 3)
+    Records without a low-level cause count in the denominator only,
+    matching Section 4's "X% of all failures were due to memory".
+    """
+    sub = trace.filter_hardware(hardware_type)
+    if cause is not None:
+        sub = sub.filter_cause(cause)
+    counts = Counter(r.low_level_cause for r in sub if r.low_level_cause is not None)
+    return {detail: count / len(sub) for detail, count in counts.most_common()}
 
 
 class TestOnSyntheticTrace:
@@ -116,23 +98,25 @@ class TestOnSyntheticTrace:
         # Section 4: > 10% of all failures due to memory in all systems
         # (except type E which the CPU design flaw dominates).
         for hardware_type in (HardwareType.D, HardwareType.F, HardwareType.G, HardwareType.H):
-            assert memory_share(full_trace, hardware_type) > 0.08
+            shares = low_level_shares(full_trace, hardware_type)
+            assert shares[LowLevelCause.MEMORY] > 0.08
 
     def test_memory_over_25_percent_f_and_h(self, full_trace):
-        assert memory_share(full_trace, HardwareType.F) > 0.2
-        assert memory_share(full_trace, HardwareType.H) > 0.2
+        for hardware_type in (HardwareType.F, HardwareType.H):
+            shares = low_level_shares(full_trace, hardware_type)
+            assert shares[LowLevelCause.MEMORY] > 0.2
 
     def test_type_e_cpu_over_50_percent(self, full_trace):
         shares = low_level_shares(full_trace, HardwareType.E)
         assert shares[LowLevelCause.CPU] > 0.45
 
     def test_dominant_software_causes(self, full_trace):
-        assert top_software_cause(full_trace, HardwareType.F)[0] is (
-            LowLevelCause.PARALLEL_FILESYSTEM
-        )
-        assert top_software_cause(full_trace, HardwareType.E)[0] is (
-            LowLevelCause.OPERATING_SYSTEM
-        )
+        def top(hardware_type):
+            shares = low_level_shares(full_trace, hardware_type, RootCause.SOFTWARE)
+            return next(iter(shares))
+
+        assert top(HardwareType.F) is LowLevelCause.PARALLEL_FILESYSTEM
+        assert top(HardwareType.E) is LowLevelCause.OPERATING_SYSTEM
 
     def test_unknown_downtime_share_below_count_share(self, full_trace):
         # Figure 1(b) vs 1(a): unknown causes contribute less downtime

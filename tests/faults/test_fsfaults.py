@@ -15,7 +15,6 @@ from repro.faults.fsfaults import (
     TornWriteError,
     fault_write,
     fsfaults_env,
-    make_fsfaults,
     maybe_fault,
 )
 
@@ -217,12 +216,3 @@ class TestEnvArming:
         with fsfaults_env(None) as armed:
             assert armed is None
             assert FS_FAULTS_ENV_VAR not in os.environ
-
-    def test_make_fsfaults_provisions_state_dir(self):
-        spec = make_fsfaults("enospc", times=2)
-        assert spec.state_dir
-        assert os.path.isdir(spec.state_dir)
-        os.rmdir(spec.state_dir)
-
-    def test_make_fsfaults_passive_needs_no_dir(self):
-        assert make_fsfaults("count").state_dir == ""

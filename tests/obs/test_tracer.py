@@ -201,7 +201,6 @@ class TestActivation:
         with obs.observing(tracer, registry, spool=tmp_path / "spool"):
             assert obs.enabled()
             assert obs.active_tracer() is tracer
-            assert obs.active_metrics() is registry
             assert obs.spool_dir() == tmp_path / "spool"
             with obs.span("traced"):
                 pass

@@ -6,7 +6,6 @@ from repro.records.inventory import (
     DATA_END,
     DATA_START,
     LANL_SYSTEMS,
-    lanl_system,
     total_nodes,
     total_processors,
 )
@@ -54,7 +53,7 @@ class TestPerSystem:
 
     @pytest.mark.parametrize("system_id,hw,nodes,procs", TABLE1)
     def test_exact_rows(self, system_id, hw, nodes, procs):
-        config = lanl_system(system_id)
+        config = LANL_SYSTEMS[system_id]
         assert config.hardware_type is HardwareType(hw)
         assert config.node_count == nodes
         assert config.processor_count == procs
@@ -62,32 +61,28 @@ class TestPerSystem:
     def test_system20_known_deviation(self):
         # 49 nodes exactly; processors within 1.5% of the published 6152
         # (the Table 1 category rows cannot combine to 6152 exactly).
-        config = lanl_system(20)
+        config = LANL_SYSTEMS[20]
         assert config.node_count == 49
         assert abs(config.processor_count - 6152) / 6152 < 0.015
 
     def test_architecture_split(self):
         # Systems 1-18 SMP, 19-22 NUMA.
         for system_id in range(1, 19):
-            assert lanl_system(system_id).architecture is HardwareArchitecture.SMP
+            assert LANL_SYSTEMS[system_id].architecture is HardwareArchitecture.SMP
         for system_id in range(19, 23):
-            assert lanl_system(system_id).architecture is HardwareArchitecture.NUMA
+            assert LANL_SYSTEMS[system_id].architecture is HardwareArchitecture.NUMA
 
     def test_system12_two_memory_categories(self):
         # Table 1 callout: system 12's nodes differ only in memory (4 vs 16 GB).
-        memories = sorted(c.memory_gb for c in lanl_system(12).categories)
+        memories = sorted(c.memory_gb for c in LANL_SYSTEMS[12].categories)
         assert memories == [4.0, 16.0]
 
     def test_system20_node0_short_production(self):
         # Footnote 4: node 0 was in production much shorter.
-        nodes = lanl_system(20).expand_nodes(DATA_START, DATA_END)
+        nodes = LANL_SYSTEMS[20].expand_nodes(DATA_START, DATA_END)
         node0 = nodes[0]
         rest = nodes[1:]
         assert node0.production_seconds < min(n.production_seconds for n in rest) / 5
-
-    def test_unknown_system_rejected(self):
-        with pytest.raises(KeyError):
-            lanl_system(23)
 
     def test_all_windows_resolve(self):
         for config in LANL_SYSTEMS.values():

@@ -21,9 +21,6 @@ class TestConversions:
         recovered = tu.from_datetime(tu.to_datetime(timestamp))
         assert abs(recovered - timestamp) < 1e-3
 
-    def test_format(self):
-        assert tu.format_timestamp(0.0) == "1996-01-01 00:00:00"
-
 
 class TestCalendarFields:
     def test_epoch_hour(self):

@@ -45,7 +45,6 @@ trace = FailureTrace(records)
 print(json.dumps({
     "hours": [tu.hour_of_day(s) for s in stamps],
     "weekdays": [tu.day_of_week(s) for s in stamps],
-    "formatted": [tu.format_timestamp(s) for s in stamps],
     "by_hour": failures_by_hour(trace).tolist(),
     "by_weekday": failures_by_weekday(trace).tolist(),
 }, sort_keys=True))

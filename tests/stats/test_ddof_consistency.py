@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.stats.censoring import fit_lognormal_censored, fit_weibull_censored
 from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.fitting import fit_lognormal, fit_normal
 
@@ -43,18 +42,6 @@ class TestNumericalConvention:
         assert result.distribution.sigma == pytest.approx(
             np.std(np.log(SAMPLE), ddof=0)
         )
-
-    def test_censored_initializers_use_population_std(self):
-        # The censored fitters seed their numeric search from the
-        # uncensored MLE moments; with no censored observations the
-        # lognormal answer stays at (mean, population std) of the logs.
-        result = fit_lognormal_censored(SAMPLE, censored=())
-        assert result.distribution.sigma == pytest.approx(
-            np.std(np.log(SAMPLE), ddof=0), rel=1e-3
-        )
-        # The Weibull shape initializer 1.2/std(ln x) must not blow up
-        # on the population form either.
-        assert fit_weibull_censored(SAMPLE).distribution.shape > 0
 
     def test_empirical_matches_fitted_normal_exactly(self):
         # The apples-to-apples contract: empirical std equals the MLE
@@ -85,7 +72,7 @@ class TestSourceDriftCatcher:
     def test_stats_package_has_std_call_sites(self):
         # The scan must actually be scanning something.
         names = {name for name, _ in self._call_sites()}
-        assert {"empirical.py", "fitting.py", "censoring.py"} <= names
+        assert {"empirical.py", "fitting.py"} <= names
 
     def test_no_call_site_overrides_ddof(self):
         offenders = [

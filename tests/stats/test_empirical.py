@@ -1,10 +1,10 @@
-"""Tests for EmpiricalDistribution and the empirical CDF."""
+"""Tests for EmpiricalDistribution."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.stats.empirical import EmpiricalDistribution, empirical_cdf
+from repro.stats.empirical import EmpiricalDistribution
 
 finite_samples = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
@@ -63,22 +63,3 @@ class TestSummary:
         assert summary.minimum - slack <= summary.mean <= summary.maximum + slack
         assert summary.std >= 0
         assert summary.count == len(sample)
-
-
-class TestEmpiricalCdf:
-    def test_steps(self):
-        x, p = empirical_cdf([3.0, 1.0, 2.0])
-        assert x.tolist() == [1.0, 2.0, 3.0]
-        assert p.tolist() == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([])
-
-    @given(finite_samples)
-    def test_monotone_and_bounded(self, sample):
-        x, p = empirical_cdf(sample)
-        assert np.all(np.diff(x) >= 0)
-        assert np.all(np.diff(p) >= 0)
-        assert p[-1] == pytest.approx(1.0)
-        assert p[0] > 0

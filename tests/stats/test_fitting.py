@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stats.distributions import Exponential, Gamma, LogNormal, Weibull
+from repro.stats.errors import DegenerateSampleError
 from repro.stats.fitting import (
+    DegenerateFitError,
     FitError,
     fit_all,
     fit_all_discrete,
@@ -106,6 +108,10 @@ class TestZeroPolicies:
     def test_error_policy(self):
         with pytest.raises(FitError, match="non-positive"):
             prepare_positive(self.DATA, zero_policy="error")
+        # fit_all forwards its policy.
+        with pytest.raises(FitError, match="non-positive"):
+            fit_all(self.DATA, zero_policy="error")
+        assert fit_all(self.DATA, zero_policy="drop")
 
     def test_drop_policy(self):
         cleaned = prepare_positive(self.DATA, zero_policy="drop")
@@ -122,6 +128,11 @@ class TestZeroPolicies:
     def test_negative_rejected_always(self):
         with pytest.raises(FitError, match="negative"):
             prepare_positive([-1.0, 2.0], zero_policy="drop")
+        # Negative values are a data-integrity problem, not thin data, so
+        # a report section fails rather than degrades on them.
+        with pytest.raises(FitError) as excinfo:
+            fit_all([1.0, -2.0, 3.0])
+        assert not isinstance(excinfo.value, DegenerateSampleError)
 
     def test_unknown_policy(self):
         with pytest.raises(FitError):
@@ -138,11 +149,18 @@ class TestDegenerateInputs:
     def test_too_small(self):
         with pytest.raises(FitError):
             fit_weibull([1.0])
+        # Thin data is degenerate: a report section degrades on it.
+        assert issubclass(DegenerateFitError, FitError)
+        assert issubclass(DegenerateFitError, DegenerateSampleError)
+        with pytest.raises(DegenerateFitError):
+            fit_all([5.0])
+        with pytest.raises(FitError):
+            fit_all_discrete([])
 
     def test_constant_sample(self):
         with pytest.raises(FitError):
             fit_weibull([5.0, 5.0, 5.0])
-        with pytest.raises(FitError):
+        with pytest.raises(DegenerateFitError):
             fit_lognormal([5.0, 5.0, 5.0])
         with pytest.raises(FitError):
             fit_normal([5.0, 5.0])

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.stats.distributions import Exponential, Normal, Weibull
-from repro.stats.gof import aic, bic, ks_statistic, log_likelihood, qq_points
+from repro.stats.distributions import Exponential
+from repro.stats.gof import aic, bic, ks_statistic
 
 
 class TestInformationCriteria:
@@ -22,13 +22,6 @@ class TestInformationCriteria:
 
     def test_bic_penalizes_harder_than_aic_for_large_n(self):
         assert bic(0.0, 3, 1000) > aic(0.0, 3)
-
-
-class TestLogLikelihood:
-    def test_matches_distribution_nll(self):
-        dist = Exponential(scale=10.0)
-        data = np.array([1.0, 5.0, 20.0])
-        assert log_likelihood(data, dist) == pytest.approx(-dist.nll(data))
 
 
 class TestKsStatistic:
@@ -57,25 +50,3 @@ class TestKsStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic([], Exponential(scale=1.0))
-
-
-class TestQqPoints:
-    def test_identity_for_true_model(self):
-        generator = np.random.Generator(np.random.PCG64(7))
-        dist = Weibull(shape=0.8, scale=100.0)
-        data = dist.sample(generator, 50_000)
-        model_q, sample_q = qq_points(data, dist, points=20)
-        # Central quantiles should match within a few percent.
-        middle = slice(3, 17)
-        assert np.allclose(model_q[middle], sample_q[middle], rtol=0.1)
-
-    def test_monotone(self):
-        generator = np.random.Generator(np.random.PCG64(7))
-        data = generator.normal(0.0, 1.0, 1000)
-        model_q, sample_q = qq_points(data, Normal(mu=0.0, sigma=1.0), points=30)
-        assert np.all(np.diff(model_q) >= -1e-9)
-        assert np.all(np.diff(sample_q) >= -1e-9)
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            qq_points([1.0], Exponential(scale=1.0))

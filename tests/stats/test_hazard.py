@@ -1,10 +1,9 @@
 """Tests for hazard-rate analysis."""
 
-import numpy as np
 import pytest
 
 from repro.stats.distributions import Exponential, Gamma, LogNormal, Poisson, Weibull
-from repro.stats.hazard import HazardDirection, empirical_hazard, hazard_direction
+from repro.stats.hazard import HazardDirection, hazard_direction
 
 
 class TestHazardDirection:
@@ -31,39 +30,3 @@ class TestHazardDirection:
     def test_unsupported_distribution(self):
         with pytest.raises(TypeError):
             hazard_direction(Poisson(rate=3.0))
-
-
-class TestEmpiricalHazard:
-    def test_decreasing_for_dfr_sample(self):
-        generator = np.random.Generator(np.random.PCG64(0))
-        data = Weibull(shape=0.5, scale=100.0).sample(generator, 100_000)
-        data = data[data > 0]
-        mid, hazard = empirical_hazard(data, bins=15)
-        # Overall decreasing trend: first third mean > last third mean.
-        third = len(hazard) // 3
-        assert np.mean(hazard[:third]) > 2 * np.mean(hazard[-third:])
-
-    def test_roughly_constant_for_exponential(self):
-        generator = np.random.Generator(np.random.PCG64(0))
-        data = Exponential(scale=100.0).sample(generator, 200_000)
-        data = data[data > 0]
-        mid, hazard = empirical_hazard(data, bins=10)
-        # Middle bins hover near the true rate 0.01.
-        middle = hazard[2:7]
-        assert np.all((middle > 0.005) & (middle < 0.02))
-
-    def test_requires_positive_durations(self):
-        with pytest.raises(ValueError):
-            empirical_hazard([0.0, 1.0, 2.0, 3.0])
-
-    def test_requires_minimum_observations(self):
-        with pytest.raises(ValueError):
-            empirical_hazard([1.0, 2.0])
-
-    def test_output_shapes_match(self):
-        generator = np.random.Generator(np.random.PCG64(3))
-        data = Exponential(scale=10.0).sample(generator, 1000)
-        mid, hazard = empirical_hazard(data[data > 0], bins=12)
-        assert len(mid) == len(hazard)
-        assert np.all(mid > 0)
-        assert np.all(hazard >= 0)

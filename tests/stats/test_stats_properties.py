@@ -1,11 +1,12 @@
-"""Property-based tests for the fitting / empirical / survival layer.
+"""Property-based tests for the fitting / empirical layer.
 
 Complements ``test_distribution_properties.py`` (laws of the parametric
 families) with properties of the *estimators*: MLE round-trips recover
-known parameters, the empirical CDF is a monotone map into [0, 1],
-Kaplan-Meier survival stays within bounds under arbitrary censoring,
-and the ``*_safe`` fitting entry points never raise — whatever
-adversarial sample they are handed.
+known parameters, the empirical summary brackets its sample, and
+:func:`~repro.stats.fitting.fit_all` raises nothing but
+:class:`~repro.stats.fitting.FitError` — whatever adversarial sample it
+is handed — which is what lets a report section degrade instead of
+crash.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.stats import (
+    DegenerateSampleError,
     EmpiricalDistribution,
-    empirical_cdf,
-    fit_all_safe,
+    FitError,
+    fit_all,
     fit_lognormal,
     fit_weibull,
-    kaplan_meier,
 )
 
 # Estimator round-trips need real samples; 400 observations keeps each
@@ -66,7 +67,7 @@ def test_lognormal_fit_round_trip(mu, sigma, seed):
 
 
 # ----------------------------------------------------------------------
-# Empirical CDF: monotone, in [0, 1], ends at 1, tracks the sample.
+# Empirical summary: the statistics stay inside the sample's range.
 # ----------------------------------------------------------------------
 
 finite_samples = st.lists(
@@ -76,17 +77,6 @@ finite_samples = st.lists(
     min_size=1,
     max_size=200,
 )
-
-
-@settings(max_examples=50, deadline=None)
-@given(finite_samples)
-def test_empirical_cdf_is_monotone_unit_range(sample):
-    x, p = empirical_cdf(sample)
-    assert len(x) == len(p) == len(sample)
-    assert np.all(np.diff(x) >= 0)
-    assert np.all(np.diff(p) > 0)
-    assert np.all((p > 0.0) & (p <= 1.0))
-    assert p[-1] == 1.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,40 +93,7 @@ def test_empirical_summary_brackets_the_sample(sample):
 
 
 # ----------------------------------------------------------------------
-# Kaplan-Meier under censoring.
-# ----------------------------------------------------------------------
-
-durations = st.floats(min_value=1e-3, max_value=1e6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    observed=st.lists(durations, min_size=1, max_size=80),
-    censored=st.lists(durations, min_size=0, max_size=80),
-)
-def test_kaplan_meier_bounded_and_decreasing(observed, censored):
-    curve = kaplan_meier(observed, censored)
-    survival = np.asarray(curve.survival)
-    assert np.all((survival >= 0.0) & (survival <= 1.0))
-    assert np.all(np.diff(survival) <= 0)
-    assert curve.survival_at(0.0) == 1.0
-    assert curve.n_events == len(observed)
-    assert curve.n_censored == len(censored)
-    lower, upper = curve.confidence_band()
-    assert np.all(lower <= survival + 1e-12)
-    assert np.all(survival <= upper + 1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(observed=st.lists(durations, min_size=1, max_size=80))
-def test_kaplan_meier_uncensored_hits_zero(observed):
-    # With no censoring the curve is the ECDF complement: S -> 0.
-    curve = kaplan_meier(observed)
-    assert curve.survival[-1] == 0.0
-
-
-# ----------------------------------------------------------------------
-# fit_all_safe: total function over adversarial inputs.
+# fit_all: FitError is the only way it fails on adversarial inputs.
 # ----------------------------------------------------------------------
 
 adversarial_values = st.one_of(
@@ -150,16 +107,15 @@ adversarial_values = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(sample=st.lists(adversarial_values, min_size=0, max_size=50))
-def test_fit_all_safe_never_raises(sample):
-    outcome = fit_all_safe(sample, zero_policy="clamp", epsilon=0.1)
-    assert outcome.status in ("ok", "failed", "degenerate")
-    if outcome.ok:
-        assert outcome.best is not None
-        nlls = [fit.nll for fit in outcome.fits]
-        assert nlls == sorted(nlls)
-    else:
-        assert outcome.error
-        assert outcome.best is None
+def test_fit_all_fails_only_with_fit_error(sample):
+    try:
+        fits = fit_all(sample, zero_policy="clamp", epsilon=0.1)
+    except FitError as exc:
+        assert str(exc)
+        return
+    assert fits
+    nlls = [fit.nll for fit in fits]
+    assert nlls == sorted(nlls)
 
 
 @settings(max_examples=30, deadline=None)
@@ -167,8 +123,10 @@ def test_fit_all_safe_never_raises(sample):
     value=st.floats(min_value=0.1, max_value=1e6),
     n=st.integers(min_value=2, max_value=40),
 )
-def test_fit_all_safe_degenerate_constant_sample(value, n):
-    # A constant sample has zero variance: every family is degenerate,
-    # and the safe API must report it as such rather than raise.
-    outcome = fit_all_safe([value] * n)
-    assert outcome.status in ("ok", "degenerate")
+def test_fit_all_constant_sample_fits_or_is_degenerate(value, n):
+    # A constant sample has zero variance: a family that cannot fit it
+    # fails as degenerate data, never as a crash or a plain FitError.
+    try:
+        fit_all([value] * n)
+    except FitError as exc:
+        assert isinstance(exc, DegenerateSampleError)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.records.codes import CAUSE_CODE
 from repro.records.columns import batch_from_records, records_from_batch
-from repro.records.inventory import DATA_END, DATA_START, lanl_system
+from repro.records.inventory import DATA_END, DATA_START, LANL_SYSTEMS
 from repro.records.record import FailureRecord, RootCause, Workload
 from repro.records.system import HardwareType
 from repro.records.timeutils import SECONDS_PER_MONTH
@@ -42,7 +42,7 @@ def build_rows(n, start, spacing, system_id=20):
 
 class TestInjectBursts:
     def setup_method(self):
-        self.system = lanl_system(20)
+        self.system = LANL_SYSTEMS[20]
         self.nodes = self.system.expand_nodes(DATA_START, DATA_END)
         self.start = self.system.production_window(DATA_START, DATA_END)[0]
         self.workloads = {node.node_id: Workload.COMPUTE for node in self.nodes}

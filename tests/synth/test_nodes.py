@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.records.inventory import DATA_END, DATA_START, lanl_system
+from repro.records.inventory import DATA_END, DATA_START, LANL_SYSTEMS
 from repro.records.record import Workload
 from repro.simulate.rng import RngStream
 from repro.synth.nodes import assign_workload, node_rate_multiplier, workload_multiplier
@@ -11,7 +11,7 @@ from repro.synth.nodes import assign_workload, node_rate_multiplier, workload_mu
 
 class TestAssignWorkload:
     def test_system20_graphics_nodes(self):
-        system = lanl_system(20)
+        system = LANL_SYSTEMS[20]
         for node_id in (21, 22, 23):
             assert assign_workload(system, node_id) is Workload.GRAPHICS
         assert assign_workload(system, 20) is Workload.COMPUTE
@@ -19,17 +19,17 @@ class TestAssignWorkload:
 
     def test_cluster_frontend_node0(self):
         # Types E/F clusters get a front-end at node 0.
-        assert assign_workload(lanl_system(5), 0) is Workload.FRONTEND
-        assert assign_workload(lanl_system(13), 0) is Workload.FRONTEND
-        assert assign_workload(lanl_system(5), 1) is Workload.COMPUTE
+        assert assign_workload(LANL_SYSTEMS[5], 0) is Workload.FRONTEND
+        assert assign_workload(LANL_SYSTEMS[13], 0) is Workload.FRONTEND
+        assert assign_workload(LANL_SYSTEMS[5], 1) is Workload.COMPUTE
 
     def test_small_systems_have_no_frontend(self):
         # Single-node systems are all compute.
-        assert assign_workload(lanl_system(1), 0) is Workload.COMPUTE
-        assert assign_workload(lanl_system(22), 0) is Workload.COMPUTE
+        assert assign_workload(LANL_SYSTEMS[1], 0) is Workload.COMPUTE
+        assert assign_workload(LANL_SYSTEMS[22], 0) is Workload.COMPUTE
 
     def test_numa_systems_have_no_frontend(self):
-        assert assign_workload(lanl_system(19), 0) is Workload.COMPUTE
+        assert assign_workload(LANL_SYSTEMS[19], 0) is Workload.COMPUTE
 
 
 class TestWorkloadMultiplier:
@@ -49,7 +49,7 @@ class TestWorkloadMultiplier:
 
 class TestNodeRateMultiplier:
     def make_node(self, system_id=20, node_id=5):
-        system = lanl_system(system_id)
+        system = LANL_SYSTEMS[system_id]
         return system.expand_nodes(DATA_START, DATA_END)[node_id]
 
     def test_deterministic(self):
@@ -75,7 +75,7 @@ class TestNodeRateMultiplier:
 
     def test_unit_mean_in_aggregate(self):
         root = RngStream(3)
-        nodes = lanl_system(7).expand_nodes(DATA_START, DATA_END)
+        nodes = LANL_SYSTEMS[7].expand_nodes(DATA_START, DATA_END)
         values = [node_rate_multiplier(node, root, 0.35) for node in nodes]
         assert np.mean(values) == pytest.approx(1.0, abs=0.05)
         assert all(v > 0 for v in values)

@@ -59,13 +59,6 @@ def test_custom_cluster(capsys):
     assert "Checkpoint interval" in out
 
 
-def test_hazard_deep_dive(capsys):
-    out = run_example("hazard_deep_dive.py", [], capsys)
-    assert "decreasing hazard" in out
-    assert "censoring-corrected" in out
-    assert "Node outliers" in out
-
-
 def test_full_paper_report_synthetic(capsys):
     out = run_example("full_paper_report.py", [], capsys)
     for artifact in ("Table 1", "Table 2", "Table 3", "Figure 1", "Figure 7"):

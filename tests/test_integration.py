@@ -66,28 +66,6 @@ class TestReadmeQuickstart:
         assert str(study.hazard) in ("decreasing", "non-monotone")
 
 
-class TestFitComparisonHelpers:
-    def test_describe_fits_table(self):
-        from repro.stats import Weibull, describe_fits, fit_all
-
-        generator = np.random.Generator(np.random.PCG64(0))
-        data = Weibull(shape=0.7, scale=100.0).sample(generator, 3000)
-        fits = fit_all(data)
-        text = describe_fits(fits)
-        lines = text.splitlines()
-        assert len(lines) == 5  # header + 4 candidates
-        assert "weight" in lines[0]
-        # Weights in each row parse and sum to ~1.
-        weights = [float(line.split()[-1]) for line in lines[1:]]
-        assert sum(weights) == pytest.approx(1.0, abs=0.01)
-
-    def test_describe_fits_empty_rejected(self):
-        from repro.stats.fitting import FitError, describe_fits
-
-        with pytest.raises(FitError):
-            describe_fits([])
-
-
 class TestDiurnalWorkload:
     def test_rate_matches_base_generator(self):
         from repro.sched import DiurnalJobGenerator, JobGenerator
@@ -134,10 +112,10 @@ class TestScenarioToPaperPipeline:
         """A scenario-built trace flows through every major analysis."""
         from repro.analysis import (
             availability_report,
-            hazard_study,
             periodicity_study,
             repair_statistics_by_cause,
         )
+        from repro.stats import fit_weibull, prepare_positive
         from repro.synth import ClusterScenario
 
         trace = (
@@ -150,5 +128,5 @@ class TestScenarioToPaperPipeline:
         assert periodicity_study(trace).peak_trough_ratio > 1.4
         assert repair_statistics_by_cause(trace)[-1].n == len(trace)
         assert availability_report(trace)[1].failures == len(trace)
-        study = hazard_study(trace)
-        assert study.weibull.shape < 1.0
+        gaps = prepare_positive(trace.interarrival_times(), zero_policy="drop")
+        assert fit_weibull(gaps).distribution.shape < 1.0
