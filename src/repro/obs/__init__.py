@@ -11,7 +11,7 @@ through the toolkit call the module-level helpers here:
     (``repro bench --obs-guard``) holds to <= 2% overhead.
 
 ``obs.metrics()``
-    The active :class:`~repro.obs.metrics.MetricsRegistry`, or a
+    The active :class:`~repro.obs.registry.MetricsRegistry`, or a
     throwaway registry when disabled so call sites never branch.
 
 Activation is scoped with context managers:
@@ -39,7 +39,7 @@ import os
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Union
 
-from repro.obs.metrics import (
+from repro.obs.registry import (
     BUCKET_EDGES,
     Counter,
     Gauge,

@@ -32,6 +32,7 @@ True
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -260,22 +261,32 @@ class RngStream:
         """``spawn_generator(*labels)`` for each label path in ``paths``,
         in order, seeded in one vectorized pass.
 
-        The paths are hashed with :func:`derive_seed` as usual and their
-        PCG64 states computed at once by :func:`pcg64_states`.  All yielded
-        generators are *one* ``np.random.Generator``, re-pointed at the
-        next path's initial state (with no half-used 32-bit word left
-        over) when the next one is requested.  Each stream therefore has
-        to be drawn in full before the iteration advances, which is how
-        the trace generator uses it: a node's arrivals, or its marks, are
-        drawn completely before the next node's begin.  Every path needs
-        at least one label, as for :meth:`child`.
+        The paths are seeded as :func:`derive_seed` seeds them, and their
+        PCG64 states computed at once by :func:`pcg64_states`.  SHA-256
+        reads its input as a stream, so the bytes all paths share (a
+        system's node paths share ``system/s/node/``) are hashed
+        once and the hash state copied for each path's own suffix.  All
+        yielded generators are *one* ``np.random.Generator``, re-pointed
+        at the next path's initial state (with no half-used 32-bit word
+        left over) when the next one is requested.  Each stream therefore
+        has to be drawn in full before the iteration advances, which is
+        how the trace generator uses it: a node's arrivals, or its marks,
+        are drawn completely before the next node's begin.  Every path
+        needs at least one label, as for :meth:`child`.
         """
         if not all(paths):
             raise ValueError("spawn_generators() requires at least one label per path")
-        states = pcg64_states(
-            [derive_seed(self._root_seed, *self._path, *labels) for labels in paths]
-        )
-        return _repointed(states)
+        materials = [
+            "/".join(self._path + tuple(labels)).encode("utf-8") for labels in paths
+        ]
+        shared = os.path.commonprefix(materials) if materials else b""
+        prefix = hashlib.sha256(f"{self._root_seed}\x00".encode("utf-8") + shared)
+        seeds = []
+        for material in materials:
+            digest = prefix.copy()
+            digest.update(material[len(shared) :])
+            seeds.append(int.from_bytes(digest.digest()[:_HASH_BYTES], "big"))
+        return _repointed(pcg64_states(seeds))
 
     # Convenience passthroughs -------------------------------------------------
 

@@ -87,7 +87,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _bucket_edges(buckets_per_decade: int) -> np.ndarray:
-    """Bucket edges ``10**(k/bpd)``, mirroring ``repro.obs.metrics``.
+    """Bucket edges ``10**(k/bpd)``, mirroring ``repro.obs.registry``.
 
     The metrics registry uses ``[10.0 ** (k / 4.0) for k in
     range(-24, 37)]``; this is the same grid at configurable

@@ -26,10 +26,9 @@ from repro.synth.config import GeneratorConfig
 from repro.synth.generator import SupervisionConfig, TraceGenerator
 from repro.synth.lifecycle import LifecycleShape, lifecycle_multiplier, lifecycle_shape_for
 from repro.synth.diurnal import WeeklyProfile, diurnal_multiplier, weekly_multiplier
-from repro.synth.nodes import assign_workload, node_rate_multiplier
+from repro.synth.nodes import assign_workloads, node_rate_multiplier
 from repro.synth.rootcause import CauseModel
 from repro.synth.repair import RepairModel
-from repro.synth.arrivals import ModulatedWeibullArrivals
 from repro.synth.correlated import inject_bursts
 from repro.synth.jitter import MonthlyJitter
 from repro.synth.scenario import ClusterScenario, ScenarioSystem
@@ -44,11 +43,10 @@ __all__ = [
     "WeeklyProfile",
     "diurnal_multiplier",
     "weekly_multiplier",
-    "assign_workload",
+    "assign_workloads",
     "node_rate_multiplier",
     "CauseModel",
     "RepairModel",
-    "ModulatedWeibullArrivals",
     "inject_bursts",
     "MonthlyJitter",
     "ClusterScenario",

@@ -20,17 +20,17 @@ of zero interarrivals is ``p*m / (1 + p*m)`` — the defaults
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+import bisect
+from typing import List
 
 import numpy as np
 
-from repro.records.codes import CAUSE_VOCAB, WORKLOAD_CODE
+from repro.records.codes import CAUSE_VOCAB
 from repro.records.columns import NO_RECORD_ID, ColumnBatch, concat_batches
-from repro.records.node import NodeConfig
-from repro.records.record import Workload
 from repro.records.system import HardwareType
 from repro.records.timeutils import SECONDS_PER_MONTH
 from repro.synth.config import GeneratorConfig
+from repro.synth.nodes import SystemNodes
 from repro.synth.repair import RepairModel
 
 __all__ = ["inject_bursts"]
@@ -38,8 +38,7 @@ __all__ = ["inject_bursts"]
 
 def inject_bursts(
     rows: ColumnBatch,
-    nodes: Sequence[NodeConfig],
-    workloads: Mapping[int, Workload],
+    nodes: SystemNodes,
     system_start: float,
     hardware_type: HardwareType,
     config: GeneratorConfig,
@@ -57,9 +56,8 @@ def inject_bursts(
         order.
     nodes:
         All nodes of the system (clone targets are drawn from those in
-        production at the failure instant).
-    workloads:
-        Node ID -> workload label (clones carry their own node's).
+        production at the failure instant, in node order); clones carry
+        their own node's workload.
     system_start:
         The system's production start (defines the early era).
     hardware_type:
@@ -84,36 +82,50 @@ def inject_bursts(
     era_end = system_start + config.burst_era_months * SECONDS_PER_MONTH
     # Geometric on {1, 2, ...} with mean m has success probability 1/m.
     geometric_p = min(1.0, 1.0 / max(config.burst_mean_extra, 1.0))
-    # One entry per node ID, in node order: the order ``choice`` indexes.
-    by_id = {node.node_id: node for node in nodes}
-    node_ids = np.fromiter(by_id, dtype=np.int64, count=len(by_id))
-    in_from = np.array([node.production_start for node in by_id.values()])
-    in_to = np.array([node.production_end for node in by_id.values()])
-    node_workloads = np.array(
-        [WORKLOAD_CODE[workloads.get(node_id, Workload.COMPUTE)] for node_id in by_id],
-        dtype=np.int8,
-    )
+    # Between consecutive window edges (a production epoch) the nodes
+    # in production do not change: list them once per epoch, in node
+    # order, the order ``choice`` indexes.
+    edges = sorted({edge for window in nodes.windows for edge in window})
+    epoch_nodes = [
+        np.flatnonzero(
+            np.isin(
+                nodes.window,
+                [
+                    index
+                    for index, (start, end) in enumerate(nodes.windows)
+                    if start <= lo and hi <= end
+                ],
+            )
+        ).tolist()
+        for lo, hi in zip(edges, edges[1:])
+    ]
     starts = rows["start_time"]
-    row_nodes = rows["node_id"]
     causes = rows["root_cause"]
+    early = np.flatnonzero(starts < era_end)
     parents: List[int] = []
     targets: List[int] = []
     repairs: List[float] = []
-    for row in np.flatnonzero(starts < era_end).tolist():
+    for row, start, node in zip(
+        early.tolist(), starts[early].tolist(), rows["node_id"][early].tolist()
+    ):
         if generator.random() >= config.burst_prob:
             continue
-        start = starts[row]
-        candidates = np.flatnonzero(
-            (node_ids != row_nodes[row]) & (in_from <= start) & (start < in_to)
-        )
-        if not candidates.size:
+        epoch = bisect.bisect_right(edges, start) - 1
+        if not 0 <= epoch < len(epoch_nodes):
             continue
-        n_clones = min(int(generator.geometric(geometric_p)), candidates.size)
-        chosen = generator.choice(candidates.size, size=n_clones, replace=False)
+        members = epoch_nodes[epoch]
+        # The failing node itself is no candidate.
+        own = bisect.bisect_left(members, node)
+        skip = own < len(members) and members[own] == node
+        n_candidates = len(members) - skip
+        if not n_candidates:
+            continue
+        n_clones = min(int(generator.geometric(geometric_p)), n_candidates)
+        chosen = generator.choice(n_candidates, size=n_clones, replace=False)
         cause = CAUSE_VOCAB[causes[row]]
-        for index in np.atleast_1d(chosen):
+        for index in chosen.tolist():
             parents.append(row)
-            targets.append(candidates[int(index)])
+            targets.append(members[index + 1 if skip and index >= own else index])
             repairs.append(
                 repair_model.sample_seconds(generator, cause, hardware_type)
             )
@@ -127,10 +139,10 @@ def inject_bursts(
             "start_time": clone_starts,
             "end_time": clone_starts + np.array(repairs),
             "system_id": rows["system_id"][parent],
-            "node_id": node_ids[target],
+            "node_id": target,
             "root_cause": causes[parent],
             "low_level_cause": rows["low_level_cause"][parent],
-            "workload": node_workloads[target],
+            "workload": nodes.workloads[target],
             "record_id": np.full(len(parent), NO_RECORD_ID, dtype=np.int64),
         }
     )

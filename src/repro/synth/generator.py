@@ -10,15 +10,21 @@ them serially.
 
 Pipeline per system:
 
-1. expand Table 1 categories into nodes with production windows,
+1. expand Table 1 categories into node arrays (processors, production
+   window) one category at a time,
 2. assign workloads (graphics / front-end / compute) and per-node rate
-   multipliers,
+   multipliers, and take every node's base rate in one array pass,
 3. sample each node's failure times from a modulated Weibull renewal
-   process (lifecycle x weekly modulation via time rescaling), drawing
-   per node and inverting a whole Table 1 category at once,
+   process (lifecycle x weekly modulation via time rescaling) with
+   :func:`~repro.synth.arrivals.sample_arrivals`: only the draws run
+   per node; running totals, the capacity cut, the inversion of a whole
+   Table 1 category and the window cut are array passes,
 4. draw root causes (age-dependent unknown era for types D/G) and
-   repair durations, resolved for the whole system at once,
-5. inject correlated bursts for the early NUMA era.
+   repair durations, each node's mark blocks written into system-wide
+   arrays and resolved for the whole system at once,
+5. inject correlated bursts for the early NUMA era, with each burst's
+   clone candidates looked up per production epoch (the span between
+   two window edges, over which the nodes in production do not change).
 
 Every stage works on NumPy arrays, and a system's failures travel as a
 :class:`~repro.records.columns.ColumnBatch` — the layout the trace and
@@ -42,7 +48,9 @@ Each (system, node) consumes two dedicated streams:
 
 The arrival and mark stages each seed a system's per-node streams in
 one vectorized pass (:meth:`~repro.simulate.rng.RngStream.spawn_generators`)
-and draw each node's stream in full before the next node's begins.
+and draw each node's stream in full before the next node's begins; a
+node whose first chunk of arrivals falls short of its window replays
+its stream from a fresh generator.
 
 The system-level streams are ``jitter``, ``node-multipliers`` and
 ``bursts``.  Because every stream's seed is a pure function of (root
@@ -65,16 +73,14 @@ import numpy as np
 
 from repro import obs
 
-from repro.records.codes import WORKLOAD_CODE
+from repro.records.codes import WORKLOAD_VOCAB
 from repro.records.columns import (
     NO_RECORD_ID,
     ColumnBatch,
     concat_batches,
-    empty_batch,
     trace_order,
 )
 from repro.records.inventory import DATA_END, DATA_START, LANL_SYSTEMS
-from repro.records.record import Workload
 from repro.records.system import SystemConfig
 from repro.records.timeutils import (
     SECONDS_PER_MONTH,
@@ -91,9 +97,8 @@ from repro.resilience import (
 from repro.simulate.rng import RngStream
 from repro.synth.arrivals import (
     ArrivalGrid,
-    ModulatedWeibullArrivals,
     build_arrival_grid,
-    invert_operational,
+    sample_arrivals,
     week_grid,
 )
 from repro.synth.config import GeneratorConfig
@@ -102,8 +107,8 @@ from repro.synth.diurnal import WeeklyProfile
 from repro.synth.jitter import MonthlyJitter
 from repro.synth.lifecycle import lifecycle_levels, lifecycle_shape_for
 from repro.synth.nodes import (
-    assign_workload,
     node_rate_multipliers,
+    system_nodes,
     workload_multiplier,
 )
 from repro.synth.repair import RepairModel
@@ -521,7 +526,7 @@ class TraceGenerator:
         system = self.systems[system_id]
         config = self.config
         hardware_type = system.hardware_type
-        nodes = system.expand_nodes(self.data_start, self.data_end)
+        nodes = system_nodes(system, self.data_start, self.data_end)
         system_start, system_end = system.production_window(
             self.data_start, self.data_end
         )
@@ -551,21 +556,29 @@ class TraceGenerator:
             * config.early_system_boost.get(system_id, 1.0)
             / SECONDS_PER_YEAR
         )
-        workloads: Dict[int, Workload] = {
-            node.node_id: assign_workload(system, node.node_id) for node in nodes
-        }
-        multipliers = node_rate_multipliers(
-            system_id, len(nodes), self._root, config.node_sigma
+        workload_multipliers = np.array(
+            [
+                workload_multiplier(
+                    workload,
+                    graphics_multiplier=config.graphics_multiplier,
+                    frontend_multiplier=config.frontend_multiplier,
+                )
+                for workload in WORKLOAD_VOCAB
+            ]
         )
-        # Weekly capacity grids, cached per production window (nodes of
-        # one Table 1 category share their window, so a system needs
-        # only a handful of distinct grids).
-        grid_cache: Dict[Tuple[float, float], ArrivalGrid] = {}
+        base_rates = (rate_per_proc_second * nodes.procs) * (
+            node_rate_multipliers(system_id, len(nodes), self._root, config.node_sigma)
+            * workload_multipliers[nodes.workloads]
+        )
+        sys_label = str(system_id)
+        node_labels = [str(node_id) for node_id in range(len(nodes))]
 
-        def node_grid(node_start: float, node_end: float) -> ArrivalGrid:
-            key = (node_start, node_end)
-            grid = grid_cache.get(key)
-            if grid is None:
+        # --- Arrival stage: per-node draws, array passes --------------
+        with obs.span("synth.arrivals", system=system_id) as arrivals_span:
+            # One weekly capacity grid per production window: the nodes
+            # of a Table 1 category share one.
+            grids: List[ArrivalGrid] = []
+            for node_start, node_end in nodes.windows:
                 mids = week_grid(node_start, node_end) + 0.5 * SECONDS_PER_WEEK
                 # Lifecycle age is measured from *system* production
                 # start: a node added later joins a matured system.
@@ -573,137 +586,58 @@ class TraceGenerator:
                     node_start - system_start
                 )
                 levels = lifecycle_levels(shape, ages) * jitter.at_ages(ages)
-                grid = build_arrival_grid(
-                    self._profile, node_start, node_end, levels
+                grids.append(
+                    build_arrival_grid(self._profile, node_start, node_end, levels)
                 )
-                grid_cache[key] = grid
-            return grid
-
-        sys_label = str(system_id)
-
-        def node_base_rate(position: int, node) -> float:
-            multiplier = float(multipliers[position])
-            multiplier *= workload_multiplier(
-                workloads[node.node_id],
-                graphics_multiplier=config.graphics_multiplier,
-                frontend_multiplier=config.frontend_multiplier,
+            starts, counts = sample_arrivals(
+                self._root,
+                [("system", sys_label, "node", node, "arrivals") for node in node_labels],
+                base_rates,
+                grids,
+                nodes.window,
+                config.tbf_shape,
+                self._profile,
             )
-            return rate_per_proc_second * node.procs * multiplier
-
-        # --- Arrival stage: (node, starts) pairs in node order --------
-        node_starts: List[Tuple[object, np.ndarray]] = []
-        with obs.span("synth.arrivals", system=system_id) as arrivals_span:
-            # Draw per node (each node owns its arrival stream), but
-            # defer the time-rescaling inversion so all nodes sharing a
-            # grid — a whole Table 1 category — invert in one call.
-            pending: List[Tuple[object, np.ndarray, ArrivalGrid]] = []
-            arrival_streams = self._root.spawn_generators(
-                [
-                    ("system", sys_label, "node", str(node.node_id), "arrivals")
-                    for node in nodes
-                ]
-            )
-            for position, (node, arrivals) in enumerate(zip(nodes, arrival_streams)):
-                grid = node_grid(node.production_start, node.production_end)
-                sampler = ModulatedWeibullArrivals(
-                    base_rate=node_base_rate(position, node),
-                    shape=config.tbf_shape,
-                    profile=self._profile,
-                    start=node.production_start,
-                    end=node.production_end,
-                    grid=grid,
-                )
-                totals = sampler.sample_operational_totals(arrivals)
-                if totals.size:
-                    pending.append((node, totals, grid))
-            groups: Dict[int, List[int]] = {}
-            for i, (_node, _totals, grid) in enumerate(pending):
-                groups.setdefault(id(grid), []).append(i)
-            starts_for: Dict[int, np.ndarray] = {}
-            for members in groups.values():
-                grid = pending[members[0]][2]
-                merged = np.concatenate([pending[i][1] for i in members])
-                times = invert_operational(grid, self._profile, merged)
-                offset = 0
-                for i in members:
-                    node, totals, _grid = pending[i]
-                    segment = times[offset : offset + len(totals)]
-                    offset += len(totals)
-                    starts_for[i] = segment[segment < node.production_end]
-            for i, (node, _totals, _grid) in enumerate(pending):
-                starts = starts_for[i]
-                if starts.size:
-                    node_starts.append((node, starts))
             arrivals_span.set("nodes", len(nodes))
-            arrivals_span.add(
-                "events", int(sum(len(starts) for _, starts in node_starts))
-            )
+            arrivals_span.add("events", len(starts))
 
         # --- Mark stage: per-node block draws, system-level resolve --
         with obs.span("synth.marks", system=system_id) as marks_span:
-            marks_u_cause: List[np.ndarray] = []
-            marks_u_lost: List[np.ndarray] = []
-            marks_u_detail: List[np.ndarray] = []
-            marks_u_tail: List[np.ndarray] = []
-            marks_z: List[np.ndarray] = []
+            failing = np.flatnonzero(counts).tolist()
+            bounds = np.cumsum([0] + counts[failing].tolist()).tolist()
+            u_cause, u_lost, u_detail, u_tail, z = np.empty((5, len(starts)))
             marks_streams = self._root.spawn_generators(
                 [
-                    ("system", sys_label, "node", str(node.node_id), "marks")
-                    for node, _starts in node_starts
+                    ("system", sys_label, "node", node_labels[node], "marks")
+                    for node in failing
                 ]
             )
-            for (_node, starts), marks_generator in zip(node_starts, marks_streams):
-                n_events = len(starts)
-                marks_u_cause.append(marks_generator.random(n_events))
-                marks_u_lost.append(marks_generator.random(n_events))
-                marks_u_detail.append(marks_generator.random(n_events))
-                marks_u_tail.append(marks_generator.random(n_events))
-                marks_z.append(marks_generator.standard_normal(n_events))
-            if not node_starts:
-                rows = empty_batch()
-            else:
-                starts_all = np.concatenate([starts for _node, starts in node_starts])
-                # Each node's id and workload code, once per event.
-                event_counts = [len(starts) for _node, starts in node_starts]
-                node_ids = np.array(
-                    [node.node_id for node, _starts in node_starts], dtype=np.int32
-                )
-                workload_codes = np.array(
-                    [
-                        WORKLOAD_CODE[workloads[node.node_id]]
-                        for node, _starts in node_starts
-                    ],
-                    dtype=np.int8,
-                )
-                cause_idx, detail_idx = cause_model.resolve_batch(
-                    np.concatenate(marks_u_cause),
-                    np.concatenate(marks_u_lost),
-                    np.concatenate(marks_u_detail),
-                    starts_all - system_start,
-                )
-                repairs = repair_sampler.resolve_seconds(
-                    np.concatenate(marks_u_tail),
-                    np.concatenate(marks_z),
-                    cause_idx,
-                )
-                rows = ColumnBatch(
-                    {
-                        "start_time": starts_all,
-                        "end_time": starts_all + repairs,
-                        "system_id": np.full(
-                            len(starts_all), system_id, dtype=np.int32
-                        ),
-                        "node_id": np.repeat(node_ids, event_counts),
-                        "root_cause": cause_model.resolve_cause_codes(cause_idx),
-                        "low_level_cause": cause_model.resolve_detail_codes(
-                            cause_idx, detail_idx
-                        ),
-                        "workload": np.repeat(workload_codes, event_counts),
-                        "record_id": np.full(
-                            len(starts_all), NO_RECORD_ID, dtype=np.int64
-                        ),
-                    }
-                )
+            for marks, lo, hi in zip(marks_streams, bounds, bounds[1:]):
+                marks.random(out=u_cause[lo:hi])
+                marks.random(out=u_lost[lo:hi])
+                marks.random(out=u_detail[lo:hi])
+                marks.random(out=u_tail[lo:hi])
+                marks.standard_normal(out=z[lo:hi])
+            cause_idx, detail_idx = cause_model.resolve_batch(
+                u_cause, u_lost, u_detail, starts - system_start
+            )
+            repairs = repair_sampler.resolve_seconds(u_tail, z, cause_idx)
+            rows = ColumnBatch(
+                {
+                    "start_time": starts,
+                    "end_time": starts + repairs,
+                    "system_id": np.full(len(starts), system_id, dtype=np.int32),
+                    "node_id": np.repeat(
+                        np.arange(len(nodes), dtype=np.int32), counts
+                    ),
+                    "root_cause": cause_model.resolve_cause_codes(cause_idx),
+                    "low_level_cause": cause_model.resolve_detail_codes(
+                        cause_idx, detail_idx
+                    ),
+                    "workload": np.repeat(nodes.workloads, counts),
+                    "record_id": np.full(len(starts), NO_RECORD_ID, dtype=np.int64),
+                }
+            )
             marks_span.add("records", len(rows))
         if config.bursts_enabled and system_id in config.burst_systems:
             with obs.span("synth.bursts", system=system_id) as bursts_span:
@@ -712,7 +646,6 @@ class TraceGenerator:
                 rows = inject_bursts(
                     rows,
                     nodes,
-                    workloads,
                     system_start,
                     hardware_type,
                     config,

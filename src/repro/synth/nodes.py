@@ -11,24 +11,32 @@ Two mechanisms make nodes of one system fail at different rates:
   Figure 3(b) shows the per-node failure-count CDF is fit far better
   by a lognormal than a Poisson.  We give every node a lognormal rate
   multiplier with unit mean.
+
+The trace generator holds a system's nodes as arrays
+(:class:`SystemNodes`), built per Table 1 category.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.records.codes import WORKLOAD_CODE
 from repro.records.node import NodeConfig
 from repro.records.record import Workload
 from repro.records.system import HardwareType, SystemConfig
+from repro.records.timeutils import production_window
 from repro.simulate.rng import RngStream
 
 __all__ = [
-    "assign_workload",
+    "SystemNodes",
+    "assign_workloads",
     "node_rate_multiplier",
     "node_rate_multipliers",
+    "system_nodes",
     "workload_multiplier",
 ]
 
@@ -44,23 +52,83 @@ FRONTEND_TYPES = frozenset({HardwareType.D, HardwareType.E, HardwareType.F})
 FRONTEND_MIN_NODES = 32
 
 
-def assign_workload(system: SystemConfig, node_id: int) -> Workload:
-    """The workload a node runs, per the paper's description.
+def assign_workloads(system: SystemConfig, node_ids: np.ndarray) -> np.ndarray:
+    """The workload code (:data:`~repro.records.codes.WORKLOAD_CODE`)
+    of each node in ``node_ids``, per the paper's description.
 
     * System 20, nodes 21-23: graphics (plus compute; we record the
       node as a graphics node since that is what distinguishes it).
     * Node 0 of every D/E/F cluster with >= 32 nodes: front-end.
     * Everything else: compute.
     """
-    if system.system_id == 20 and node_id in GRAPHICS_NODES_SYSTEM_20:
-        return Workload.GRAPHICS
+    node_ids = np.asarray(node_ids)
+    codes = np.full(len(node_ids), WORKLOAD_CODE[Workload.COMPUTE], dtype=np.int8)
     if (
         system.hardware_type in FRONTEND_TYPES
         and system.node_count >= FRONTEND_MIN_NODES
-        and node_id == 0
     ):
-        return Workload.FRONTEND
-    return Workload.COMPUTE
+        codes[node_ids == 0] = WORKLOAD_CODE[Workload.FRONTEND]
+    if system.system_id == 20:
+        graphics = np.isin(node_ids, sorted(GRAPHICS_NODES_SYSTEM_20))
+        codes[graphics] = WORKLOAD_CODE[Workload.GRAPHICS]
+    return codes
+
+
+@dataclass(frozen=True)
+class SystemNodes:
+    """A system's nodes as arrays; node ``i`` has node ID ``i``.
+
+    Attributes
+    ----------
+    procs:
+        Processors per node.
+    window:
+        Each node's index into ``windows``.
+    windows:
+        The distinct production windows ``(start, end)`` of the
+        system's Table 1 categories, in order of first appearance.
+    workloads:
+        Workload codes, from :func:`assign_workloads`.
+    """
+
+    procs: np.ndarray
+    window: np.ndarray
+    windows: Tuple[Tuple[float, float], ...]
+    workloads: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.procs)
+
+
+def system_nodes(
+    system: SystemConfig, data_start: float, data_end: float
+) -> SystemNodes:
+    """The system's nodes, one Table 1 category at a time.
+
+    Node IDs, windows and processor counts follow
+    :meth:`~repro.records.system.SystemConfig.expand_nodes`.
+    """
+    windows: List[Tuple[float, float]] = []
+    category_window: List[int] = []
+    for category in system.categories:
+        window = production_window(
+            category.production_start,
+            category.production_end,
+            data_start,
+            data_end,
+        )
+        if window not in windows:
+            windows.append(window)
+        category_window.append(windows.index(window))
+    sizes = [category.node_count for category in system.categories]
+    return SystemNodes(
+        procs=np.repeat(
+            [category.procs_per_node for category in system.categories], sizes
+        ),
+        window=np.repeat(category_window, sizes),
+        windows=tuple(windows),
+        workloads=assign_workloads(system, np.arange(sum(sizes))),
+    )
 
 
 def workload_multiplier(

@@ -98,6 +98,25 @@ class RepairModel:
                 config.repair_tail_mu_shift,
                 config.repair_tail_sigma_extra,
             )
+        # Per (cause, type): body mu and sigma, whether the tail
+        # applies, the type factor and the short-unknown factor (1.0
+        # where it does not apply, which leaves a product unchanged).
+        self._rules: Dict[
+            Tuple[RootCause, HardwareType], Tuple[float, float, bool, float, float]
+        ] = {
+            (cause, hardware_type): (
+                mu,
+                sigma,
+                cause not in config.repair_no_tail_causes,
+                type_factor,
+                config.repair_unknown_short_factor
+                if cause is RootCause.UNKNOWN
+                and hardware_type not in config.unknown_era_types
+                else 1.0,
+            )
+            for cause, (mu, sigma) in self._params.items()
+            for hardware_type, type_factor in config.repair_type_factor.items()
+        }
 
     def parameters(self, cause: RootCause) -> Tuple[float, float]:
         """The body lognormal (mu, sigma) in log-minutes for a cause."""
@@ -125,23 +144,16 @@ class RepairModel:
         hardware_type: HardwareType,
     ) -> float:
         """One repair duration in minutes."""
-        mu, sigma = self._params[cause]
+        mu, sigma, tailable, type_factor, short_factor = self._rules[
+            cause, hardware_type
+        ]
         config = self._config
-        tail = (
-            cause not in config.repair_no_tail_causes
-            and generator.random() < config.repair_tail_prob
-        )
-        if tail:
+        if tailable and generator.random() < config.repair_tail_prob:
             mu = mu + config.repair_tail_mu_shift
             sigma = sigma + config.repair_tail_sigma_extra
         minutes = float(generator.lognormal(mu, sigma))
-        minutes *= config.repair_type_factor[hardware_type]
-        if (
-            cause is RootCause.UNKNOWN
-            and hardware_type not in config.unknown_era_types
-        ):
-            # Figure 1(b): short unknown repairs outside types D/G.
-            minutes *= config.repair_unknown_short_factor
+        # Figure 1(b): short unknown repairs outside types D/G.
+        minutes = minutes * type_factor * short_factor
         return min(max(minutes, config.repair_floor_min), config.repair_ceiling_min)
 
     def sample_seconds(

@@ -18,7 +18,7 @@ Two refinements match the paper:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ __all__ = ["CauseModel"]
 
 
 class CauseModel:
-    """Samples (root cause, low-level cause) pairs for one system."""
+    """Resolves (root cause, low-level cause) pairs for one system."""
 
     def __init__(self, config: GeneratorConfig, hardware_type: HardwareType) -> None:
         self._config = config
@@ -95,29 +95,6 @@ class CauseModel:
             return 0.0
         tau = self._config.unknown_era_decay_months * SECONDS_PER_MONTH
         return self._config.unknown_era_initial * math.exp(-max(age_seconds, 0.0) / tau)
-
-    def sample(
-        self, generator: np.random.Generator, age_seconds: float
-    ) -> Tuple[RootCause, Optional[LowLevelCause]]:
-        """Draw a (root cause, low-level cause) pair for a failure.
-
-        Parameters
-        ----------
-        generator:
-            RNG to draw from.
-        age_seconds:
-            System age at failure time (drives the unknown-cause era).
-        """
-        cause = self._causes[int(generator.choice(len(self._causes), p=self._cause_probs))]
-        lost = self.unknown_probability(age_seconds)
-        if lost > 0.0 and cause is not RootCause.UNKNOWN:
-            if generator.random() < lost:
-                return RootCause.UNKNOWN, None
-        if cause is RootCause.UNKNOWN:
-            return cause, None
-        details, probs = self._detail_tables[cause]
-        detail = details[int(generator.choice(len(details), p=probs))]
-        return cause, detail
 
     # ------------------------------------------------------------------
     # Batched resolution (the trace generator's path)

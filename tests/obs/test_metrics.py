@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import BUCKET_EDGES, Histogram, MetricsRegistry
+from repro.obs.registry import BUCKET_EDGES, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -107,3 +107,13 @@ class TestRegistry:
     def test_empty_registry_describes_cleanly(self):
         assert "none recorded" in MetricsRegistry().describe()
         assert len(MetricsRegistry()) == 0
+
+
+def test_registry_module_imports_with_as():
+    # The module's name differs from obs.metrics(), the accessor for the
+    # active registry, so neither shadows the other.
+    import repro.obs.registry as registry_module
+    from repro import obs
+
+    assert registry_module.MetricsRegistry is MetricsRegistry
+    assert isinstance(obs.metrics(), MetricsRegistry)

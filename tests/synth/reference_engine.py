@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from scipy import special
 
+from repro.records.codes import WORKLOAD_VOCAB
 from repro.records.node import NodeConfig
 from repro.records.record import FailureRecord, Workload
 from repro.records.system import HardwareType
@@ -38,7 +39,7 @@ from repro.synth.config import GeneratorConfig
 from repro.synth.diurnal import WeeklyProfile
 from repro.synth.jitter import MonthlyJitter
 from repro.synth.lifecycle import lifecycle_levels, lifecycle_shape_for
-from repro.synth.nodes import assign_workload, node_rate_multipliers, workload_multiplier
+from repro.synth.nodes import assign_workloads, node_rate_multipliers, workload_multiplier
 from repro.synth.repair import BatchRepairSampler, RepairModel
 from repro.synth.rootcause import CauseModel
 
@@ -270,7 +271,11 @@ def system_records(generator, system_id: int) -> List[FailureRecord]:
         * config.early_system_boost.get(system_id, 1.0)
         / SECONDS_PER_YEAR
     )
-    workloads = {node.node_id: assign_workload(system, node.node_id) for node in nodes}
+    node_ids = [node.node_id for node in nodes]
+    workloads = {
+        node_id: WORKLOAD_VOCAB[code]
+        for node_id, code in zip(node_ids, assign_workloads(system, node_ids))
+    }
     multipliers = node_rate_multipliers(
         system_id, len(nodes), root, config.node_sigma
     )

@@ -11,7 +11,11 @@ Two cumulative-table inversions drive arrival sampling:
 
 These tests pin the off-by-one-prone cases: targets exactly on a
 bucket/week boundary, at zero, and at total mass — and assert the
-vectorized and scalar twins agree bitwise there.
+vectorized and scalar twins agree bitwise there.  The last class runs
+:func:`sample_arrivals` on inputs no synthesis golden reaches (a node
+whose first chunk falls short of its capacity, a zero base rate, a
+group where no node draws) against the reference engine's per-event
+loop.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ import numpy as np
 import pytest
 
 from repro.records.timeutils import SECONDS_PER_HOUR, SECONDS_PER_WEEK
+from repro.simulate.rng import RngStream
+from repro.synth import arrivals
 from repro.synth.arrivals import (
-    ModulatedWeibullArrivals,
     build_arrival_grid,
     invert_operational,
+    sample_arrivals,
     week_grid,
 )
 from repro.synth.diurnal import HOURS_PER_WEEK, WeeklyProfile
@@ -44,15 +50,6 @@ def grid(profile):
     weeks = week_grid(start, end)
     levels = np.linspace(0.8, 1.3, len(weeks))
     return build_arrival_grid(profile, start, end, levels)
-
-
-@pytest.fixture(scope="module")
-def sampler(profile, grid):
-    return ModulatedWeibullArrivals(
-        base_rate=1e-6, shape=0.8, profile=profile,
-        start=1.5 * SECONDS_PER_WEEK, end=6.0 * SECONDS_PER_WEEK,
-        grid=grid,
-    )
 
 
 class TestWeeklyProfileInvert:
@@ -154,7 +151,7 @@ class TestInvertOperational:
     def test_scalar_returns_none_past_capacity(self, grid, profile):
         # The reference loop's sentinel for "window exhausted"; the
         # vectorized path never sees such totals because
-        # sample_operational_totals cuts at capacity first.
+        # sample_arrivals cuts at capacity first.
         capacity = float(grid.cumulative[-1])
         beyond = float(np.nextafter(capacity, np.inf))
         assert invert_one(grid, profile, beyond) is None
@@ -163,42 +160,89 @@ class TestInvertOperational:
         assert invert_operational(grid, profile, np.empty(0)).size == 0
 
 
+@pytest.fixture(scope="module")
+def flat_grid(profile):
+    start, end = 1.5 * SECONDS_PER_WEEK, 6.0 * SECONDS_PER_WEEK
+    return build_arrival_grid(
+        profile, start, end, np.ones(len(week_grid(start, end)))
+    )
+
+
+def agree_with_reference(grid, profile, shape, base_rates, seed=0):
+    """Run ``sample_arrivals`` over nodes ``0..n-1`` on one grid and
+    assert each node's times equal the reference engine's on the same
+    stream, as ``repr`` strings; returns the per-node counts."""
+    root = RngStream(seed)
+    paths = [("node", str(node)) for node in range(len(base_rates))]
+    times, counts = sample_arrivals(
+        root, paths, np.array(base_rates), [grid],
+        np.zeros(len(base_rates), dtype=np.int64), shape, profile,
+    )
+    assert counts.sum() == len(times)
+    for node, node_times in enumerate(np.split(times, np.cumsum(counts)[:-1])):
+        reference = arrival_times(
+            base_rates[node], shape, grid, profile, grid.end,
+            root.spawn_generator(*paths[node]),
+        )
+        assert [repr(t) for t in reference] == [repr(float(t)) for t in node_times]
+    return counts
+
+
 class TestEngineAgreementAtBoundaries:
-    def test_operational_cut_keeps_exact_capacity_total(
-        self, grid, profile, sampler
-    ):
-        # sample_operational_totals cuts with side="right": a total
-        # exactly equal to capacity is kept (it still inverts inside
-        # the window grid) — the scalar loop does the same before its
-        # end-of-window check drops it.
+    def test_operational_cut_keeps_exact_capacity_total(self, grid):
+        # sample_arrivals cuts with side="right": a total exactly equal
+        # to capacity is kept (it still inverts inside the window grid)
+        # — the scalar loop does the same before its end-of-window check
+        # drops it.
         capacity = float(grid.cumulative[-1])
         totals = np.array([capacity * 0.5, capacity])
         count = int(np.searchsorted(totals, capacity, side="right"))
         assert count == 2
 
-    def test_sample_paths_agree_bitwise(self, profile):
-        # The generator's two stages — operational totals, then one
-        # inversion, cut at the window end — against the reference
-        # engine's per-event loop on the same stream.
-        start = 1.5 * SECONDS_PER_WEEK
-        end = 6.0 * SECONDS_PER_WEEK
-        weeks = week_grid(start, end)
-        grid = build_arrival_grid(profile, start, end, np.ones(len(weeks)))
-        for seed in (0, 1, 2):
-            sampler = ModulatedWeibullArrivals(
-                base_rate=2e-6, shape=0.8, profile=profile,
-                start=start, end=end, grid=grid,
-            )
-            totals = sampler.sample_operational_totals(
-                np.random.Generator(np.random.PCG64(seed))
-            )
-            times = invert_operational(grid, profile, totals)
-            vectorized = times[times < end]
-            scalar = arrival_times(
-                2e-6, 0.8, grid, profile, end,
-                np.random.Generator(np.random.PCG64(seed)),
-            )
-            assert scalar, "the window must hold failures to compare"
-            assert [repr(t) for t in scalar] == [
-                repr(float(t)) for t in vectorized
-            ]
+    def test_sample_paths_agree_bitwise(self, flat_grid, profile):
+        # Three nodes on one grid, each against the reference engine's
+        # per-event loop on its own stream.
+        counts = agree_with_reference(flat_grid, profile, 0.8, [2e-6] * 3)
+        assert counts.all(), "the window must hold failures to compare"
+
+    def test_first_chunk_short_of_capacity_replays_the_stream(
+        self, flat_grid, profile
+    ):
+        # At shape 0.3 the first 34 draws of nodes 70 and 353 (root seed
+        # 0) sum to 60% and 31% of the expected count, so their running
+        # totals end inside the capacity and the sampler must replay
+        # their streams for more chunks; node 1 needs one chunk.
+        capacity = float(flat_grid.cumulative[-1])
+        rate = 8.0 / capacity
+        chunk = max(32, int(1.25 * (capacity * rate)) + 24)
+        rates = [0.0] * 354
+        for node in (1, 70, 353):
+            rates[node] = rate
+        counts = agree_with_reference(flat_grid, profile, 0.3, rates)
+        assert counts[353] > chunk
+        assert counts[[1, 70, 353]].all()
+
+    def test_draw_rounds_stay_capped(self, flat_grid, profile, monkeypatch):
+        # Node 353 above needs a second round; with one allowed, the
+        # sampler raises instead of returning a cut-short stream.
+        monkeypatch.setattr(arrivals, "_MAX_DRAW_ROUNDS", 1)
+        rates = [0.0] * 354
+        rates[353] = 8.0 / float(flat_grid.cumulative[-1])
+        with pytest.raises(RuntimeError, match="after 1 rounds"):
+            agree_with_reference(flat_grid, profile, 0.3, rates)
+
+    def test_zero_base_rate_beside_nonzero_draws_nothing(self, flat_grid, profile):
+        counts = agree_with_reference(
+            flat_grid, profile, 0.8, [2e-6, 0.0, 3e-6, 0.0]
+        )
+        assert counts[[1, 3]].tolist() == [0, 0]
+        assert counts[[0, 2]].all()
+
+    def test_group_where_no_node_draws(self, flat_grid, profile):
+        counts = agree_with_reference(flat_grid, profile, 0.8, [0.0, 0.0, 0.0])
+        assert counts.tolist() == [0, 0, 0]
+        times, counts = sample_arrivals(
+            RngStream(0), [], np.empty(0), [flat_grid],
+            np.empty(0, dtype=np.int64), 0.8, profile,
+        )
+        assert times.size == 0 and counts.size == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.records.codes import DETAIL_VOCAB, NO_DETAIL
 from repro.records.record import LOW_LEVEL_PARENT, RootCause
 from repro.records.system import HardwareType
 from repro.records.timeutils import SECONDS_PER_MONTH
@@ -15,12 +16,25 @@ def generator(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def resolve(model, n, age_seconds, seed):
+    """``n`` (root cause, low-level cause) pairs resolved from one
+    generator's mark uniforms, as the trace generator resolves them."""
+    u_cause, u_lost, u_detail = generator(seed).random((3, n))
+    cause_idx, detail_idx = model.resolve_batch(
+        u_cause, u_lost, u_detail, np.full(n, age_seconds)
+    )
+    causes = [model.causes[index] for index in cause_idx]
+    details = [
+        None if code == NO_DETAIL else DETAIL_VOCAB[code]
+        for code in model.resolve_detail_codes(cause_idx, detail_idx)
+    ]
+    return list(zip(causes, details))
+
+
 class TestCauseModel:
     def test_detail_always_matches_parent(self):
         model = CauseModel(GeneratorConfig(), HardwareType.F)
-        gen = generator()
-        for _ in range(2000):
-            cause, detail = model.sample(gen, age_seconds=1e8)
+        for cause, detail in resolve(model, 2000, age_seconds=1e8, seed=0):
             if detail is not None:
                 assert LOW_LEVEL_PARENT[detail] is cause
             if cause is RootCause.UNKNOWN:
@@ -29,8 +43,7 @@ class TestCauseModel:
     def test_mixture_frequencies(self):
         config = GeneratorConfig()
         model = CauseModel(config, HardwareType.E)
-        gen = generator(1)
-        draws = [model.sample(gen, age_seconds=1e8)[0] for _ in range(20_000)]
+        draws = [cause for cause, _ in resolve(model, 20_000, age_seconds=1e8, seed=1)]
         hardware_fraction = np.mean([c is RootCause.HARDWARE for c in draws])
         expected = config.cause_mix[HardwareType.E][RootCause.HARDWARE]
         assert hardware_fraction == pytest.approx(expected, abs=0.02)
@@ -48,8 +61,7 @@ class TestCauseModel:
 
     def test_unknown_era_floods_early_samples(self):
         model = CauseModel(GeneratorConfig(), HardwareType.G)
-        gen = generator(2)
-        early = [model.sample(gen, age_seconds=0.0)[0] for _ in range(5000)]
+        early = [cause for cause, _ in resolve(model, 5000, age_seconds=0.0, seed=2)]
         unknown_fraction = np.mean([c is RootCause.UNKNOWN for c in early])
         assert unknown_fraction > 0.85
 

@@ -174,7 +174,7 @@ def test_reachability_follows_imports_inside_functions():
     # A package's re-exports reach nothing; what its own code uses does.
     assert _edges(TREES["repro.analysis"], package=True) == set()
     assert _edges(TREES["repro.obs"], package=True) == {
-        "repro.obs.metrics",
+        "repro.obs.registry",
         "repro.obs.tracer",
     }
 
