@@ -19,8 +19,8 @@ the generator's output changed.
 
 Usage, from the repository root::
 
-    # CI: the quick subset, gated on the committed baseline.
-    PYTHONPATH=src python benchmarks/generator_gate.py --quick --repeats 3 \\
+    # CI: both suites, gated on the committed baseline.
+    PYTHONPATH=src python benchmarks/generator_gate.py --repeats 3 \\
         --out bench-result.json --check BENCH_generator.json --tolerance 0.25
 
     # Re-record the baseline (full trace, plus two workers).
