@@ -642,11 +642,9 @@ def _load_trace(args: argparse.Namespace):
                 file=sys.stderr,
             )
         return trace, degraded
-    from repro.io import detect_format, read_jsonl, read_lanl_csv
+    from repro.io import read_trace_file
 
-    if detect_format(args.trace) == "jsonl":
-        return read_jsonl(args.trace), None
-    return read_lanl_csv(args.trace), None
+    return read_trace_file(args.trace), None
 
 
 def _parse_chaos(spec: str, run_dir) -> "object":
@@ -945,12 +943,11 @@ def _command_outliers(args: argparse.Namespace) -> int:
 
 def _command_compare(args: argparse.Namespace) -> int:
     from repro.analysis import compare_traces
-    from repro.io import read_jsonl, read_lanl_csv
+    from repro.io import read_trace_file
 
-    def load(path: str):
-        return read_jsonl(path) if path.endswith(".jsonl") else read_lanl_csv(path)
-
-    rows = compare_traces(load(args.trace_a), load(args.trace_b))
+    rows = compare_traces(
+        read_trace_file(args.trace_a), read_trace_file(args.trace_b)
+    )
     print(f"{'metric':<36} {'A':>12} {'B':>12}")
     for row in rows:
         print(row.describe())
@@ -1001,12 +998,9 @@ def _command_chaos(args: argparse.Namespace) -> int:
             system_ids = [int(part) for part in args.systems.split(",") if part]
         trace = TraceGenerator(seed=args.seed).generate(system_ids)
     elif args.trace:
-        from repro.io import detect_format, read_jsonl, read_lanl_csv
+        from repro.io import read_trace_file
 
-        if detect_format(args.trace) == "jsonl":
-            trace = read_jsonl(args.trace)
-        else:
-            trace = read_lanl_csv(args.trace)
+        trace = read_trace_file(args.trace)
     else:
         raise SystemExit("error: provide a trace path or --synthetic")
     report = chaos_roundtrip(

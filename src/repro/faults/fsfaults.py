@@ -29,7 +29,7 @@ site                      where it fires
 ``io.csv``                entry of :func:`repro.io.csv_format.write_lanl_csv`
 ``io.jsonl``              entry of :func:`repro.io.jsonl_format.write_jsonl`
 ``store.column``          before each per-shard column ``.npy`` write
-                          (:meth:`repro.store.writer.StoreWriter._write_shard`)
+                          (:func:`repro.store.writer.write_shards`)
 ``store.manifest``        before the store manifest publish
                           (:meth:`repro.store.manifest.Manifest.save`)
 ``store.scrub.ledger``    before the quarantine ledger rewrite

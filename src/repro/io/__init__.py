@@ -15,7 +15,12 @@ with a structured :class:`IngestReport`.
 
 from repro.io.common import open_text
 from repro.io.csv_format import read_lanl_csv, write_lanl_csv
-from repro.io.ingest import IngestResult, detect_format, ingest_trace
+from repro.io.ingest import (
+    IngestResult,
+    detect_format,
+    ingest_trace,
+    read_trace_file,
+)
 from repro.io.jsonl_format import read_jsonl, write_jsonl
 from repro.io.mapped import ColumnMapping, read_mapped_csv
 from repro.io.policy import (
@@ -44,4 +49,5 @@ __all__ = [
     "RowPipeline",
     "detect_format",
     "ingest_trace",
+    "read_trace_file",
 ]

@@ -18,7 +18,7 @@ from repro.io.policy import IngestPolicy, IngestReport
 from repro.records.system import SystemConfig
 from repro.records.trace import FailureTrace
 
-__all__ = ["IngestResult", "detect_format", "ingest_trace"]
+__all__ = ["IngestResult", "detect_format", "ingest_trace", "read_trace_file"]
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,18 @@ def detect_format(path: PathLike) -> str:
     if name.endswith(".gz"):
         name = name[: -len(".gz")]
     return "jsonl" if name.endswith(".jsonl") else "csv"
+
+
+def read_trace_file(path: PathLike) -> FailureTrace:
+    """Read a CSV or JSONL trace with the bare reader its name picks
+    (:func:`detect_format`, so ``.gz`` variants included)."""
+    if detect_format(path) == "jsonl":
+        from repro.io.jsonl_format import read_jsonl
+
+        return read_jsonl(path)
+    from repro.io.csv_format import read_lanl_csv
+
+    return read_lanl_csv(path)
 
 
 def ingest_trace(

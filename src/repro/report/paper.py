@@ -527,16 +527,7 @@ def run_sections(
     return PaperReport(sections=tuple(sections))
 
 
-def run_paper_report(
-    trace: FailureTrace = None,
-    degraded_read=None,
-    *,
-    store=None,
-    deadline=None,
-    on_deadline: str = "raise",
-    workers: int = None,
-    batch_rows: int = None,
-) -> PaperReport:
+def run_paper_report(trace: FailureTrace, degraded_read=None) -> PaperReport:
     """Render every paper artifact, isolating failures per section.
 
     The trace is folded as one chunk into one
@@ -554,27 +545,10 @@ def run_paper_report(
     than ``failed``: the trace is known-incomplete, so a section that
     cannot cope is a data gap, not a report bug.
 
-    Passing ``store`` (a :class:`repro.store.ColumnarStore`) instead of
-    ``trace`` runs the *out-of-core* path: one bounded-memory streaming
-    pass over ``iter_batches`` through mergeable sketches, never
-    materializing a :class:`FailureTrace`.  ``deadline``/``on_deadline``
-    and ``workers``/``batch_rows`` are forwarded to
-    :func:`repro.report.streaming.run_store_report`; use that function
-    directly when you also want the partial/degraded metadata.
+    A store's report without materializing the trace — one
+    bounded-memory streaming pass through mergeable sketches — is
+    :func:`repro.report.streaming.run_store_report`.
     """
-    if store is not None:
-        if trace is not None:
-            raise ValueError("pass either trace or store, not both")
-        from repro.report.streaming import run_store_report
-
-        kwargs = {"deadline": deadline, "on_deadline": on_deadline}
-        if workers is not None:
-            kwargs["workers"] = workers
-        if batch_rows is not None:
-            kwargs["batch_rows"] = batch_rows
-        return run_store_report(store, **kwargs).report
-    if trace is None:
-        raise ValueError("run_paper_report needs a trace or a store")
     accumulator, builders = _fold(trace)
     return run_sections(
         builders,

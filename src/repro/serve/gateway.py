@@ -305,7 +305,7 @@ class StoreGateway:
         store = ColumnarStore(self.root, on_damage="skip")
         by_system: dict = {}
         for shard in store.manifest.shards:
-            system_id = int(shard.stats["system_id"][0])
+            system_id = shard.system_id
             by_system[system_id] = by_system.get(system_id, 0) + shard.rows
         return {
             "systems": [

@@ -13,16 +13,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro import obs
-from repro.io.csv_format import read_lanl_csv, write_lanl_csv
-from repro.io.ingest import detect_format
-from repro.io.jsonl_format import read_jsonl, write_jsonl
+from repro.io.csv_format import write_lanl_csv
+from repro.io.ingest import read_trace_file
+from repro.io.jsonl_format import write_jsonl
 from repro.records.trace import FailureTrace
 from repro.store.manifest import Manifest, Predicate, StoreError
 from repro.store.reader import ColumnarStore
-from repro.store.schema import ColumnBatch
 from repro.store.writer import DEFAULT_SHARD_ROWS, StoreWriter
 
 __all__ = ["store_from_trace", "store_from_file", "export_store"]
@@ -42,7 +39,6 @@ def store_from_trace(
     ``repr``-identically — including IDs that are sparse, duplicated,
     or absent.
     """
-    batch = trace.columns
     writer = StoreWriter(
         root,
         systems=trace.systems,
@@ -52,17 +48,8 @@ def store_from_trace(
         shard_rows=shard_rows,
         meta=meta,
     )
-    system_ids = batch["system_id"]
-    with obs.span("store.import", rows=len(batch)):
-        for system_id in np.unique(system_ids).tolist():
-            mask = system_ids == system_id
-            group = batch.take(mask)
-            order = np.lexsort((group["node_id"], group["start_time"]))
-            writer.append_group(
-                ColumnBatch(
-                    {name: group[name][order] for name in group.names}
-                )
-            )
+    with obs.span("store.import", rows=len(trace)):
+        writer.append(trace.columns)
         manifest = writer.finalize()
     registry = obs.metrics()
     registry.counter("store.records_written").add(manifest.row_count)
@@ -78,10 +65,8 @@ def store_from_file(
 ) -> Manifest:
     """Import a CSV/JSONL trace file into a store directory."""
     path = Path(path)
-    reader = read_jsonl if detect_format(path) == "jsonl" else read_lanl_csv
-    trace = reader(path)
     return store_from_trace(
-        trace,
+        read_trace_file(path),
         root,
         shard_rows=shard_rows,
         meta={"source": path.name},

@@ -18,15 +18,16 @@ the ordinary write-last discipline already makes it crash-safe; the
 manifest is still published through the ``store.merge.manifest`` site
 so the chaos campaign can tear it.  Merging sources with disjoint
 systems at the same ``shard_rows`` is byte-identical to a single-pass
-import of the concatenated trace: each source's per-system rows are
-already ``(start_time, node_id)``-sorted, and the stable re-sort of
-their concatenation reproduces the single-pass order exactly.
+import of the concatenated trace: merge hands the writer one system's
+rows from every source at a time, and the writer's stable cut of that
+concatenation reproduces the single-pass order exactly.
+
+Both lay rows out through :mod:`repro.store.writer`'s one cut.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import shutil
 from pathlib import Path
@@ -35,24 +36,19 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.resilience.atomic import atomic_write_bytes, fs_fault_hook
 from repro.store.manifest import (
     MANIFEST_NAME,
     SHARDS_DIR,
     STAGING_DIR,
     Manifest,
     Predicate,
-    ShardInfo,
     StoreError,
     publish_manifest,
-    shard_stats_from_batch,
 )
 from repro.store.reader import ColumnarStore
 from repro.store.schema import (
     COLUMN_NAMES,
     FORMAT_VERSION,
-    NO_RECORD_ID,
-    ColumnBatch,
     concat_batches,
     schema_digest,
 )
@@ -60,25 +56,12 @@ from repro.store.scrub import _resolve_reference
 from repro.store.writer import (
     DEFAULT_SHARD_ROWS,
     StoreWriter,
-    _npy_bytes,
     column_file_name,
+    strip_record_ids,
+    write_shards,
 )
 
 __all__ = ["append_trace", "merge_stores"]
-
-
-def _strip_record_ids(batch: ColumnBatch) -> ColumnBatch:
-    """Force the record_id column to the sentinel (implicit stores)."""
-    return ColumnBatch(
-        {
-            name: (
-                np.full(len(batch), NO_RECORD_ID, dtype="<i8")
-                if name == "record_id"
-                else batch[name]
-            )
-            for name in batch.names
-        }
-    )
 
 
 class _TraceSource:
@@ -119,12 +102,7 @@ def _handle_systems(handle) -> List[int]:
     """The distinct system IDs a merge source holds rows for."""
     if isinstance(handle, _TraceSource):
         return handle.system_ids()
-    return sorted(
-        {
-            int(shard.stats["system_id"][0])
-            for shard in handle.manifest.shards
-        }
-    )
+    return sorted({shard.system_id for shard in handle.manifest.shards})
 
 
 def _merged_systems(existing: Dict, incoming) -> Dict:
@@ -165,7 +143,7 @@ def append_trace(root, source, *, shard_rows: Optional[int] = None) -> Manifest:
 
     batch = trace.columns
     if manifest.record_ids == "implicit":
-        batch = _strip_record_ids(batch)
+        batch = strip_record_ids(batch)
     systems = _merged_systems(manifest.systems, trace.systems)
 
     staging = root / STAGING_DIR
@@ -173,36 +151,10 @@ def append_trace(root, source, *, shard_rows: Optional[int] = None) -> Manifest:
         shutil.rmtree(staging)
     staging.mkdir(parents=True)
 
-    new_shards: List[ShardInfo] = []
-    system_ids = batch["system_id"]
     with obs.span("store.append", rows=len(batch)):
-        for system_id in np.unique(system_ids).tolist():
-            mask = system_ids == system_id
-            group = batch.take(mask)
-            order = np.lexsort((group["node_id"], group["start_time"]))
-            group = ColumnBatch(
-                {name: group[name][order] for name in group.names}
-            )
-            for offset in range(0, len(group), shard_rows):
-                chunk = group.slice(offset, offset + shard_rows)
-                if not len(chunk):
-                    continue
-                name = f"{len(manifest.shards) + len(new_shards):05d}"
-                checksums: Dict[str, str] = {}
-                for column in COLUMN_NAMES:
-                    payload = _npy_bytes(chunk[column])
-                    path = staging / column_file_name(name, column)
-                    fs_fault_hook("store.column", path)
-                    atomic_write_bytes(path, payload)
-                    checksums[column] = hashlib.sha256(payload).hexdigest()
-                new_shards.append(
-                    ShardInfo(
-                        name=name,
-                        rows=len(chunk),
-                        stats=shard_stats_from_batch(chunk),
-                        checksums=checksums,
-                    )
-                )
+        new_shards = write_shards(
+            staging, batch, shard_rows, first=len(manifest.shards)
+        )
 
         # Stage -> live: these names are unreferenced by the current
         # manifest, so a crash mid-move leaves harmless orphans the
@@ -294,8 +246,10 @@ def merge_stores(
             for system_id in _handle_systems(handle)
         }
     )
-    rows = 0
     with obs.span("store.merge", sources=len(handles)):
+        # One system at a time, ascending, bounds memory to one
+        # system's rows; each call holds all of that system's rows, so
+        # the writer lays them out as a single-pass import would.
         for system_id in merged_systems:
             predicate = Predicate.build(systems=[system_id])
             parts = [
@@ -303,19 +257,11 @@ def merge_stores(
                 for handle in handles
                 for batch in handle.iter_batches(predicate=predicate)
             ]
-            if not parts:
-                continue
-            group = concat_batches(parts)
-            order = np.lexsort((group["node_id"], group["start_time"]))
-            writer.append_group(
-                ColumnBatch(
-                    {name: group[name][order] for name in group.names}
-                )
-            )
-            rows += len(group)
+            if parts:
+                writer.append(concat_batches(parts))
         manifest = writer.finalize()
 
     registry = obs.metrics()
-    registry.counter("store.records_merged").add(rows)
+    registry.counter("store.records_merged").add(manifest.row_count)
     registry.counter("store.stores_merged").add(len(handles))
     return manifest

@@ -94,6 +94,11 @@ class ShardInfo:
     stats: Mapping[str, Tuple[float, float]]
     checksums: Mapping[str, str] = field(default_factory=dict)
 
+    @property
+    def system_id(self) -> int:
+        """The one system whose rows the shard holds."""
+        return int(self.stats["system_id"][0])
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -6,7 +6,8 @@ whole shards whose manifest statistics cannot satisfy the predicate
 (*pushdown*).  Peak memory is one chunk's worth of columns, never the
 trace — the out-of-core contract the RSS-capped tests enforce.
 
-Record order: shards hold one system each, sorted by
+Record order: every shard is cut by the writer's shard layout
+(:mod:`repro.store.writer`), so it holds one system's rows sorted by
 ``(start_time, node_id)``.  :meth:`ColumnarStore.to_trace` and
 :meth:`ColumnarStore.iter_records` concatenate the admitted shards'
 columns in manifest order and sort them with one stable
@@ -132,7 +133,7 @@ class DegradedReadReport:
         self.reasons[shard.name] = reason
         self.shards_skipped.append(shard.name)
         self.rows_skipped += shard.rows
-        system_id = int(shard.stats["system_id"][0])
+        system_id = shard.system_id
         self.system_rows_skipped[system_id] = (
             self.system_rows_skipped.get(system_id, 0) + shard.rows
         )
@@ -409,7 +410,7 @@ class ColumnarStore:
     def _new_degraded(self) -> DegradedReadReport:
         report = DegradedReadReport()
         for shard in self.manifest.shards:
-            system_id = int(shard.stats["system_id"][0])
+            system_id = shard.system_id
             report.system_rows_total[system_id] = (
                 report.system_rows_total.get(system_id, 0) + shard.rows
             )
@@ -704,7 +705,7 @@ class ColumnarStore:
         by_name = {shard.name: shard for shard in manifest.shards}
         quarantined = sorted(name for name in self._ledger if name in by_name)
         affected_systems = sorted(
-            {int(by_name[name].stats["system_id"][0]) for name in quarantined}
+            {by_name[name].system_id for name in quarantined}
         )
         quarantined_rows = sum(by_name[name].rows for name in quarantined)
         healing = {

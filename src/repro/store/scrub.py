@@ -39,9 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.io.csv_format import read_lanl_csv
-from repro.io.ingest import detect_format
-from repro.io.jsonl_format import read_jsonl
+from repro.io.ingest import read_trace_file
 from repro.records.trace import FailureTrace
 from repro.resilience.atomic import atomic_write_bytes, fs_fault_hook
 from repro.store.manifest import (
@@ -57,12 +55,13 @@ from repro.store.manifest import (
     write_ledger,
 )
 from repro.store.reader import ColumnarStore, diagnose_shard
-from repro.store.schema import (
-    COLUMN_NAMES,
-    NO_RECORD_ID,
-    ColumnBatch,
+from repro.store.schema import COLUMN_NAMES, ColumnBatch
+from repro.store.writer import (
+    _npy_bytes,
+    column_file_name,
+    layout_runs,
+    strip_record_ids,
 )
-from repro.store.writer import _npy_bytes, column_file_name
 
 __all__ = ["ScrubReport", "RepairReport", "scrub_store", "repair_store"]
 
@@ -361,17 +360,16 @@ def _resolve_reference(source) -> FailureTrace:
                 f"{path} is not a columnar store (no {MANIFEST_NAME})"
             )
         return ColumnarStore(path).to_trace()
-    reader = read_jsonl if detect_format(path) == "jsonl" else read_lanl_csv
-    return reader(path)
+    return read_trace_file(path)
 
 
 def repair_store(root, source) -> RepairReport:
     """Re-materialize damaged shards from a reference, provably.
 
-    The reference is re-sorted exactly the way the store writer sorts
-    (per-system ``lexsort((node_id, start_time))``), sliced at the
-    manifest's shard boundaries, and serialized with the writer's own
-    ``.npy`` encoder; a shard is reinstated only when **every**
+    The reference is laid out by the store writer's own cut
+    (:func:`~repro.store.writer.layout_runs`), sliced at the manifest's
+    shard boundaries, and serialized with the writer's own ``.npy``
+    encoder; a shard is reinstated only when **every**
     column's bytes hash to the manifest's recorded sha256.  A shard
     whose manifest carries no checksum, or whose reference bytes
     disagree, stays quarantined and is reported as failed — repair
@@ -419,49 +417,27 @@ def repair_store(root, source) -> RepairReport:
 
     with obs.span("store.repair", targets=len(targets)):
         if targets:
-            trace = _resolve_reference(source)
-            batch = trace.columns
+            batch = _resolve_reference(source).columns
             if manifest.record_ids == "implicit":
-                batch = ColumnBatch(
-                    {
-                        name: (
-                            np.full(len(batch), NO_RECORD_ID, dtype=np.int64)
-                            if name == "record_id"
-                            else batch[name]
-                        )
-                        for name in batch.names
-                    }
-                )
-            needed_systems = {
-                int(manifest.shards[index_of[name]].stats["system_id"][0])
-                for name in targets
-            }
-            groups: Dict[int, ColumnBatch] = {}
-            system_ids = batch["system_id"]
-            for system_id in sorted(needed_systems):
-                mask = system_ids == system_id
-                group = batch.take(mask)
-                order = np.lexsort((group["node_id"], group["start_time"]))
-                groups[system_id] = ColumnBatch(
-                    {name: group[name][order] for name in group.names}
-                )
+                batch = strip_record_ids(batch)
+            runs = dict(layout_runs(batch))
 
             offsets: Dict[int, int] = {}
             for shard in manifest.shards:
-                system_id = int(shard.stats["system_id"][0])
+                system_id = shard.system_id
                 offset = offsets.get(system_id, 0)
                 offsets[system_id] = offset + shard.rows
                 if shard.name not in targets:
                     continue
-                group = groups.get(system_id)
-                if group is None or len(group) < offset + shard.rows:
-                    have = 0 if group is None else len(group)
+                rows = runs.get(system_id, ())
+                if len(rows) < offset + shard.rows:
                     report.failed[shard.name] = (
-                        f"reference has only {have} row(s) for system "
+                        f"reference has only {len(rows)} row(s) for system "
                         f"{system_id}, shard needs rows "
                         f"[{offset}, {offset + shard.rows})"
                     )
                     continue
+                chunk = batch.take(rows[offset:offset + shard.rows])
                 payloads: Dict[str, bytes] = {}
                 mismatch: Optional[str] = None
                 for column in COLUMN_NAMES:
@@ -472,11 +448,7 @@ def repair_store(root, source) -> RepairReport:
                             "cannot prove byte identity"
                         )
                         break
-                    payload = _npy_bytes(
-                        np.ascontiguousarray(
-                            group[column][offset:offset + shard.rows]
-                        )
-                    )
+                    payload = _npy_bytes(chunk[column])
                     if hashlib.sha256(payload).hexdigest() != expected:
                         mismatch = (
                             f"reference bytes for {column} do not match "

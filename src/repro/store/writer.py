@@ -10,12 +10,20 @@ fully exist.  Re-running the writer over the same directory atomically
 replaces every file, which is what makes a journaled
 ``generate --resume`` into a store byte-identical to an unfaulted run.
 
-Ordering contract (what keeps tied rows in trace order through the
-reader's stable sort): each *group* appended holds one system's rows
-sorted by ``(start_time, node_id)``, groups arrive in ascending system
-order, and a group is split into consecutive shards of at most
-``shard_rows`` rows — so every shard is single-system and internally
-sorted.
+Shard layout — the one contract every write path shares, and what
+keeps tied rows in trace order through the reader's stable sort.  The
+writer cuts the rows it is handed itself, whatever their systems and
+order: systems ascending, one system per shard; each system's rows
+stably sorted on ``(start_time, node_id)``, so tied rows keep the
+order they came in; then consecutive shards of at most ``shard_rows``
+rows.  One :meth:`StoreWriter.append` call is cut as a whole, so every
+row handed in one call — or whole systems handed one call each in
+ascending order — gives the single-pass layout, while a system whose
+rows come in two calls gets two sorted runs of shards, as an append
+gives a grown store.  :func:`write_shards` is the cut and the write
+for the writer and for :func:`~repro.store.federate.append_trace`'s
+staging directory alike; :func:`layout_runs` is the cut without the
+split, from which repair rebuilds a shard's bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import io
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -39,11 +47,19 @@ from repro.store.manifest import (
 from repro.store.schema import (
     COLUMN_NAMES,
     FORMAT_VERSION,
+    NO_RECORD_ID,
     ColumnBatch,
     schema_digest,
 )
 
-__all__ = ["StoreWriter", "DEFAULT_SHARD_ROWS", "column_file_name"]
+__all__ = [
+    "StoreWriter",
+    "DEFAULT_SHARD_ROWS",
+    "column_file_name",
+    "layout_runs",
+    "strip_record_ids",
+    "write_shards",
+]
 
 #: Default rows per shard (~3.6 MB across the 31-byte row footprint).
 DEFAULT_SHARD_ROWS = 131072
@@ -59,6 +75,64 @@ def _npy_bytes(array: np.ndarray) -> bytes:
     buffer = io.BytesIO()
     np.save(buffer, array, allow_pickle=False)
     return buffer.getvalue()
+
+
+def strip_record_ids(batch: ColumnBatch) -> ColumnBatch:
+    """Force the record_id column to the sentinel (implicit stores)."""
+    return ColumnBatch(
+        {
+            name: (
+                np.full(len(batch), NO_RECORD_ID, dtype="<i8")
+                if name == "record_id"
+                else batch[name]
+            )
+            for name in batch.names
+        }
+    )
+
+
+def layout_runs(batch: ColumnBatch) -> Iterator[Tuple[int, np.ndarray]]:
+    """Each system's row positions in layout order, systems ascending."""
+    system_ids = batch["system_id"]
+    order = np.lexsort((batch["node_id"], batch["start_time"], system_ids))
+    ordered = system_ids[order]
+    edges = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    for rows in np.split(order, edges):
+        if len(rows):
+            yield int(system_ids[rows[0]]), rows
+
+
+def _write_shard(directory: Path, name: str, batch: ColumnBatch) -> ShardInfo:
+    checksums: Dict[str, str] = {}
+    for column in COLUMN_NAMES:
+        payload = _npy_bytes(batch[column])
+        path = directory / column_file_name(name, column)
+        fs_fault_hook("store.column", path)
+        atomic_write_bytes(path, payload)
+        checksums[column] = hashlib.sha256(payload).hexdigest()
+    return ShardInfo(
+        name=name,
+        rows=len(batch),
+        stats=shard_stats_from_batch(batch),
+        checksums=checksums,
+    )
+
+
+def write_shards(
+    directory: Path, batch: ColumnBatch, shard_rows: int, first: int
+) -> List[ShardInfo]:
+    """Cut ``batch`` into shards and write them into ``directory``.
+
+    Shards are named by position from ``first``; each column file is
+    written atomically behind the ``store.column`` fault site.
+    """
+    shards: List[ShardInfo] = []
+    for _, rows in layout_runs(batch):
+        for offset in range(0, len(rows), shard_rows):
+            name = f"{first + len(shards):05d}"
+            chunk = batch.take(rows[offset:offset + shard_rows])
+            shards.append(_write_shard(directory, name, chunk))
+    return shards
 
 
 class StoreWriter:
@@ -117,45 +191,20 @@ class StoreWriter:
         self._meta = dict(meta) if meta is not None else {}
         self._manifest_site = manifest_site
         self._shards: List[ShardInfo] = []
-        self._rows = 0
         self._finalized = False
 
-    def append_group(self, batch: ColumnBatch) -> None:
-        """Write one group (a single system's sorted rows) as shards.
-
-        The group boundary is a shard boundary: rows of different
-        systems never share a shard, so per-shard ``system_id`` stats
-        stay exact and the reader's per-shard iterators each yield a
-        non-decreasing key sequence.
-        """
+    def append(self, batch: ColumnBatch) -> None:
+        """Cut rows of any systems, in any order, into shards and write
+        them after the shards already written (see the module's shard
+        layout)."""
         if self._finalized:
             raise RuntimeError("StoreWriter already finalized")
         if batch.names != COLUMN_NAMES:
             missing = set(COLUMN_NAMES) - set(batch.names)
-            raise ValueError(f"group batch is missing columns {sorted(missing)}")
-        for offset in range(0, len(batch), self.shard_rows):
-            chunk = batch.slice(offset, offset + self.shard_rows)
-            if len(chunk):
-                self._write_shard(chunk)
-
-    def _write_shard(self, batch: ColumnBatch) -> None:
-        name = f"{len(self._shards):05d}"
-        checksums: Dict[str, str] = {}
-        for column in COLUMN_NAMES:
-            payload = _npy_bytes(batch[column])
-            path = self.shards_dir / column_file_name(name, column)
-            fs_fault_hook("store.column", path)
-            atomic_write_bytes(path, payload)
-            checksums[column] = hashlib.sha256(payload).hexdigest()
-        self._shards.append(
-            ShardInfo(
-                name=name,
-                rows=len(batch),
-                stats=shard_stats_from_batch(batch),
-                checksums=checksums,
-            )
+            raise ValueError(f"batch is missing columns {sorted(missing)}")
+        self._shards += write_shards(
+            self.shards_dir, batch, self.shard_rows, first=len(self._shards)
         )
-        self._rows += len(batch)
 
     def finalize(self) -> Manifest:
         """Write the manifest and return it (call exactly once)."""
@@ -166,7 +215,7 @@ class StoreWriter:
             format_version=FORMAT_VERSION,
             columns=COLUMN_NAMES,
             record_ids=self.record_ids,
-            row_count=self._rows,
+            row_count=sum(shard.rows for shard in self._shards),
             shards=tuple(self._shards),
             data_start=self._data_start,
             data_end=self._data_end,

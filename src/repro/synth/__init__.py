@@ -26,7 +26,7 @@ from repro.synth.config import GeneratorConfig
 from repro.synth.generator import SupervisionConfig, TraceGenerator
 from repro.synth.lifecycle import LifecycleShape, lifecycle_multiplier, lifecycle_shape_for
 from repro.synth.diurnal import WeeklyProfile, diurnal_multiplier, weekly_multiplier
-from repro.synth.nodes import assign_workloads, node_rate_multiplier
+from repro.synth.nodes import assign_workloads
 from repro.synth.rootcause import CauseModel
 from repro.synth.repair import RepairModel
 from repro.synth.correlated import inject_bursts
@@ -44,7 +44,6 @@ __all__ = [
     "diurnal_multiplier",
     "weekly_multiplier",
     "assign_workloads",
-    "node_rate_multiplier",
     "CauseModel",
     "RepairModel",
     "inject_bursts",

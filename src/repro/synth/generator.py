@@ -298,9 +298,9 @@ class TraceGenerator:
     ):
         """Generate straight into a columnar store directory.
 
-        Each system's rows are sorted and written to per-shard ``.npy``
-        column files under ``root`` — the out-of-core path for
-        scaled-inventory runs.  ``workers``, ``supervision`` and
+        Every system's rows go to the store writer, which cuts them into
+        per-shard ``.npy`` column files under ``root`` — the out-of-core
+        path for scaled-inventory runs.  ``workers``, ``supervision`` and
         ``journal`` behave exactly as in :meth:`generate`; reading the
         store back (:meth:`repro.store.ColumnarStore.to_trace`) gives
         the rows, order and record IDs of :meth:`generate`.
@@ -339,13 +339,10 @@ class TraceGenerator:
                 meta=store_meta,
             )
             with obs.span("store.write", records=total):
-                # One group per system, ascending: each shard holds one
-                # system's rows sorted by (start, node) — the layout the
-                # reader's stable merge sort and predicate pushdown rely on.
+                # Whole systems, ascending, one call each: the writer's
+                # single-pass layout without a copy of every row.
                 for system_id in sorted(batches):
-                    batch = batches[system_id]
-                    if len(batch):
-                        writer.append_group(batch.take(trace_order(batch)))
+                    writer.append(batches[system_id])
             manifest = writer.finalize()
         registry = obs.metrics()
         registry.counter("store.records_written").add(total)

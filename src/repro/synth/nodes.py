@@ -18,14 +18,12 @@ The trace generator holds a system's nodes as arrays
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.records.codes import WORKLOAD_CODE
-from repro.records.node import NodeConfig
 from repro.records.record import Workload
 from repro.records.system import HardwareType, SystemConfig
 from repro.records.timeutils import production_window
@@ -34,7 +32,6 @@ from repro.simulate.rng import RngStream
 __all__ = [
     "SystemNodes",
     "assign_workloads",
-    "node_rate_multiplier",
     "node_rate_multipliers",
     "system_nodes",
     "workload_multiplier",
@@ -149,24 +146,6 @@ def workload_multiplier(
     return 1.0
 
 
-def node_rate_multiplier(node: NodeConfig, rng_root: RngStream, sigma: float) -> float:
-    """The node's residual lognormal rate multiplier (unit mean).
-
-    Deterministic per (seed, system, node): derived from a child RNG
-    stream keyed by the node's identity, so adding nodes or systems
-    never perturbs another node's multiplier.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0:
-        return 1.0
-    stream = rng_root.child(
-        "node-multiplier", str(node.system_id), str(node.node_id)
-    )
-    mu = -0.5 * sigma**2  # unit mean: E[exp(N(mu, sigma^2))] = 1
-    return math.exp(mu + sigma * stream.generator.standard_normal())
-
-
 def node_rate_multipliers(
     system_id: int,
     n_nodes: int,
@@ -177,11 +156,9 @@ def node_rate_multipliers(
 
     One per-system stream (``"system", s, "node-multipliers"``) yields
     all nodes' normals in node order — one generator construction per
-    system instead of one per node, which matters at 4750 nodes.  Used
-    by the trace generator's hot path; :func:`node_rate_multiplier`
-    remains for single-node use.  Deterministic per (seed, system), so
-    generating a system alone or in a worker process reproduces the
-    same multipliers.
+    system instead of one per node, which matters at 4750 nodes.
+    Deterministic per (seed, system), so generating a system alone or in
+    a worker process reproduces the same multipliers.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -190,5 +167,5 @@ def node_rate_multipliers(
     generator = rng_root.spawn_generator(
         "system", str(system_id), "node-multipliers"
     )
-    mu = -0.5 * sigma**2  # unit mean, as in node_rate_multiplier
+    mu = -0.5 * sigma**2  # unit mean: E[exp(N(mu, sigma^2))] = 1
     return np.exp(mu + sigma * generator.standard_normal(n_nodes))

@@ -89,7 +89,7 @@ class TestSkipMode:
         # systems lose exactly their skipped shard's rows
         by_system = {}
         for shard in store.manifest.shards:
-            system_id = int(shard.stats["system_id"][0])
+            system_id = shard.system_id
             total, lost = by_system.get(system_id, (0, 0))
             skipped = shard.name in store.degraded.shards_skipped
             by_system[system_id] = (

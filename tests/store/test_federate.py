@@ -84,7 +84,7 @@ class TestAppend:
         root = tmp_path / "st"
         store_from_trace(small_trace.filter_systems([2]), root, shard_rows=60)
         manifest = append_trace(root, small_trace.filter_systems([13]))
-        new = [s for s in manifest.shards if int(s.stats["system_id"][0]) == 13]
+        new = [s for s in manifest.shards if s.system_id == 13]
         assert new and max(s.rows for s in new) <= 60
 
     def test_empty_source_is_a_no_op(self, tmp_path, small_trace):
@@ -162,7 +162,7 @@ class TestMerge:
             shard_rows=100,
         )
         sys13 = small_trace.filter_systems([13])
-        writer.append_group(batch_from_records(sys13.records))
+        writer.append(batch_from_records(sys13.records))
         writer.finalize()
         with pytest.raises(StoreError, match="mixed record-id modes"):
             merge_stores(tmp_path / "out", [split[2], implicit])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.store import (
@@ -141,6 +143,60 @@ class TestScrub:
         json.dumps(payload)
         assert payload["ok"] is False
         assert "DAMAGED" in report.describe()
+
+
+def _second_system(array):
+    array[-1] = 13
+
+
+def _swap_ends(array):
+    array[[0, -1]] = array[[-1, 0]]
+
+
+class TestLayoutChecks:
+    """Shards the writer cannot cut, made by hand: one column of shard
+    00001 (system 2) is re-saved, and the manifest's checksum and stats
+    agree with the new bytes, so only a layout check can tell."""
+
+    @pytest.mark.parametrize(
+        "column, edit, kind, message",
+        [
+            (
+                "system_id",
+                _second_system,
+                "multi-system",
+                "spans multiple systems (2..13)",
+            ),
+            (
+                "start_time",
+                _swap_ends,
+                "sort-violation",
+                "rows are not sorted by (start_time, node_id)",
+            ),
+        ],
+    )
+    def test_reported_as_exactly_that_class(
+        self, tmp_path, pristine, column, edit, kind, message
+    ):
+        root = tmp_path / "st"
+        shutil.copytree(pristine, root)
+        path = root / "shards" / f"00001-{column}.npy"
+        array = np.load(path)
+        edit(array)
+        np.save(path, array)
+        payload = json.loads((root / MANIFEST_NAME).read_text())
+        shard = payload["shards"][1]
+        assert shard["name"] == "00001"
+        shard["checksums"][column] = hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        shard["stats"][column] = [array.min().item(), array.max().item()]
+        (root / MANIFEST_NAME).write_text(json.dumps(payload))
+
+        assert verify_store(root, deep=True) == [f"shard 00001: {message}"]
+        report = scrub_store(root)
+        assert report.quarantined == ["00001"]
+        assert report.damage == {kind: 1}
 
 
 class TestRepair:

@@ -33,7 +33,7 @@ def _store_with(tmp_path, small_trace, column, code):
     codes = group[column].copy()
     codes[3] = code
     writer = StoreWriter(tmp_path / "st")
-    writer.append_group(
+    writer.append(
         ColumnBatch(
             {
                 name: codes if name == column else group[name]

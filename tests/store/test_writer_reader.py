@@ -42,7 +42,7 @@ class TestWriter:
         batch = batch_from_records(small_trace.records[:5])
         partial = type(batch)({"start_time": batch["start_time"]})
         with pytest.raises(ValueError, match="missing columns"):
-            writer.append_group(partial)
+            writer.append(partial)
 
     def test_double_finalize_raises(self, tmp_path):
         writer = StoreWriter(tmp_path / "st")
@@ -58,9 +58,36 @@ class TestWriter:
             lo, hi = shard.stats["system_id"]
             assert lo == hi
 
+    def test_cuts_rows_of_any_systems_in_any_order(self, tmp_path, small_trace):
+        # In trace order systems 2 and 13 interleave; reversed, every
+        # row comes in the opposite order.  The writer cuts both into
+        # the same single-system, sorted shards.
+        columns = small_trace.columns
+        keys = zip(
+            columns["system_id"].tolist(),
+            columns["start_time"].tolist(),
+            columns["node_id"].tolist(),
+        )
+        assert len(set(keys)) == len(columns)  # no ties to keep in order
+        reversed_rows = columns.take(np.arange(len(columns))[::-1])
+        for name, rows in (("trace", columns), ("reversed", reversed_rows)):
+            writer = StoreWriter(tmp_path / name, shard_rows=100)
+            writer.append(rows)
+            writer.finalize()
+        root = tmp_path / "trace"
+        assert verify_store(root, deep=True) == []
+        manifest = Manifest.load(root / MANIFEST_NAME)
+        assert [shard.system_id for shard in manifest.shards] == [2, 2, 13, 13]
+        assert {
+            p.name: p.read_bytes() for p in (root / "shards").glob("*.npy")
+        } == {
+            p.name: p.read_bytes()
+            for p in (tmp_path / "reversed" / "shards").glob("*.npy")
+        }
+
     def test_no_manifest_means_no_store(self, tmp_path, small_trace):
         writer = StoreWriter(tmp_path / "st")
-        writer.append_group(batch_from_records(small_trace.records))
+        writer.append(batch_from_records(small_trace.records))
         # finalize() never called: the directory must not open as a store
         with pytest.raises(StoreError):
             ColumnarStore(tmp_path / "st")

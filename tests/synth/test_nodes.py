@@ -9,7 +9,7 @@ from repro.records.record import Workload
 from repro.simulate.rng import RngStream
 from repro.synth.nodes import (
     assign_workloads,
-    node_rate_multiplier,
+    node_rate_multipliers,
     system_nodes,
     workload_multiplier,
 )
@@ -73,34 +73,28 @@ class TestWorkloadMultiplier:
 
 
 class TestNodeRateMultiplier:
-    def make_node(self, system_id=20, node_id=5):
-        system = LANL_SYSTEMS[system_id]
-        return system.expand_nodes(DATA_START, DATA_END)[node_id]
+    """``node_rate_multipliers``: one system's nodes from one stream."""
 
     def test_deterministic(self):
-        node = self.make_node()
-        a = node_rate_multiplier(node, RngStream(1), 0.35)
-        b = node_rate_multiplier(node, RngStream(1), 0.35)
-        assert a == b
+        a = node_rate_multipliers(20, 49, RngStream(1), 0.35)
+        b = node_rate_multipliers(20, 49, RngStream(1), 0.35)
+        assert np.array_equal(a, b)
 
     def test_varies_by_node(self):
-        root = RngStream(1)
-        values = {
-            node_rate_multiplier(self.make_node(node_id=i), root, 0.35)
-            for i in range(20)
-        }
-        assert len(values) == 20
+        values = node_rate_multipliers(20, 20, RngStream(1), 0.35)
+        assert len(set(values.tolist())) == 20
 
     def test_sigma_zero_is_unit(self):
-        assert node_rate_multiplier(self.make_node(), RngStream(1), 0.0) == 1.0
+        assert np.array_equal(
+            node_rate_multipliers(20, 49, RngStream(1), 0.0), np.ones(49)
+        )
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            node_rate_multiplier(self.make_node(), RngStream(1), -0.1)
+            node_rate_multipliers(20, 49, RngStream(1), -0.1)
 
     def test_unit_mean_in_aggregate(self):
-        root = RngStream(3)
-        nodes = LANL_SYSTEMS[7].expand_nodes(DATA_START, DATA_END)
-        values = [node_rate_multiplier(node, root, 0.35) for node in nodes]
+        n_nodes = len(LANL_SYSTEMS[7].expand_nodes(DATA_START, DATA_END))
+        values = node_rate_multipliers(7, n_nodes, RngStream(3), 0.35)
         assert np.mean(values) == pytest.approx(1.0, abs=0.05)
-        assert all(v > 0 for v in values)
+        assert (values > 0).all()

@@ -119,6 +119,17 @@ class TestOutliersAndCompare:
         assert "share[hardware]" in out
         assert "largest relative difference" in out
 
+    def test_compare_gzipped_jsonl(self, tmp_path, capsys):
+        paths = []
+        for seed in ("1", "2"):
+            path = tmp_path / f"seed{seed}.jsonl.gz"
+            assert main(["generate", "--seed", seed, "--systems", "13",
+                         "--format", "jsonl", "--out", str(path)]) == 0
+            paths.append(str(path))
+        capsys.readouterr()
+        assert main(["compare", *paths]) == 0
+        assert "largest relative difference" in capsys.readouterr().out
+
 
 class TestParser:
     def test_unknown_command_rejected(self):
