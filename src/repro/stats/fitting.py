@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Literal, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import special
@@ -44,7 +44,7 @@ from repro.stats.distributions import (
     Poisson,
     Weibull,
 )
-from repro.stats.gof import aic, bic, ks_statistic
+from repro.stats.gof import _sorted_ks, aic, bic
 
 __all__ = [
     "FitError",
@@ -181,16 +181,89 @@ def prepare_positive(
     raise FitError(f"unknown zero_policy {zero_policy!r}")
 
 
-def _make_result(distribution: Distribution, values: np.ndarray) -> FitResult:
+def _make_result(
+    distribution: Distribution, values: np.ndarray, ordered: np.ndarray
+) -> FitResult:
+    """Score a fit: NLL over ``values`` in sample order, KS over
+    ``ordered``, their sorted copy."""
     nll = distribution.nll(values)
     return FitResult(
         distribution=distribution,
         nll=nll,
         aic=aic(nll, distribution.n_params),
         bic=bic(nll, distribution.n_params, values.size),
-        ks=ks_statistic(values, distribution),
+        ks=_sorted_ks(ordered, distribution),
         n=int(values.size),
     )
+
+
+def _fit(estimate, values: np.ndarray, *args) -> FitResult:
+    return _make_result(estimate(values, *args), values, np.sort(values))
+
+
+# Estimators: a cleaned sample in, its family's checks, the MLE out ---------------
+
+
+def _exponential(values: np.ndarray) -> Distribution:
+    if np.any(values < 0):
+        raise FitError("exponential requires non-negative data")
+    mean = float(np.mean(values))
+    if mean <= 0:
+        raise DegenerateFitError("exponential requires positive sample mean")
+    return Exponential(scale=mean)
+
+
+def _lognormal(values: np.ndarray) -> Distribution:
+    if np.any(values <= 0):
+        raise FitError("lognormal requires strictly positive data (see prepare_positive)")
+    logs = np.log(values)
+    mu = float(np.mean(logs))
+    sigma = float(np.std(logs))  # ddof=0: MLE convention
+    if sigma <= 0:
+        raise DegenerateFitError("degenerate sample (all values equal)")
+    return LogNormal(mu=mu, sigma=sigma)
+
+
+def _normal(values: np.ndarray) -> Distribution:
+    sigma = float(np.std(values))  # ddof=0: MLE convention
+    if sigma <= 0:
+        raise DegenerateFitError("degenerate sample (all values equal)")
+    return Normal(mu=float(np.mean(values)), sigma=sigma)
+
+
+def _poisson(values: np.ndarray) -> Distribution:
+    if np.any(values < 0) or not np.allclose(values, np.round(values)):
+        raise FitError("Poisson requires non-negative integer counts")
+    rate = float(np.mean(values))
+    if rate <= 0:
+        raise DegenerateFitError("Poisson requires a positive sample mean")
+    return Poisson(rate=rate)
+
+
+def _weibull(
+    values: np.ndarray, tolerance: float = 1e-10, max_iterations: int = 200
+) -> Distribution:
+    logs = np.log(values)
+    mean_log = float(np.mean(logs))
+    std_log = float(np.std(logs))  # ddof=0: MLE convention
+    if std_log <= 0:
+        raise DegenerateFitError("degenerate sample (all values equal)")
+    equation = _weibull_shape_equation(logs, mean_log)
+    shape = _weibull_shape(equation, 1.2 / std_log, tolerance, max_iterations)
+    # Stable scale computation: mean(x^k) via log-space shift.
+    max_log = float(np.max(logs))
+    mean_pow = float(np.mean(np.exp(shape * (logs - max_log))))
+    scale = math.exp(max_log + math.log(mean_pow) / shape)
+    return Weibull(shape=shape, scale=scale)
+
+
+def _gamma(
+    values: np.ndarray, tolerance: float = 1e-10, max_iterations: int = 200
+) -> Distribution:
+    mean = float(np.mean(values))
+    mean_log = float(np.mean(np.log(values)))
+    shape = _gamma_shape(math.log(mean) - mean_log, tolerance, max_iterations)
+    return Gamma(shape=shape, scale=mean / shape)
 
 
 # Closed-form fitters ------------------------------------------------------------
@@ -198,13 +271,7 @@ def _make_result(distribution: Distribution, values: np.ndarray) -> FitResult:
 
 def fit_exponential(data: ArrayLike) -> FitResult:
     """MLE exponential fit: scale = sample mean."""
-    values = _as_clean_array(data)
-    if np.any(values < 0):
-        raise FitError("exponential requires non-negative data")
-    mean = float(np.mean(values))
-    if mean <= 0:
-        raise DegenerateFitError("exponential requires positive sample mean")
-    return _make_result(Exponential(scale=mean), values)
+    return _fit(_exponential, _as_clean_array(data))
 
 
 def fit_lognormal(data: ArrayLike) -> FitResult:
@@ -214,78 +281,52 @@ def fit_lognormal(data: ArrayLike) -> FitResult:
     maximum-likelihood estimator, not the Bessel-corrected sample form.
     Every fitter in :mod:`repro.stats` uses this convention.
     """
-    values = _as_clean_array(data)
-    if np.any(values <= 0):
-        raise FitError("lognormal requires strictly positive data (see prepare_positive)")
-    logs = np.log(values)
-    mu = float(np.mean(logs))
-    sigma = float(np.std(logs))  # ddof=0: MLE convention
-    if sigma <= 0:
-        raise DegenerateFitError("degenerate sample (all values equal)")
-    return _make_result(LogNormal(mu=mu, sigma=sigma), values)
+    return _fit(_lognormal, _as_clean_array(data))
 
 
 def fit_normal(data: ArrayLike) -> FitResult:
     """MLE normal fit: sample mean and population std (``ddof=0``)."""
-    values = _as_clean_array(data)
-    sigma = float(np.std(values))  # ddof=0: MLE convention
-    if sigma <= 0:
-        raise DegenerateFitError("degenerate sample (all values equal)")
-    return _make_result(Normal(mu=float(np.mean(values)), sigma=sigma), values)
+    return _fit(_normal, _as_clean_array(data))
 
 
 def fit_poisson(data: ArrayLike) -> FitResult:
     """MLE Poisson fit on integer counts: rate = sample mean."""
-    values = _as_clean_array(data)
-    if np.any(values < 0) or not np.allclose(values, np.round(values)):
-        raise FitError("Poisson requires non-negative integer counts")
-    rate = float(np.mean(values))
-    if rate <= 0:
-        raise DegenerateFitError("Poisson requires a positive sample mean")
-    return _make_result(Poisson(rate=rate), values)
+    return _fit(_poisson, _as_clean_array(data))
 
 
 # Newton fitters ------------------------------------------------------------------
 
 
-def _weibull_shape_equation(k: float, values: np.ndarray, mean_log: float) -> Tuple[float, float]:
-    """Value and derivative of the Weibull profile-likelihood equation.
-
-    The MLE shape k solves  sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0.
-    Computed in a numerically stable way by factoring out max(x)^k.
+def _weibull_shape_equation(logs: np.ndarray, mean_log: float, weights=None):
+    """k -> value and derivative of the Weibull profile-likelihood
+    equation  sum(x^k ln x)/sum(x^k) - 1/k - mean(ln x) = 0  over ``logs``,
+    sums weighted by ``weights`` if given.  Stabilized by factoring out
+    max(x)^k; ln x - ln max(x) and (ln x)^2 are computed once, not per k.
     """
-    logs = np.log(values)
-    # Stabilize x^k by shifting in log space.
-    shifted = np.exp(k * (logs - np.max(logs)))
-    s0 = float(np.sum(shifted))
-    s1 = float(np.sum(shifted * logs))
-    s2 = float(np.sum(shifted * logs**2))
-    g = s1 / s0 - 1.0 / k - mean_log
-    g_prime = (s2 * s0 - s1**2) / s0**2 + 1.0 / k**2
-    return g, g_prime
+    centered = logs - np.max(logs)
+    squares = logs**2
+
+    def equation(k: float) -> Tuple[float, float]:
+        shifted = np.exp(k * centered)
+        if weights is not None:
+            shifted = weights * shifted
+        s0 = float(np.sum(shifted))
+        s1 = float(np.sum(shifted * logs))
+        s2 = float(np.sum(shifted * squares))
+        g = s1 / s0 - 1.0 / k - mean_log
+        g_prime = (s2 * s0 - s1**2) / s0**2 + 1.0 / k**2
+        return g, g_prime
+
+    return equation
 
 
-def fit_weibull(
-    data: ArrayLike, tolerance: float = 1e-10, max_iterations: int = 200
-) -> FitResult:
-    """MLE Weibull fit via Newton iteration on the profile likelihood.
-
-    Starts from the standard moment-style initial guess
-    k0 = 1.2 / std(ln x) and falls back to bisection if Newton leaves
-    the bracket.  With the shape known, the scale has the closed form
-    scale = (mean(x^k))^(1/k).
-    """
-    values = prepare_positive(data)
-    logs = np.log(values)
-    mean_log = float(np.mean(logs))
-    std_log = float(np.std(logs))  # ddof=0: MLE convention
-    if std_log <= 0:
-        raise DegenerateFitError("degenerate sample (all values equal)")
-    k = 1.2 / std_log
-
+def _weibull_shape(equation, k: float, tolerance: float, max_iterations: int) -> float:
+    """Newton from ``k`` on ``equation`` (k -> g, g'), bisecting when a
+    step leaves the bracket; the Weibull shape search of both the exact
+    and the sketch fitter."""
     low, high = 1e-3, 1e3
     for _ in range(max_iterations):
-        g, g_prime = _weibull_shape_equation(k, values, mean_log)
+        g, g_prime = equation(k)
         if g == 0.0:
             # k is the root.  Below, it would become the bracket's open
             # end, and bisection would walk back to it from the midpoint.
@@ -296,35 +337,20 @@ def fit_weibull(
             high = min(high, k)
         else:
             low = max(low, k)
-        step = g / g_prime
-        k_next = k - step
+        k_next = k - g / g_prime
         if not (low < k_next < high):
             k_next = 0.5 * (low + high)
         if abs(k_next - k) < tolerance * max(1.0, k):
             k = k_next
             break
         k = k_next
-    shape = float(k)
-    # Stable scale computation: mean(x^k) via log-space shift.
-    max_log = float(np.max(logs))
-    mean_pow = float(np.mean(np.exp(shape * (logs - max_log))))
-    scale = math.exp(max_log + math.log(mean_pow) / shape)
-    return _make_result(Weibull(shape=shape, scale=scale), values)
+    return float(k)
 
 
-def fit_gamma(
-    data: ArrayLike, tolerance: float = 1e-10, max_iterations: int = 200
-) -> FitResult:
-    """MLE gamma fit via Newton iteration on the shape equation.
-
-    The MLE shape k solves  ln(k) - digamma(k) = ln(mean x) - mean(ln x),
-    started from the Minka/Greenwood-Durand approximation; the scale is
-    then mean(x) / k.
-    """
-    values = prepare_positive(data)
-    mean = float(np.mean(values))
-    mean_log = float(np.mean(np.log(values)))
-    s = math.log(mean) - mean_log
+def _gamma_shape(s: float, tolerance: float, max_iterations: int) -> float:
+    """The gamma MLE shape: Newton on ln(k) - digamma(k) = s from
+    Minka's initialization, where s = ln(mean x) - mean(ln x); the
+    shape search of both the exact and the sketch fitter."""
     # s = log E[x] - E[log x] >= 0, zero iff the sample is constant.
     # A near-constant sample leaves s a rounding-noise positive, which
     # sends Minka's initialization to k ~ 1/(2s) and underflows the
@@ -338,33 +364,56 @@ def fit_gamma(
         g_prime = 1.0 / k - float(special.polygamma(1, k))
         if g_prime == 0.0 or not math.isfinite(g_prime):
             break
-        step = g / g_prime
-        k_next = k - step
+        k_next = k - g / g_prime
         if k_next <= 0:
             k_next = k / 2.0
         if abs(k_next - k) < tolerance * max(1.0, k):
             k = k_next
             break
         k = k_next
-    shape = float(k)
-    return _make_result(Gamma(shape=shape, scale=mean / shape), values)
+    return float(k)
+
+
+def fit_weibull(
+    data: ArrayLike, tolerance: float = 1e-10, max_iterations: int = 200
+) -> FitResult:
+    """MLE Weibull fit via Newton iteration on the profile likelihood.
+
+    Starts from the standard moment-style initial guess
+    k0 = 1.2 / std(ln x) and falls back to bisection if Newton leaves
+    the bracket.  With the shape known, the scale has the closed form
+    scale = (mean(x^k))^(1/k).
+    """
+    return _fit(_weibull, prepare_positive(data), tolerance, max_iterations)
+
+
+def fit_gamma(
+    data: ArrayLike, tolerance: float = 1e-10, max_iterations: int = 200
+) -> FitResult:
+    """MLE gamma fit via Newton iteration on the shape equation.
+
+    The MLE shape k solves  ln(k) - digamma(k) = ln(mean x) - mean(ln x),
+    started from the Minka/Greenwood-Durand approximation; the scale is
+    then mean(x) / k.
+    """
+    return _fit(_gamma, prepare_positive(data), tolerance, max_iterations)
 
 
 # Ranked fitting ------------------------------------------------------------------
 
 #: The paper's four candidate distributions for durations.
-CONTINUOUS_FITTERS = {
-    "exponential": fit_exponential,
-    "weibull": fit_weibull,
-    "gamma": fit_gamma,
-    "lognormal": fit_lognormal,
+CONTINUOUS_ESTIMATORS = {
+    "exponential": _exponential,
+    "weibull": _weibull,
+    "gamma": _gamma,
+    "lognormal": _lognormal,
 }
 
 #: Candidates for the per-node failure-count analysis (Figure 3(b)).
-COUNT_FITTERS = {
-    "poisson": fit_poisson,
-    "normal": fit_normal,
-    "lognormal": fit_lognormal,
+COUNT_ESTIMATORS = {
+    "poisson": _poisson,
+    "normal": _normal,
+    "lognormal": _lognormal,
 }
 
 
@@ -383,13 +432,17 @@ def _raise_no_candidate(errors: List[FitError]) -> None:
 
 
 def _fit_ranked(
-    fitters: Dict[str, object], values: np.ndarray
+    estimators: Dict[str, Callable[[np.ndarray], Distribution]],
+    sample: Callable[[str], Tuple[np.ndarray, np.ndarray]],
 ) -> List[FitResult]:
+    """Fit each candidate to ``sample(name)``, its values and their
+    sorted copy, and rank the fits by NLL."""
     results = []
     errors: List[FitError] = []
-    for name, fitter in fitters.items():
+    for name, estimate in estimators.items():
         try:
-            results.append(fitter(values))
+            values, ordered = sample(name)
+            results.append(_make_result(estimate(values), values, ordered))
         except FitError as exc:
             # A candidate that cannot be fitted (e.g. lognormal on data
             # with zeros) is simply excluded from the ranking.
@@ -409,10 +462,12 @@ def fit_all(
     """Fit exponential, Weibull, gamma and lognormal; rank by NLL.
 
     This is the paper's Section 3 methodology in one call.  The best
-    fit is ``fit_all(data)[0]``.
+    fit is ``fit_all(data)[0]``.  The sample is sorted once, for every
+    candidate's KS statistic.
     """
     values = prepare_positive(data, zero_policy=zero_policy, epsilon=epsilon)
-    return _fit_ranked(CONTINUOUS_FITTERS, values)
+    ordered = np.sort(values)
+    return _fit_ranked(CONTINUOUS_ESTIMATORS, lambda name: (values, ordered))
 
 
 def fit_all_discrete(data: ArrayLike) -> List[FitResult]:
@@ -423,18 +478,11 @@ def fit_all_discrete(data: ArrayLike) -> List[FitResult]:
     nodes with at least one failure.
     """
     values = _as_clean_array(data)
-    results = []
-    errors: List[FitError] = []
-    for name, fitter in COUNT_FITTERS.items():
-        try:
-            if name == "lognormal":
-                results.append(fitter(prepare_positive(values, zero_policy="drop")))
-            else:
-                results.append(fitter(values))
-        except FitError as exc:
-            errors.append(exc)
-            continue
-    if not results:
-        _raise_no_candidate(errors)
-    results.sort(key=lambda result: result.nll)
-    return results
+    ordered = np.sort(values)
+
+    def sample(name: str) -> Tuple[np.ndarray, np.ndarray]:
+        if name == "lognormal":
+            return prepare_positive(values, zero_policy="drop"), ordered[ordered > 0]
+        return values, ordered
+
+    return _fit_ranked(COUNT_ESTIMATORS, sample)

@@ -65,7 +65,10 @@ from repro.stats.fitting import (
     DegenerateFitError,
     FitError,
     FitResult,
+    _gamma_shape,
     _raise_no_candidate,
+    _weibull_shape,
+    _weibull_shape_equation,
     fit_all,
 )
 from repro.stats.gof import aic, bic
@@ -191,24 +194,7 @@ def sketch_fit_gamma(
     n = _require_sample(sketch)
     mean = sketch.clamped.mean
     mean_log = sketch.log_clamped.mean
-    s = math.log(mean) - mean_log
-    if s <= 1e-12:
-        raise DegenerateFitError("degenerate sample (zero log-spread)")
-    # Minka's initialization, then the same Newton as fit_gamma.
-    k = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(max_iterations):
-        g = math.log(k) - float(special.digamma(k)) - s
-        g_prime = 1.0 / k - float(special.polygamma(1, k))
-        if g_prime == 0.0 or not math.isfinite(g_prime):
-            break
-        k_next = k - g / g_prime
-        if k_next <= 0:
-            k_next = k / 2.0
-        if abs(k_next - k) < tolerance * max(1.0, k):
-            k = k_next
-            break
-        k = k_next
-    shape = float(k)
+    shape = _gamma_shape(math.log(mean) - mean_log, tolerance, max_iterations)
     scale = mean / shape
     nll = (
         -(shape - 1.0) * sketch.log_clamped.total
@@ -238,30 +224,9 @@ def sketch_fit_weibull(
     values, counts = sketch.histogram.representatives()
     logs = np.log(values)
     weights = counts.astype(float)
+    equation = _weibull_shape_equation(logs, mean_log, weights)
+    shape = _weibull_shape(equation, 1.2 / std_log, tolerance, max_iterations)
     max_log = float(np.max(logs))
-    k = 1.2 / std_log
-    low, high = 1e-3, 1e3
-    for _ in range(max_iterations):
-        shifted = weights * np.exp(k * (logs - max_log))
-        s0 = float(np.sum(shifted))
-        s1 = float(np.sum(shifted * logs))
-        s2 = float(np.sum(shifted * logs**2))
-        g = s1 / s0 - 1.0 / k - mean_log
-        g_prime = (s2 * s0 - s1**2) / s0**2 + 1.0 / k**2
-        if g == 0.0:
-            break  # k is the root, as in fitting.fit_weibull
-        if g > 0:
-            high = min(high, k)
-        else:
-            low = max(low, k)
-        k_next = k - g / g_prime
-        if not (low < k_next < high):
-            k_next = 0.5 * (low + high)
-        if abs(k_next - k) < tolerance * max(1.0, k):
-            k = k_next
-            break
-        k = k_next
-    shape = float(k)
     mean_pow = float(np.sum(weights * np.exp(shape * (logs - max_log)))) / n
     scale = math.exp(max_log + math.log(mean_pow) / shape)
     # At the fitted scale, sum over the weighted sample of (x/scale)^k
@@ -275,7 +240,7 @@ def sketch_fit_weibull(
     return _sketch_result(Weibull(shape=shape, scale=scale), nll, sketch)
 
 
-#: Streaming counterparts of fitting.CONTINUOUS_FITTERS, same order.
+#: Streaming counterparts of fitting.CONTINUOUS_ESTIMATORS, same order.
 SKETCH_FITTERS: Dict[str, Callable[[SampleSketch], FitResult]] = {
     "exponential": sketch_fit_exponential,
     "weibull": sketch_fit_weibull,

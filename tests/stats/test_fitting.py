@@ -18,6 +18,7 @@ from repro.stats.fitting import (
     fit_poisson,
     fit_weibull,
     prepare_positive,
+    _weibull_shape,
 )
 
 
@@ -100,6 +101,28 @@ class TestRanking:
         counts = generator.poisson(50.0, 2000).astype(float)
         fits = fit_all_discrete(counts)
         assert fits[0].name == "poisson"
+
+    def test_ranked_fits_equal_the_single_fitters(self):
+        # fit_all scores every candidate against one sorted copy; each
+        # result must be the one its own fitter returns.
+        data = sample(Weibull(shape=0.7, scale=100.0), n=5000)
+        single = {
+            "exponential": fit_exponential,
+            "weibull": fit_weibull,
+            "gamma": fit_gamma,
+            "lognormal": fit_lognormal,
+        }
+        for fit in fit_all(data):
+            assert fit == single[fit.name](data)
+
+    def test_discrete_lognormal_fits_the_nonzero_counts(self):
+        generator = np.random.Generator(np.random.PCG64(5))
+        counts = generator.poisson(1.5, 400).astype(float)
+        assert np.any(counts == 0)
+        fits = {fit.name: fit for fit in fit_all_discrete(counts)}
+        assert fits["lognormal"] == fit_lognormal(counts[counts > 0])
+        assert fits["poisson"] == fit_poisson(counts)
+        assert fits["normal"] == fit_normal(counts)
 
 
 class TestZeroPolicies:
@@ -217,24 +240,21 @@ def test_weibull_newton_always_converges(shape, scale, seed):
     assert fit.nll <= exponential.nll + 1e-6
 
 
-def test_weibull_newton_stops_on_an_exact_root(monkeypatch):
+def test_weibull_newton_stops_on_an_exact_root():
     """A Newton step that lands exactly on the root ends the search.
 
     The bracket is open, so an exact root (g == 0) would become its low
     end and bisection would walk back to it from the midpoint, dozens
     of evaluations over the whole sample.  Here g(k) = k - 0.5 and
-    Newton from k0 = 1.2 / std(ln x) ~ 0.45 reaches 0.5 in one step.
+    Newton from k0 = 0.45 reaches 0.5 in one step.  ``fit_weibull`` and
+    ``sketch_fit_weibull`` both search with this loop.
     """
-    import repro.stats.fitting as fitting
-
     calls = []
 
-    def equation(k, values, mean_log):
+    def equation(k):
         calls.append(k)
         return k - 0.5, 1.0
 
-    monkeypatch.setattr(fitting, "_weibull_shape_equation", equation)
-    fit = fit_weibull(np.geomspace(1.0, 1e4, 50))
-    assert fit.distribution.shape == 0.5
+    assert _weibull_shape(equation, 0.45, 1e-10, 200) == 0.5
     assert calls[-1] == 0.5
     assert len(calls) == 2
