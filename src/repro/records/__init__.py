@@ -45,7 +45,6 @@ from repro.records.timeutils import (
     hour_of_day,
     month_index,
     parse_month_year,
-    to_datetime,
 )
 from repro.records.validation import (
     TraceValidationError,
@@ -78,7 +77,6 @@ __all__ = [
     "hour_of_day",
     "day_of_week",
     "month_index",
-    "to_datetime",
     "from_datetime",
     "parse_month_year",
     "TraceValidationError",

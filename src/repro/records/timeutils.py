@@ -31,7 +31,6 @@ __all__ = [
     "SECONDS_PER_WEEK",
     "SECONDS_PER_MONTH",
     "SECONDS_PER_YEAR",
-    "to_datetime",
     "from_datetime",
     "hour_of_day",
     "day_of_week",
@@ -54,16 +53,6 @@ SECONDS_PER_YEAR = 365.25 * SECONDS_PER_DAY
 
 #: EPOCH was a Monday; weekday index of the origin (Monday=0 ... Sunday=6).
 _EPOCH_WEEKDAY = EPOCH.weekday()
-
-
-def to_datetime(timestamp: float) -> _dt.datetime:
-    """Convert a toolkit timestamp to a naive (UTC) :class:`datetime.datetime`.
-
-    The result carries no ``tzinfo``; interpret it on the toolkit's
-    fixed UTC axis.  Pure timedelta arithmetic — the host timezone is
-    never consulted.
-    """
-    return EPOCH + _dt.timedelta(seconds=float(timestamp))
 
 
 def from_datetime(when: _dt.datetime) -> float:

@@ -94,6 +94,3 @@ class TestExplicitUtcSemantics:
         expected = tu.from_datetime(naive_utc)
         assert tu.from_datetime(aware_utc) == expected
         assert tu.from_datetime(aware_offset) == expected
-
-    def test_to_datetime_returns_naive(self):
-        assert tu.to_datetime(1.5e8).tzinfo is None
