@@ -738,9 +738,18 @@ def _fold_chunks(
 
 
 def _scan_shard_group(payload) -> FoldCore:
-    """Worker task: fold one contiguous manifest slice (picklable)."""
-    root, shards, fold, predicate, batch_rows = payload
+    """Worker task: fold one contiguous manifest slice (picklable).
+
+    The slice is positions in the planner's manifest.  An append since
+    the plan may have published a generation whose positions hold other
+    shards, so a worker that opens any other manifest refuses to fold.
+    """
+    root, manifest, shards, fold, predicate, batch_rows = payload
     store = ColumnarStore(root, on_damage="raise")
+    if store.manifest != manifest:
+        raise StoreError(
+            f"{root}: the store's manifest changed during a parallel scan"
+        )
     return _fold_chunks(
         store, fold.from_store(store), predicate, batch_rows, shards=shards
     )
@@ -763,10 +772,14 @@ def _scan_parallel(store, accumulator, predicate, workers, batch_rows) -> None:
     ]
     keys = [f"group-{index}" for index in range(len(groups))]
     fold = type(accumulator)
+    root, manifest = str(store.root), store.manifest
     report = RunReport()
     results = supervised_map(
         _scan_shard_group,
-        [(str(store.root), group, fold, predicate, batch_rows) for group in groups],
+        [
+            (root, manifest, group, fold, predicate, batch_rows)
+            for group in groups
+        ],
         workers=len(groups),
         keys=keys,
         report=report,

@@ -76,11 +76,6 @@ class SystemConfig:
         """Total processors across all categories."""
         return sum(category.total_processors for category in self.categories)
 
-    @property
-    def production_start_text(self) -> str:
-        """Earliest category production-start string (for display)."""
-        return self.categories[0].production_start
-
     def expand_nodes(self, data_start: float, data_end: float) -> List[NodeConfig]:
         """Expand categories into concrete :class:`NodeConfig` objects.
 

@@ -1,37 +1,28 @@
-"""Federating columnar stores: crash-safe append and merge.
+"""Federating columnar stores: append and merge, one write protocol.
 
-Two operations grow a store from more than one trace:
+Both hand :mod:`repro.store.writer`'s one cut each system's rows from
+every source at once, one system at a time (merge's memory bound), so
+every store the tool writes holds, shard by shard in manifest order,
+the bytes a one-pass import of its rows at its ``shard_rows`` holds.
 
-:func:`append_trace` adds a trace's rows to an *existing* store.  New
-shards are fully written into a ``staging/`` directory first, moved
-into ``shards/`` under names the live manifest does not reference, and
-made visible by a single atomic manifest replace
-(:func:`~repro.store.manifest.publish_manifest`, fault site
-``store.merge.manifest``) that keeps the previous generation as
-``manifest.prev.json``.  A crash at any point leaves either the old
-store or the new one — stray staged or renamed files answer to no
-manifest entry, and the next scrub sweeps them.
-
-:func:`merge_stores` builds a *new* store from several sources.  The
-output directory is not a store until the trailing manifest lands, so
-the ordinary write-last discipline already makes it crash-safe; the
-manifest is still published through the ``store.merge.manifest`` site
-so the chaos campaign can tear it.  Merging sources with disjoint
-systems at the same ``shard_rows`` is byte-identical to a single-pass
-import of the concatenated trace: merge hands the writer one system's
-rows from every source at a time, and the writer's stable cut of that
-concatenation reproduces the single-pass order exactly.
-
-Both lay rows out through :mod:`repro.store.writer`'s one cut.
+:func:`merge_stores` writes a *new* directory, which is not a store
+until its trailing manifest lands.  :func:`append_trace` writes the
+systems it re-cuts into ``shards/`` under names the live manifest does
+not use, commits them with one atomic
+:func:`~repro.store.manifest.publish_manifest` (keeping the previous
+generation as ``manifest.prev.json``), and only then
+:func:`~repro.store.writer.sweep_shards` the files the new manifest
+does not list: a crash leaves the old store or the new one, plus
+unlisted files the next write's sweep removes.  Both publish at the
+``store.merge.manifest`` fault site, which the chaos campaign tears.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import shutil
+import hashlib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,16 +30,18 @@ from repro import obs
 from repro.store.manifest import (
     MANIFEST_NAME,
     SHARDS_DIR,
-    STAGING_DIR,
     Manifest,
     Predicate,
+    ShardInfo,
     StoreError,
+    load_ledger,
     publish_manifest,
 )
 from repro.store.reader import ColumnarStore
 from repro.store.schema import (
     COLUMN_NAMES,
     FORMAT_VERSION,
+    ColumnBatch,
     concat_batches,
     schema_digest,
 )
@@ -58,6 +51,7 @@ from repro.store.writer import (
     StoreWriter,
     column_file_name,
     strip_record_ids,
+    sweep_shards,
     write_shards,
 )
 
@@ -65,30 +59,30 @@ __all__ = ["append_trace", "merge_stores"]
 
 
 class _TraceSource:
-    """A CSV/JSONL trace file quacking like a store handle for merge.
+    """A trace quacking like a store handle for merge and append.
 
     Trace files merge as ``explicit``-id sources — the same decision
     :func:`repro.store.convert.store_from_trace` makes on import — so
     merging trace files and merging the stores imported from them
-    produce identical output.
+    produce identical output.  Rows appended to an ``implicit``-id
+    store lose their ids, as the store's own are read positions.
     """
 
-    def __init__(self, trace) -> None:
+    def __init__(self, trace, record_ids: str = "explicit") -> None:
         self._batch = trace.columns
+        if record_ids == "implicit":
+            self._batch = strip_record_ids(self._batch)
         self.manifest = Manifest(
             schema_sha256=schema_digest(),
             format_version=FORMAT_VERSION,
             columns=COLUMN_NAMES,
-            record_ids="explicit",
+            record_ids=record_ids,
             row_count=len(self._batch),
             shards=(),
             data_start=trace.data_start,
             data_end=trace.data_end,
             systems=dict(trace.systems or {}),
         )
-
-    def system_ids(self) -> List[int]:
-        return np.unique(self._batch["system_id"]).tolist()
 
     def iter_batches(self, predicate: Optional[Predicate] = None):
         batch = self._batch
@@ -101,7 +95,7 @@ class _TraceSource:
 def _handle_systems(handle) -> List[int]:
     """The distinct system IDs a merge source holds rows for."""
     if isinstance(handle, _TraceSource):
-        return handle.system_ids()
+        return np.unique(handle._batch["system_id"]).tolist()
     return sorted({shard.system_id for shard in handle.manifest.shards})
 
 
@@ -119,13 +113,25 @@ def _merged_systems(existing: Dict, incoming) -> Dict:
     return merged
 
 
+def _system_rows(handles: Iterable, system_id: int) -> Optional[ColumnBatch]:
+    """One system's rows from every source, in source order."""
+    predicate = Predicate.build(systems=[system_id])
+    parts = [
+        batch
+        for handle in handles
+        for batch in handle.iter_batches(predicate=predicate)
+    ]
+    return concat_batches(parts) if parts else None
+
+
 def append_trace(root, source, *, shard_rows: Optional[int] = None) -> Manifest:
     """Append a trace (or store, or CSV/JSONL file) to an existing store.
 
-    New rows become new shards — existing shard files are never
-    rewritten — published by one atomic manifest replace.  ``shard_rows``
-    defaults to the store's largest existing shard so federated stores
-    keep a uniform shard geometry.
+    A merge: each system the rows touch is cut again from its stored
+    and new rows, so the store keeps one sorted run per system.
+    ``shard_rows`` defaults to the store's own.  A conflicting
+    inventory, or a damaged or quarantined shard in a touched system,
+    raises :class:`StoreError` before any file is written.
     """
     store = ColumnarStore(root)
     root = store.root
@@ -134,54 +140,61 @@ def append_trace(root, source, *, shard_rows: Optional[int] = None) -> Manifest:
     if not len(trace):
         return manifest
     if shard_rows is None:
-        shard_rows = max(
-            (shard.rows for shard in manifest.shards),
-            default=DEFAULT_SHARD_ROWS,
-        )
+        # The store's own: its largest shard is full when some system
+        # spans two shards, else any value fitting each system in one.
+        sizes = [shard.rows for shard in manifest.shards]
+        spans = len(sizes) > len({s.system_id for s in manifest.shards})
+        shard_rows = max(sizes) if spans else max([DEFAULT_SHARD_ROWS, *sizes])
     if shard_rows < 1:
         raise ValueError(f"shard_rows must be >= 1, got {shard_rows}")
 
-    batch = trace.columns
-    if manifest.record_ids == "implicit":
-        batch = strip_record_ids(batch)
+    incoming = _TraceSource(trace, manifest.record_ids)
     systems = _merged_systems(manifest.systems, trace.systems)
+    touched = _handle_systems(incoming)
+    # The strict read's probe names a damaged or quarantined shard; the
+    # checksums, bit rot a re-cut would publish under fresh ones.
+    rewritten = [s for s in manifest.shards if s.system_id in touched]
+    store._healthy(rewritten)
+    for shard in rewritten:
+        for column, digest in shard.checksums.items():
+            path = root / SHARDS_DIR / column_file_name(shard.name, column)
+            if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
+                raise StoreError(
+                    f"{root}: shard {shard.name} is damaged ({path.name} "
+                    "sha256 mismatch); scrub and repair it first"
+                )
+    # Above every name the manifest or the ledger uses: none is reused.
+    names = [s.name for s in manifest.shards] + list(load_ledger(root))
+    first = max((int(n) for n in names if n.isdigit()), default=-1) + 1
 
-    staging = root / STAGING_DIR
-    if staging.is_dir():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-
-    with obs.span("store.append", rows=len(batch)):
-        new_shards = write_shards(
-            staging, batch, shard_rows, first=len(manifest.shards)
-        )
-
-        # Stage -> live: these names are unreferenced by the current
-        # manifest, so a crash mid-move leaves harmless orphans the
-        # next scrub sweeps; the publish below is the commit point.
-        shards_dir = root / SHARDS_DIR
-        for shard in new_shards:
-            for column in COLUMN_NAMES:
-                name = column_file_name(shard.name, column)
-                os.replace(staging / name, shards_dir / name)
-
+    new: List[ShardInfo] = []
+    with obs.span("store.append", rows=len(trace)):
+        for system_id in touched:
+            new += write_shards(
+                root / SHARDS_DIR,
+                _system_rows((store, incoming), system_id),
+                shard_rows,
+                first=first + len(new),
+            )
+        kept = [s for s in manifest.shards if s.system_id not in touched]
         meta = dict(manifest.meta)
         meta["appends"] = int(meta.get("appends", 0)) + 1
         new_manifest = dataclasses.replace(
             manifest,
-            row_count=manifest.row_count + len(batch),
-            shards=manifest.shards + tuple(new_shards),
+            row_count=manifest.row_count + len(trace),
+            # Stable: each system keeps its shards' order.
+            shards=tuple(sorted(kept + new, key=lambda s: s.system_id)),
             data_start=min(manifest.data_start, trace.data_start),
             data_end=max(manifest.data_end, trace.data_end),
             systems=systems,
             meta=meta,
         )
         publish_manifest(root, new_manifest, site="store.merge.manifest")
-        shutil.rmtree(staging)
+        sweep_shards(root, new_manifest)
 
     registry = obs.metrics()
-    registry.counter("store.records_appended").add(len(batch))
-    registry.counter("store.shards_appended").add(len(new_shards))
+    registry.counter("store.records_appended").add(len(trace))
+    registry.counter("store.shards_appended").add(len(new))
     return new_manifest
 
 
@@ -239,26 +252,12 @@ def merge_stores(
         meta={"merged_sources": len(handles)},
         manifest_site="store.merge.manifest",
     )
-    merged_systems = sorted(
-        {
-            system_id
-            for handle in handles
-            for system_id in _handle_systems(handle)
-        }
-    )
+    merged_systems = sorted(set().union(*map(_handle_systems, handles)))
     with obs.span("store.merge", sources=len(handles)):
-        # One system at a time, ascending, bounds memory to one
-        # system's rows; each call holds all of that system's rows, so
-        # the writer lays them out as a single-pass import would.
         for system_id in merged_systems:
-            predicate = Predicate.build(systems=[system_id])
-            parts = [
-                batch
-                for handle in handles
-                for batch in handle.iter_batches(predicate=predicate)
-            ]
-            if parts:
-                writer.append(concat_batches(parts))
+            rows = _system_rows(handles, system_id)
+            if rows is not None:
+                writer.append(rows)
         manifest = writer.finalize()
 
     registry = obs.metrics()

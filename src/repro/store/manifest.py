@@ -65,8 +65,8 @@ SHARDS_DIR = "shards"
 #: Subdirectory where the scrub engine moves damaged shard files.
 QUARANTINE_DIR = "quarantine"
 
-#: Subdirectory where federation (append/merge) stages new shard files
-#: before the atomic manifest publish makes them live.
+#: Subdirectory where older versions' appends staged new shard files;
+#: scrub removes one that a crash left behind.
 STAGING_DIR = "staging"
 
 #: JSONL ledger inside ``quarantine/`` recording what was quarantined
@@ -344,10 +344,6 @@ class Manifest:
         except json.JSONDecodeError as exc:
             raise StoreError(f"{path}: corrupt manifest: {exc}") from exc
         return cls.from_dict(payload)
-
-    def shard_stats(self, shard: ShardInfo, column: str) -> Tuple[float, float]:
-        """Convenience accessor for a shard's (min, max) of ``column``."""
-        return shard.stats[column]
 
 
 # ----------------------------------------------------------------------

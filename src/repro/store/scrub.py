@@ -363,6 +363,19 @@ def _resolve_reference(source) -> FailureTrace:
     return read_trace_file(path)
 
 
+def _restarted_systems(shards) -> set:
+    """Systems whose shards, in manifest order, hold more than one
+    sorted run: a shard starts before the system's previous shard ends,
+    which no one-run layout can show."""
+    restarted, ends = set(), {}
+    for shard in shards:
+        low, high = shard.stats["start_time"]
+        if low < ends.get(shard.system_id, low):
+            restarted.add(shard.system_id)
+        ends[shard.system_id] = high
+    return restarted
+
+
 def repair_store(root, source) -> RepairReport:
     """Re-materialize damaged shards from a reference, provably.
 
@@ -373,7 +386,8 @@ def repair_store(root, source) -> RepairReport:
     column's bytes hash to the manifest's recorded sha256.  A shard
     whose manifest carries no checksum, or whose reference bytes
     disagree, stays quarantined and is reported as failed — repair
-    never guesses.
+    never guesses.  So does a shard of a system that holds more than one
+    sorted run, which the one-run cut cannot rebuild.
     """
     store = ColumnarStore(root)
     root = store.root
@@ -421,6 +435,7 @@ def repair_store(root, source) -> RepairReport:
             if manifest.record_ids == "implicit":
                 batch = strip_record_ids(batch)
             runs = dict(layout_runs(batch))
+            restarted = _restarted_systems(manifest.shards)
 
             offsets: Dict[int, int] = {}
             for shard in manifest.shards:
@@ -428,6 +443,15 @@ def repair_store(root, source) -> RepairReport:
                 offset = offsets.get(system_id, 0)
                 offsets[system_id] = offset + shard.rows
                 if shard.name not in targets:
+                    continue
+                if system_id in restarted:
+                    report.failed[shard.name] = (
+                        f"system {system_id} holds more than one sorted run "
+                        "of shards, a layout only an append by an older "
+                        "version of this tool writes; repair cannot rebuild "
+                        "it, but re-importing the reference (`repro store "
+                        "import`) does"
+                    )
                     continue
                 rows = runs.get(system_id, ())
                 if len(rows) < offset + shard.rows:

@@ -9,6 +9,9 @@ orphan column files but never a manifest describing shards that don't
 fully exist.  Re-running the writer over the same directory atomically
 replaces every file, which is what makes a journaled
 ``generate --resume`` into a store byte-identical to an unfaulted run.
+Once the manifest is saved, :func:`sweep_shards` removes every column
+file it does not list, so a finalized store holds exactly its
+manifest's files.
 
 Shard layout — the one contract every write path shares, and what
 keeps tied rows in trace order through the reader's stable sort.  The
@@ -18,12 +21,12 @@ stably sorted on ``(start_time, node_id)``, so tied rows keep the
 order they came in; then consecutive shards of at most ``shard_rows``
 rows.  One :meth:`StoreWriter.append` call is cut as a whole, so every
 row handed in one call — or whole systems handed one call each in
-ascending order — gives the single-pass layout, while a system whose
-rows come in two calls gets two sorted runs of shards, as an append
-gives a grown store.  :func:`write_shards` is the cut and the write
-for the writer and for :func:`~repro.store.federate.append_trace`'s
-staging directory alike; :func:`layout_runs` is the cut without the
-split, from which repair rebuilds a shard's bytes.
+ascending order, as merge and append hand them — gives the single-pass
+layout, while a system whose rows come in two calls gets two sorted
+runs of shards.  :func:`write_shards` is the cut and the write for the
+writer and for :func:`~repro.store.federate.append_trace` alike;
+:func:`layout_runs` is the cut without the split, from which repair
+rebuilds a shard's bytes.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ __all__ = [
     "column_file_name",
     "layout_runs",
     "strip_record_ids",
+    "sweep_shards",
     "write_shards",
 ]
 
@@ -123,8 +127,8 @@ def write_shards(
 ) -> List[ShardInfo]:
     """Cut ``batch`` into shards and write them into ``directory``.
 
-    Shards are named by position from ``first``; each column file is
-    written atomically behind the ``store.column`` fault site.
+    Shards are numbered from ``first``; each column file is written
+    atomically behind the ``store.column`` fault site.
     """
     shards: List[ShardInfo] = []
     for _, rows in layout_runs(batch):
@@ -133,6 +137,24 @@ def write_shards(
             chunk = batch.take(rows[offset:offset + shard_rows])
             shards.append(_write_shard(directory, name, chunk))
     return shards
+
+
+def sweep_shards(root, manifest: Manifest) -> None:
+    """Remove every column file under ``shards/`` that ``manifest``
+    does not list.
+
+    Runs after the manifest is published: until then the previous
+    generation may still list the files, and a crash between the two
+    leaves only unlisted files, which the next sweep removes.
+    """
+    listed = {
+        column_file_name(shard.name, column)
+        for shard in manifest.shards
+        for column in COLUMN_NAMES
+    }
+    for path in (Path(root) / SHARDS_DIR).glob("*.npy"):
+        if path.name not in listed:
+            path.unlink(missing_ok=True)
 
 
 class StoreWriter:
@@ -222,17 +244,8 @@ class StoreWriter:
             systems=self._systems,
             meta=self._meta,
         )
-        # Drop stale shard files from an earlier, differently-sharded
-        # write of this directory before publishing the manifest: a
-        # finalized store contains exactly the files its manifest lists.
-        expected = {
-            column_file_name(shard.name, column)
-            for shard in self._shards
-            for column in COLUMN_NAMES
-        }
-        for path in self.shards_dir.glob("*.npy"):
-            if path.name not in expected:
-                path.unlink()
         manifest.save(self.root / MANIFEST_NAME, site=self._manifest_site)
         self._finalized = True
+        # Files of an earlier, differently-sharded write of this directory.
+        sweep_shards(self.root, manifest)
         return manifest

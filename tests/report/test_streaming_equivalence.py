@@ -6,7 +6,8 @@ report folds its trace into as one chunk.  While every sample holds at
 most :data:`~repro.stats.sketch.EXACT_LIMIT` values — true of the
 whole 22-system trace — all ten sections must be *byte-identical* to
 ``run_paper_report(store.to_trace())``, whatever the chunk size, worker
-count or shard append order.
+count or shard layout, and a store grown by an append answers as the
+one-pass import of the same rows does.
 
 Past the limit, fig6, table2 and fig7 read medians, fits and CDFs off
 the log-bucket histogram; with the limit patched to 0 they must agree
@@ -19,6 +20,7 @@ an honestly-flagged partial report instead of a hang or a crash.
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -31,8 +33,10 @@ from repro.report import run_paper_report, run_store_report
 from repro.report.paper import SECTIONS
 from repro.resilience.deadline import Deadline
 from repro.stats.sketch import LogBucketSketch
-from repro.store import ColumnarStore, store_from_trace
+from repro.store import ColumnarStore, StoreWriter, store_from_trace
+from repro.store.analytics import summarize_store
 from repro.store.federate import append_trace
+from repro.store.reader import DEFAULT_BATCH_ROWS
 from repro.synth import TraceGenerator
 
 EPSILON_SECTIONS = ("fig6", "table2", "fig7")
@@ -51,6 +55,26 @@ def store(tmp_path_factory, full_trace):
     root = tmp_path_factory.mktemp("equivalence") / "store"
     store_from_trace(full_trace, root)
     return ColumnarStore(root)
+
+
+def _two_run_store(root, trace, later) -> None:
+    """Write ``trace`` with the rows ``later`` admits handed to the
+    writer in a second call: the systems they share hold two sorted
+    runs, the layout an append by an older version of this tool left."""
+    writer = StoreWriter(
+        root,
+        systems=trace.systems,
+        data_start=trace.data_start,
+        data_end=trace.data_end,
+        record_ids="explicit",
+    )
+    writer.append(trace.filter(lambda record: not later(record)).columns)
+    writer.append(trace.filter(later).columns)
+    writer.finalize()
+
+
+def _odd20(record) -> bool:
+    return record.system_id == 20 and record.node_id % 2 == 1
 
 
 def _limited(limit):
@@ -238,22 +262,19 @@ class TestDeadlinePartial:
 
 
 class TestInterleavedAppend:
-    """An appended shard holding earlier starts than the store before it.
+    """A later run of shards holding earlier starts than the store
+    before it.
 
-    System 20's odd nodes are appended after every other row, so the
-    scan meets their start times out of time order.
+    System 20's odd nodes are written after every other row, in a
+    second sorted run, so the scan meets their start times out of time
+    order.
     """
 
     @pytest.fixture(scope="class")
     def appended(self, tmp_path_factory):
         trace = TraceGenerator(seed=1).generate([5, 19, 20])
         root = tmp_path_factory.mktemp("interleaved") / "store"
-
-        def odd20(record):
-            return record.system_id == 20 and record.node_id % 2 == 1
-
-        store_from_trace(trace.filter(lambda record: not odd20(record)), root)
-        append_trace(root, trace.filter(odd20))
+        _two_run_store(root, trace, _odd20)
         assert ColumnarStore(root).verify(deep=True) == []
         return root
 
@@ -283,10 +304,10 @@ class TestInterleavedAppend:
 class TestEarliestWorkload:
     """Figure 3(b) takes each node's workload from its earliest row.
 
-    A row appended after the store was written, an hour before compute
-    node 48's first failure and labelled graphics, is the node's
-    earliest but not its first scanned: the node must count as
-    graphics, as it does in the trace.
+    A row in a second run of shards, an hour before compute node 48's
+    first failure and labelled graphics, is the node's earliest but not
+    its first scanned: the node must count as graphics, as it does in
+    the trace.
     """
 
     NODE = 48
@@ -295,7 +316,6 @@ class TestEarliestWorkload:
     def appended(self, tmp_path_factory):
         trace = TraceGenerator(seed=3).generate([20])
         root = tmp_path_factory.mktemp("earliest") / "store"
-        store_from_trace(trace, root)
         first = min(
             record for record in trace.records if record.node_id == self.NODE
         )
@@ -309,8 +329,18 @@ class TestEarliestWorkload:
             root_cause=RootCause.HARDWARE,
             workload=Workload.GRAPHICS,
         )
-        append_trace(root, FailureTrace([row], trace.systems))
-        return ColumnarStore(root)
+        grown = FailureTrace(
+            list(trace.records) + [row],
+            trace.systems,
+            data_start=trace.data_start,
+            data_end=trace.data_end,
+        )
+        _two_run_store(root, grown, lambda record: record == row)
+        store = ColumnarStore(root)
+        assert [shard.rows for shard in store.manifest.shards] == [
+            len(trace), 1
+        ]
+        return store
 
     @pytest.mark.parametrize("kwargs", [{}, {"workers": 2}])
     def test_store_fig3_equals_trace_fig3(self, appended, kwargs):
@@ -318,3 +348,40 @@ class TestEarliestWorkload:
         got = _sections(run_store_report(appended, **kwargs).report)["fig3"]
         assert want.ok
         assert (got.status, got.text) == (want.status, want.text)
+
+
+class TestAppendedEqualsImport:
+    """An append re-cuts every system it touches, so a store grown by
+    one holds the one-pass import's layout at the default
+    ``shard_rows``: its summary and report bodies are the import's byte
+    for byte, scan counters included, at any chunk size and worker
+    count, within ``EXACT_LIMIT`` and past it."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        trace = TraceGenerator(seed=1).generate([5, 19, 20])
+        base = tmp_path_factory.mktemp("appended")
+        store_from_trace(trace, base / "imported")
+        grown = base / "grown"
+        store_from_trace(trace.filter(lambda rec: not _odd20(rec)), grown)
+        append_trace(grown, trace.filter(_odd20))
+        return ColumnarStore(base / "imported"), ColumnarStore(grown)
+
+    @pytest.mark.parametrize("limit", [sketch_module.EXACT_LIMIT, 100])
+    def test_summary_and_report_bytes(self, stores, limit, monkeypatch):
+        monkeypatch.setattr(sketch_module, "EXACT_LIMIT", limit)
+        for batch_rows in (DEFAULT_BATCH_ROWS, 997):
+            want, got = (
+                json.dumps(
+                    summarize_store(store, batch_rows=batch_rows).to_dict(),
+                    sort_keys=True,
+                )
+                for store in stores
+            )
+            assert got == want, batch_rows
+        for kwargs in SCANS:
+            want, got = (
+                json.dumps(run_store_report(store, **kwargs).to_dict())
+                for store in stores
+            )
+            assert got == want, kwargs

@@ -11,6 +11,7 @@ can be checked against the same expectation.
 from __future__ import annotations
 
 import io
+import json
 from pathlib import Path
 from typing import Dict, List
 
@@ -73,4 +74,19 @@ def shard_files(root) -> Dict[str, bytes]:
     return {
         path.name: path.read_bytes()
         for path in sorted((Path(root) / "shards").glob("*.npy"))
+    }
+
+
+def manifest_order_files(root) -> Dict[str, bytes]:
+    """``{file name: bytes}`` of the shards the manifest lists, each
+    file named by its shard's manifest position rather than its shard's
+    name (an append gives new shards names that are not positions)."""
+    root = Path(root)
+    shards = json.loads((root / "manifest.json").read_text())["shards"]
+    return {
+        f"{index:05d}-{name}.npy": (
+            root / "shards" / f"{shard['name']}-{name}.npy"
+        ).read_bytes()
+        for index, shard in enumerate(shards)
+        for name in COLUMN_NAMES
     }

@@ -33,6 +33,7 @@ from repro.store.schema import concat_batches
 from repro.synth import TraceGenerator
 from tests.store.layout_oracle import (
     implicit_ids,
+    manifest_order_files,
     oracle_files,
     oracle_shards,
     shard_files,
@@ -134,18 +135,16 @@ def test_merge_of_two_sources(tmp_path, halves):
 
 
 def test_append_trace(tmp_path, halves):
+    """An append re-cuts each system it touches: the grown store holds,
+    in manifest order, the one-pass layout of both halves, and no other
+    column file."""
     first, second = halves
     root = tmp_path / "st"
     store_from_trace(first, root, shard_rows=SHARD_ROWS)
     append_trace(root, second, shard_rows=SHARD_ROWS)
-    before = oracle_shards(first.columns, SHARD_ROWS)
-    expected = oracle_files(before)
-    expected.update(
-        oracle_files(
-            oracle_shards(second.columns, SHARD_ROWS), first=len(before)
-        )
-    )
-    assert shard_files(root) == expected
+    expected = _expected(concat_batches([first.columns, second.columns]))
+    assert manifest_order_files(root) == expected
+    assert len(shard_files(root)) == len(expected)
     assert verify_store(root, deep=True) == []
 
 
