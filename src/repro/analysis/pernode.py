@@ -29,7 +29,7 @@ __all__ = [
     "NodeCountStudy",
     "node_count_study",
     "node_count_study_from_counts",
-    "earliest_workloads",
+    "node_counts_and_workloads",
 ]
 
 
@@ -122,9 +122,9 @@ def node_count_study(
     # Workload per node: from its records if any, else compute.
     node_workloads = {
         node_id: WORKLOAD_VOCAB[code]
-        for node_id, (_, code) in earliest_workloads(
+        for node_id, (_, code) in node_counts_and_workloads(
             rows["node_id"], rows["start_time"], rows["workload"]
-        ).items()
+        )[1].items()
     }
     counts = failures_per_node(trace, system_id)
     return node_count_study_from_counts(
@@ -140,17 +140,22 @@ def node_count_study(
     )
 
 
-def earliest_workloads(
+def node_counts_and_workloads(
     nodes: np.ndarray, starts: np.ndarray, workloads: np.ndarray
-) -> Dict[int, Tuple[float, int]]:
-    """Each node's ``(start, workload code)`` on its earliest row.
+) -> Tuple[Dict[int, int], Dict[int, Tuple[float, int]]]:
+    """Each node's row count, and its ``(start, workload code)`` on its
+    earliest row.
 
     Among rows that tie on the earliest start, the first one wins.
     """
     order = np.lexsort((starts, nodes))
-    rows = order[np.unique(nodes[order], return_index=True)[1]]
+    ids, first, counts = np.unique(
+        nodes[order], return_index=True, return_counts=True
+    )
+    rows = order[first]
+    ids = ids.tolist()
     pairs = zip(starts[rows].tolist(), workloads[rows].tolist())
-    return dict(zip(nodes[rows].tolist(), pairs))
+    return dict(zip(ids, counts.tolist())), dict(zip(ids, pairs))
 
 
 def node_count_study_from_counts(

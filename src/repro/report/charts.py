@@ -94,7 +94,9 @@ def cdf_plot(
     With ``log_x`` the x-axis is logarithmic, matching the paper's
     interarrival and repair figures.
     """
-    values = np.sort(np.asarray(data, dtype=float))
+    values = np.asarray(data, dtype=float)
+    if not np.all(values[1:] >= values[:-1]):  # sorted data is used as is
+        values = np.sort(values)
     if values.size < 2:
         raise DegenerateSampleError("need at least 2 observations")
     positive = values[values > 0]
@@ -170,7 +172,7 @@ def _render_cdf(
     grid = [[" "] * width for _ in range(height)]
 
     def paint(curve: np.ndarray, symbol: str) -> None:
-        for column, p in enumerate(curve):
+        for column, p in enumerate(curve.tolist()):
             row = height - 1 - int(min(max(p, 0.0), 0.999) * height)
             if grid[row][column] == " ":
                 grid[row][column] = symbol

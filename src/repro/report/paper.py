@@ -359,9 +359,10 @@ def _sample_plot(sample, fits, title: str) -> str:
     """
     models = {fit.name: fit.distribution for fit in fits}
     floor = sample.clamp_epsilon
-    values = sample.values
-    if values is not None:
-        return cdf_plot(np.maximum(values, floor), models, title=title)
+    ordered = sample.ordered
+    if ordered is not None:
+        # The floor is monotone, so the floored copy stays sorted.
+        return cdf_plot(np.maximum(ordered, floor), models, title=title)
     points, weights = sample.histogram.representatives()
     return cdf_plot_weighted(
         np.maximum(points, floor), weights, models, title=title

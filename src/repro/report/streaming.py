@@ -38,6 +38,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from repro.analysis.errors import DegenerateSampleError
 from repro.analysis.outofcore import PaperAccumulator, scan_store
+from repro.analysis.rates import variability_from_rates
 from repro.report.paper import (
     PaperReport,
     _format_figure1,
@@ -103,6 +104,11 @@ class StoreReport:
         }
 
 
+def _figure2_section(accumulator: PaperAccumulator) -> str:
+    rates = accumulator.failure_rates()
+    return _format_figure2(rates, variability_from_rates(rates))
+
+
 def _figure6_section(accumulator: PaperAccumulator) -> str:
     # Check and fit all four panels before plotting any, as the
     # per-panel interarrival studies do, so a figure that fails reports
@@ -159,9 +165,7 @@ def section_builders(
     return {
         "table1": lambda: _format_table1(accumulator.systems),
         "fig1": lambda: _format_figure1(*accumulator.cause_breakdowns()),
-        "fig2": lambda: _format_figure2(
-            accumulator.failure_rates(), accumulator.variability()
-        ),
+        "fig2": lambda: _figure2_section(accumulator),
         "fig3": lambda: _format_figure3(
             accumulator.fig3_system,
             graphics_nodes,

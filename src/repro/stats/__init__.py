@@ -51,7 +51,6 @@ from repro.stats.fitting import (
 )
 from repro.stats.gof import aic, bic, ks_statistic
 from repro.stats.sketch import (
-    GroupedCounts,
     LogBucketSketch,
     MomentSketch,
     QUANTILE_RELATIVE_ERROR,
@@ -98,7 +97,6 @@ __all__ = [
     "hazard_direction",
     "MomentSketch",
     "LogBucketSketch",
-    "GroupedCounts",
     "SampleSketch",
     "QUANTILE_RELATIVE_ERROR",
     "sketch_empirical",

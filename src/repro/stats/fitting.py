@@ -181,6 +181,17 @@ def prepare_positive(
     raise FitError(f"unknown zero_policy {zero_policy!r}")
 
 
+def _clamped_order(ordered: np.ndarray, epsilon: float) -> np.ndarray:
+    """``np.sort(prepare_positive(v, "clamp", epsilon))`` from ``ordered
+    = np.sort(v)`` of a non-negative ``v``: the clamped zeros go after
+    the positive values below ``epsilon``, not where the zeros were."""
+    zeros = int(np.searchsorted(ordered, 0.0, side="right"))
+    below = int(np.searchsorted(ordered, epsilon))
+    return np.concatenate(
+        (ordered[zeros:below], np.full(zeros, epsilon), ordered[below:])
+    )
+
+
 def _make_result(
     distribution: Distribution, values: np.ndarray, ordered: np.ndarray
 ) -> FitResult:
@@ -305,14 +316,17 @@ def _weibull_shape_equation(logs: np.ndarray, mean_log: float, weights=None):
     """
     centered = logs - np.max(logs)
     squares = logs**2
+    # Each evaluation writes into these two, not into new temporaries.
+    shifted = np.empty_like(logs)
+    product = np.empty_like(logs)
 
     def equation(k: float) -> Tuple[float, float]:
-        shifted = np.exp(k * centered)
+        np.exp(np.multiply(k, centered, out=shifted), out=shifted)
         if weights is not None:
-            shifted = weights * shifted
+            np.multiply(weights, shifted, out=shifted)
         s0 = float(np.sum(shifted))
-        s1 = float(np.sum(shifted * logs))
-        s2 = float(np.sum(shifted * squares))
+        s1 = float(np.sum(np.multiply(shifted, logs, out=product)))
+        s2 = float(np.sum(np.multiply(shifted, squares, out=product)))
         g = s1 / s0 - 1.0 / k - mean_log
         g_prime = (s2 * s0 - s1**2) / s0**2 + 1.0 / k**2
         return g, g_prime

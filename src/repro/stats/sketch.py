@@ -16,8 +16,6 @@ Exact vs approximate
   min, max.  Counts/min/max are exact; the float moments use Chan's
   parallel-update formulas, so they equal a single-pass NumPy result
   up to last-ulp summation-order differences.
-* :class:`GroupedCounts` — exact per-key integer counts over small
-  categorical key spaces.
 * :class:`LogBucketSketch` — a fixed-log-bucket histogram reusing the
   ``repro.obs`` metrics convention (edges at ``10**(k/bpd)``),
   generalized from 4 to a configurable number of buckets per decade.
@@ -34,6 +32,14 @@ Exact vs approximate
   passes the limit, or when they are read or merged, chunk by chunk
   in observation order, so they hold the floats an eager build would.
 
+The sorted copy: :attr:`SampleSketch.ordered` is sorted on its first
+read and kept until the sketch next observes or merges, so a fit's KS
+statistics and the CDF plot share one sort.  It is at most one more
+array the size of the held values (2 MiB at :data:`EXACT_LIMIT`), and
+none past the limit.  A summary sorts for itself and keeps nothing, so
+a sample that is only summarized (Table 2's per-cause repairs, Figure
+7's per-system ones) never holds a second copy.
+
 All sketches are plain-attribute objects, picklable across the
 ``supervised_map`` process boundary.
 """
@@ -41,7 +47,7 @@ All sketches are plain-attribute objects, picklable across the
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +58,6 @@ __all__ = [
     "QUANTILE_RELATIVE_ERROR",
     "MomentSketch",
     "LogBucketSketch",
-    "GroupedCounts",
     "SampleSketch",
     "HeldValues",
     "EXACT_LIMIT",
@@ -82,8 +87,6 @@ QUANTILE_RELATIVE_ERROR = 10.0 ** (1.0 / (2.0 * BUCKETS_PER_DECADE)) - 1.0
 EXACT_LIMIT = 1 << 18
 
 _EDGES_CACHE: Dict[int, np.ndarray] = {}
-
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _bucket_edges(buckets_per_decade: int) -> np.ndarray:
@@ -312,72 +315,6 @@ class LogBucketSketch:
         )
 
 
-def _row_keys(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """One int64 per row that sorts as the row's key tuple does.
-
-    Each column is offset to start at 0 and the columns are combined in
-    mixed radix.  When their value ranges are too wide for an int64,
-    each column is first replaced by its rank among its distinct
-    values, which keeps the order and needs no more values than rows.
-    """
-    lows = [int(column.min()) for column in columns]
-    spans = [int(column.max()) - low + 1 for column, low in zip(columns, lows)]
-    if math.prod(spans) > _INT64_MAX:
-        columns = [
-            np.unique(column, return_inverse=True)[1].astype(np.int64)
-            for column in columns
-        ]
-        lows = [0] * len(columns)
-        spans = [int(column.max()) + 1 for column in columns]
-    keys = columns[0] - lows[0]
-    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-        keys = keys * span + (column - low)
-    return keys
-
-
-class GroupedCounts:
-    """Exact mergeable integer counts per (small-cardinality) key.
-
-    Keys are ints or tuples of ints — system ids, cause codes,
-    ``(system, cause)`` pairs, node ids.  Updates are vectorized via
-    ``np.unique`` over one int64 key per row; a chunk's new keys are
-    added in sorted order, and merging adds per key.
-    """
-
-    __slots__ = ("counts",)
-
-    def __init__(self) -> None:
-        self.counts: Dict[tuple, int] = {}
-
-    def observe(self, *key_columns: np.ndarray) -> None:
-        """Count one row per position across the given key columns."""
-        if not key_columns:
-            raise ValueError("need at least one key column")
-        columns = [np.asarray(column, dtype=np.int64) for column in key_columns]
-        if columns[0].size == 0:
-            return
-        _, first, counts = np.unique(
-            _row_keys(columns), return_index=True, return_counts=True
-        )
-        for row, count in zip(first.tolist(), counts.tolist()):
-            key = tuple(int(column[row]) for column in columns)
-            self.counts[key] = self.counts.get(key, 0) + count
-
-    def merge(self, other: "GroupedCounts") -> None:
-        for key, count in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + count
-
-    def get(self, *key: int) -> int:
-        """The count for a key (0 when never observed)."""
-        return self.counts.get(tuple(int(part) for part in key), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"GroupedCounts({len(self.counts)} keys)"
-
-
 class HeldValues:
     """A stream's values in observation order, kept up to the limit.
 
@@ -458,7 +395,8 @@ class SampleSketch:
     """
 
     __slots__ = ("clamp_epsilon", "nonpositive", "_raw", "_clamped",
-                 "_log_clamped", "_histogram", "_held", "_pending")
+                 "_log_clamped", "_histogram", "_held", "_pending",
+                 "_ordered")
 
     def __init__(
         self,
@@ -478,6 +416,7 @@ class SampleSketch:
         self._held = HeldValues()
         #: Sizes of the last kept chunks, in order, not yet summarized.
         self._pending: List[int] = []
+        self._ordered: Optional[np.ndarray] = None
 
     @property
     def raw(self) -> MomentSketch:
@@ -510,6 +449,16 @@ class SampleSketch:
         return self._held.values
 
     @property
+    def ordered(self) -> Optional[np.ndarray]:
+        """The held values in ascending order (``None`` past the
+        limit), kept until the sketch next observes or merges."""
+        if self._ordered is None:
+            values = self.values
+            if values is not None:
+                self._ordered = np.sort(values)
+        return self._ordered
+
+    @property
     def exact(self) -> bool:
         """True while the sketch holds every value it observed."""
         return self._held.held
@@ -530,8 +479,13 @@ class SampleSketch:
             raise ValueError("sample sketch requires non-negative values")
         if not np.all(np.isfinite(values)):
             raise ValueError("sketch observed non-finite values")
+        self._add(values)
+
+    def _add(self, values: np.ndarray) -> None:
+        """:meth:`observe` of a non-empty float chunk already checked."""
         self.nonpositive += int(np.count_nonzero(values <= 0))
         self._pending.append(values.size)
+        self._ordered = None
         self._summarize(self._held.add(values))
 
     def _summarize_pending(self) -> None:
@@ -569,6 +523,7 @@ class SampleSketch:
         self.clamped.merge(other.clamped)
         self.log_clamped.merge(other.log_clamped)
         self.histogram.merge(other.histogram)
+        self._ordered = None
         self._held.extend(other._held)
 
     def copy(self) -> "SampleSketch":

@@ -27,7 +27,6 @@ from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.errors import DegenerateSampleError
 from repro.stats.fitting import fit_all
 from repro.stats.sketch import (
-    GroupedCounts,
     HeldValues,
     LogBucketSketch,
     MomentSketch,
@@ -43,7 +42,6 @@ nonnegative = st.floats(
 )
 samples = st.lists(finite, min_size=0, max_size=60)
 nonneg_samples = st.lists(nonnegative, min_size=0, max_size=60)
-keys = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=60)
 
 
 def _split(values, fraction):
@@ -160,33 +158,6 @@ class TestLogBucketSketch:
             sketch.merge(LogBucketSketch(buckets_per_decade=8))
 
 
-class TestGroupedCounts:
-    @settings(max_examples=100, deadline=None)
-    @given(systems=keys, causes=keys, fraction=st.floats(0.0, 1.0))
-    def test_merge_equals_single_pass(self, systems, causes, fraction):
-        n = min(len(systems), len(causes))
-        systems, causes = systems[:n], causes[:n]
-        cut = int(n * fraction)
-        a = GroupedCounts()
-        a.observe(np.asarray(systems[:cut]), np.asarray(causes[:cut]))
-        b = GroupedCounts()
-        b.observe(np.asarray(systems[cut:]), np.asarray(causes[cut:]))
-        a.merge(b)
-        whole = GroupedCounts()
-        whole.observe(np.asarray(systems), np.asarray(causes))
-        assert a.counts == whole.counts
-        assert a.total() == n
-
-    @settings(max_examples=50, deadline=None)
-    @given(systems=keys)
-    def test_empty_merge_is_identity(self, systems):
-        a = GroupedCounts()
-        a.observe(np.asarray(systems))
-        before = dict(a.counts)
-        a.merge(GroupedCounts())
-        assert a.counts == before
-
-
 class TestSampleSketch:
     @settings(max_examples=100, deadline=None)
     @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
@@ -235,24 +206,6 @@ class TestSampleSketch:
         assert np.array_equal(clone.values, sketch.values)
 
 
-class TestGroupedKeys:
-    def test_new_keys_arrive_in_sorted_order(self):
-        counts = GroupedCounts()
-        counts.observe(np.asarray([3, 1, 3, 2]), np.asarray([0, 5, -1, 5]))
-        counts.observe(np.asarray([0, 1]), np.asarray([0, 5]))
-        assert list(counts.counts.items()) == [
-            ((1, 5), 2), ((2, 5), 1), ((3, -1), 1), ((3, 0), 1), ((0, 0), 1),
-        ]
-
-    def test_keys_spanning_the_int64_range(self):
-        big = np.iinfo(np.int64).max
-        systems = np.asarray([big, -big, big, 0])
-        causes = np.asarray([1, 2, 1, -big])
-        counts = GroupedCounts()
-        counts.observe(systems, causes)
-        assert counts.counts == {(-big, 2): 1, (0, -big): 1, (big, 1): 2}
-
-
 class TestExactSample:
     """Within EXACT_LIMIT a sample sketch holds its values and its
     readers are the array functions; past it they fall back."""
@@ -296,6 +249,32 @@ class TestExactSample:
             float(np.median(np.append(values, 1.0))),
             rel=sketch.histogram.relative_error * 2,
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.sampled_from((0.0, 0.01, 0.05, 0.1, 0.25)) | st.floats(0.0, 50.0),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_fits_take_the_clamped_order_from_the_sorted_copy(self, values):
+        # Positive values below the clamp epsilon sort before the
+        # clamped zeros: the fits' order is not the sorted copy floored.
+        values = np.asarray(values)
+        sketch = SampleSketch(clamp_epsilon=0.1)
+        sketch.observe(values)
+
+        def outcome(fit):
+            try:
+                return repr(fit())
+            except ValueError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        assert outcome(lambda: sketch_fit_all(sketch)) == outcome(
+            lambda: fit_all(values, zero_policy="clamp", epsilon=0.1)
+        )
+        assert np.array_equal(sketch.ordered, np.sort(values))
 
 
 def _fields(moments, histogram) -> tuple:
