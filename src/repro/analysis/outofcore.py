@@ -1,17 +1,17 @@
-"""Out-of-core paper analysis: one streaming pass, mergeable state.
+"""Out-of-core paper analysis: one streaming pass, bounded state.
 
-:func:`scan_store` is the one scan loop over a store, serial or
-parallel, with deadlines.  It folds the rows a predicate admits into
-:class:`FoldCore` — the row count, failures and downtime per (system,
-cause), repair-time total/min/max and the start-time range, of which
-:func:`~repro.store.analytics.summarize_store` is a projection — or
-into :class:`PaperAccumulator`, that core plus everything else the
-paper report needs: per-node counts and earliest workloads for
-system 20 (Figure 3), monthly lifecycle grids (Figure 4), hour/weekday
-bins (Figure 5), interarrival-gap segments for the node/system x
-early/late panels (Figure 6), and repair-time sample sketches per
-cause and per system (Table 2, Figure 7).  Peak memory is one chunk
-plus this fixed state, independent of the trace size.
+:func:`scan_store` is the one scan loop over a store, with deadlines.
+It folds the rows a predicate admits, chunk by chunk in the calling
+process, into :class:`FoldCore` — the row count, failures and downtime
+per (system, cause), repair-time total/min/max and the start-time
+range, of which :func:`~repro.store.analytics.summarize_store` is a
+projection — or into :class:`PaperAccumulator`, that core plus
+everything else the paper report needs: per-node counts and earliest
+workloads for system 20 (Figure 3), monthly lifecycle grids (Figure
+4), hour/weekday bins (Figure 5), interarrival-gap segments for the
+node/system x early/late panels (Figure 6), and repair-time sample
+sketches per cause and per system (Table 2, Figure 7).  Peak memory is
+one chunk plus this fixed state, independent of the trace size.
 
 The accumulator is the only implementation of the paper report:
 :func:`~repro.report.paper.run_paper_report` folds an in-memory trace
@@ -29,19 +29,13 @@ samples and the Figure 6 start times are kept whole while each holds
 at most :data:`~repro.stats.sketch.EXACT_LIMIT` values, so medians,
 fits and CDF plots come from the exact sample and every section
 renders byte-identical to the in-memory fold.  Float sums (downtime,
-the repair total, and the means of the kept samples) follow
-chunk/merge order, agreeing with a one-chunk fold to last-ulp
-rounding.  Past the limit a sample falls back to its moments and
-log-bucket histogram, whose quantiles carry the pinned relative-error
-bound (:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR`), and
+the repair total, and the means of the kept samples) follow chunk
+order, agreeing with a one-chunk fold to last-ulp rounding.  Past the
+limit a sample falls back to its moments and log-bucket histogram,
+whose quantiles carry the pinned relative-error bound
+(:data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR`), and
 :meth:`PaperAccumulator.approximate_sections` names the sections that
 read one.
-
-Two folds over *adjacent* row ranges combine with ``merge_ordered`` —
-order matters only for the boundary interarrival gaps and for ties
-between earliest workloads (left wins), which is why the parallel scan
-hands each worker a contiguous slice of the manifest and folds results
-back in manifest order.
 """
 
 from __future__ import annotations
@@ -77,11 +71,9 @@ from repro.records.codes import CAUSE_CODE, CAUSE_VOCAB, WORKLOAD_VOCAB
 from repro.records.record import HIGH_LEVEL_CAUSES, RootCause, Workload
 from repro.records.timeutils import SECONDS_PER_MONTH, from_datetime
 from repro.resilience.deadline import Deadline, DeadlineExceeded
-from repro.resilience.report import RunReport
-from repro.resilience.supervisor import supervised_map
 from repro.stats.sketch import HeldValues, SampleSketch
 from repro.stats.streamfit import sketch_empirical
-from repro.store.manifest import Predicate, StoreError
+from repro.store.manifest import Predicate
 from repro.store.reader import DEFAULT_BATCH_ROWS, ColumnarStore
 
 __all__ = [
@@ -154,9 +146,8 @@ class FoldCore:
     Holds the row count; failures and downtime seconds per system,
     indexed by cause code (:attr:`counts`, :attr:`downtime`); the
     repair-seconds total, minimum and maximum; and the start-time
-    range.  Build with :meth:`from_store`, feed chunks to
-    :meth:`observe`, and combine folds over adjacent row ranges with
-    :meth:`merge_ordered`.
+    range.  Build with :meth:`from_store` and feed chunks to
+    :meth:`observe`.
     """
 
     #: Columns :meth:`observe` reads.
@@ -222,17 +213,6 @@ class FoldCore:
             self.counts[system_id] = counts.copy()
             self.downtime[system_id] = downtime.copy()
 
-    def merge_ordered(self, other: "FoldCore") -> None:
-        """Fold in a fold over strictly *later* rows."""
-        self.rows += other.rows
-        self.repair_total += other.repair_total
-        self.repair_min = min(self.repair_min, other.repair_min)
-        self.repair_max = max(self.repair_max, other.repair_max)
-        self.start_min = min(self.start_min, other.start_min)
-        self.start_max = max(self.start_max, other.start_max)
-        for system_id, counts in other.counts.items():
-            self._add_system(system_id, counts, other.downtime[system_id])
-
     def failures_by_system(self) -> Dict[int, int]:
         """Failures per system seen, in system order."""
         return {
@@ -265,13 +245,12 @@ class GapSegment:
     and :meth:`gaps` differences them after a sort, so rows may arrive
     in any order (an appended shard can hold earlier starts).  Past the
     limit it sketches each consecutive gap as it goes, including the
-    gaps that straddle chunk and — via :meth:`merge_after` — worker
-    boundaries; that needs the starts in time order, and one earlier
-    than the start before it makes :meth:`gaps` raise.
+    gaps that straddle chunk boundaries; that needs the starts in time
+    order, and one earlier than the start before it makes :meth:`gaps`
+    raise.
     """
 
     def __init__(self) -> None:
-        self.first: Optional[float] = None
         self.last: Optional[float] = None
         self.ordered = True
         self._starts = HeldValues()
@@ -297,7 +276,6 @@ class GapSegment:
         """Sketch the gaps of starts no longer kept, in row order."""
         for starts in chunks:
             if self.last is None:
-                self.first = float(starts[0])
                 gaps = np.diff(starts)
             else:
                 gaps = np.diff(starts, prepend=self.last)
@@ -306,17 +284,6 @@ class GapSegment:
                 self._gaps.observe(gaps)
             else:
                 self.ordered = False
-
-    def merge_after(self, other: "GapSegment") -> None:
-        """Append a segment covering strictly later rows."""
-        self._stream(self._starts.extend(other._starts))
-        if other._starts.held:
-            return
-        self._stream([np.asarray([other.first])])
-        self.ordered = self.ordered and other.ordered
-        if self.ordered:
-            self._gaps.merge(other._gaps)
-        self.last = other.last
 
     def gaps(self) -> SampleSketch:
         """The sketch of every gap between consecutive starts.
@@ -362,13 +329,9 @@ class _LifecycleState:
             return
         self.grid += month_cause_counts(starts, causes, self.origin, self.months)
 
-    def merge(self, other: "_LifecycleState") -> None:
-        self.grid += other.grid
-        self.min_start = min(self.min_start, other.min_start)
-
 
 class PaperAccumulator(FoldCore):
-    """Mergeable bounded-memory state for the full paper report.
+    """Bounded-memory state for the full paper report.
 
     The report-only state on top of :class:`FoldCore`.  Build with
     :meth:`from_store` (or from a trace's inventory and window), feed
@@ -506,42 +469,6 @@ class PaperAccumulator(FoldCore):
             held = self.node_workloads.get(node_id)
             if held is None or start < held[0]:
                 self.node_workloads[node_id] = (start, code)
-
-    def merge_ordered(self, other: "PaperAccumulator") -> None:
-        """Fold in an accumulator covering strictly *later* rows.
-
-        The order-sensitive state — earliest workloads (left wins ties)
-        and the interarrival gap that straddles the boundary — assumes
-        ``other`` scanned a later contiguous slice of the manifest.
-        """
-        if (
-            other.data_start != self.data_start
-            or other.data_end != self.data_end
-            or other.era_boundary != self.era_boundary
-        ):
-            raise ValueError(
-                "cannot merge accumulators configured over different "
-                "data windows or era boundaries"
-            )
-        super().merge_ordered(other)
-        self.hourly += other.hourly
-        self.weekday += other.weekday
-        self.repairs.merge(other.repairs)
-        for sketches, theirs in (
-            (self.repair_by_cause, other.repair_by_cause),
-            (self.repair_by_system, other.repair_by_system),
-        ):
-            for key, sketch in theirs.items():
-                if key in sketches:
-                    sketches[key].merge(sketch)
-                else:
-                    sketches[key] = sketch.copy()
-        self.node_counts.update(other.node_counts)
-        self._keep_earliest(other.node_workloads)
-        for system_id, state in self.lifecycle.items():
-            state.merge(other.lifecycle[system_id])
-        for segment, theirs in zip(self.gap_segments, other.gap_segments):
-            segment.merge_after(theirs)
 
     # ------------------------------------------------------------------
     # Finishers: exact analysis objects from the streamed state
@@ -734,80 +661,6 @@ class PaperAccumulator(FoldCore):
         )
 
 
-def _fold_chunks(
-    store, accumulator, predicate, batch_rows, deadline=None, shards=None
-):
-    """Feed every chunk ``store`` yields to ``accumulator``; return it."""
-    for chunk in store.iter_batches(
-        columns=accumulator.COLUMNS,
-        predicate=predicate,
-        batch_rows=batch_rows,
-        deadline=deadline,
-        shards=shards,
-    ):
-        accumulator.observe(chunk)
-    return accumulator
-
-
-def _scan_shard_group(payload) -> FoldCore:
-    """Worker task: fold one contiguous manifest slice (picklable).
-
-    The slice is positions in the planner's manifest.  An append since
-    the plan may have published a generation whose positions hold other
-    shards, so a worker that opens any other manifest refuses to fold.
-    """
-    root, manifest, shards, fold, predicate, batch_rows = payload
-    store = ColumnarStore(root, on_damage="raise")
-    if store.manifest != manifest:
-        raise StoreError(
-            f"{root}: the store's manifest changed during a parallel scan"
-        )
-    return _fold_chunks(
-        store, fold.from_store(store), predicate, batch_rows, shards=shards
-    )
-
-
-def _scan_parallel(store, accumulator, predicate, workers, batch_rows) -> None:
-    """Fold the admitted healthy shards in contiguous manifest slices,
-    one supervised worker each, and merge them back in manifest order."""
-    healthy = store._healthy(store._admitted(predicate))
-    if not healthy:
-        return
-    position = {
-        shard.name: index for index, shard in enumerate(store.manifest.shards)
-    }
-    indices = np.asarray([position[shard.name] for shard in healthy])
-    groups = [
-        [int(i) for i in group]
-        for group in np.array_split(indices, min(int(workers), len(healthy)))
-        if group.size
-    ]
-    keys = [f"group-{index}" for index in range(len(groups))]
-    fold = type(accumulator)
-    root, manifest = str(store.root), store.manifest
-    report = RunReport()
-    results = supervised_map(
-        _scan_shard_group,
-        [
-            (root, manifest, group, fold, predicate, batch_rows)
-            for group in groups
-        ],
-        workers=len(groups),
-        keys=keys,
-        report=report,
-    )
-    for key, group in zip(keys, groups):
-        part = results[key]
-        if part is None:
-            names = ", ".join(store.manifest.shards[i].name for i in group)
-            attempts = report.shards[key].attempts
-            raise StoreError(
-                f"parallel store scan failed for shard(s) {names} after "
-                f"{len(attempts)} attempt(s): {attempts[-1].error}"
-            )
-        accumulator.merge_ordered(part)
-
-
 def scan_store(
     store: ColumnarStore,
     fold: Type[FoldCore],
@@ -815,21 +668,16 @@ def scan_store(
     predicate: Optional[Predicate] = None,
     deadline: Optional[Deadline] = None,
     on_deadline: str = "raise",
-    workers: Optional[int] = None,
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> Tuple[FoldCore, Optional[dict]]:
     """Fold the rows of ``store`` that ``predicate`` admits into a new
     ``fold``; returns ``(fold, partial)``.
 
-    The one scan loop of the store's analytics.  It resets the handle's
-    scan counters first, so they count exactly this pass.  ``workers >
-    1`` (without a deadline) folds contiguous manifest slices of the
-    healthy admitted shards in supervised worker processes
-    (:func:`~repro.resilience.supervisor.supervised_map`) and merges
-    the partial folds back in manifest order; a single slice runs in
-    process, with no pool.  A deadline forces the
-    serial path, which checks the budget at chunk boundaries: with
-    ``on_deadline="raise"`` a blown budget propagates as
+    The one scan loop of the store's analytics: every admitted chunk is
+    folded in the calling process, in manifest order.  It resets the
+    handle's scan counters first, so they count exactly this pass.  A
+    deadline is checked at chunk boundaries: with ``on_deadline="raise"``
+    a blown budget propagates as
     :class:`~repro.resilience.deadline.DeadlineExceeded`; with
     ``"partial"`` the scan stops and the second element describes the
     truncation — a partial answer, never a hang.
@@ -841,13 +689,15 @@ def scan_store(
     store.reset_scan_stats()
     accumulator = fold.from_store(store)
     partial: Optional[dict] = None
-    parallel = workers is not None and workers > 1 and deadline is None
-    with obs.span("store.scan", fold=fold.__name__, parallel=parallel):
+    with obs.span("store.scan", fold=fold.__name__):
         try:
-            if parallel:
-                _scan_parallel(store, accumulator, predicate, workers, batch_rows)
-            else:
-                _fold_chunks(store, accumulator, predicate, batch_rows, deadline)
+            for chunk in store.iter_batches(
+                columns=accumulator.COLUMNS,
+                predicate=predicate,
+                batch_rows=batch_rows,
+                deadline=deadline,
+            ):
+                accumulator.observe(chunk)
         except DeadlineExceeded:
             if on_deadline == "raise":
                 raise

@@ -17,7 +17,6 @@
     python -m repro store append runs/big-store extra.csv
     python -m repro store merge runs/merged runs/store-a runs/store-b
     python -m repro report runs/big-store
-    python -m repro report runs/big-store --artifact fig6 --workers 4
     python -m repro report trace.csv --artifact fig6
     python -m repro report --synthetic --artifact all
     python -m repro store analyze runs/big-store --full
@@ -177,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="ARTIFACT",
                 help="which table/figure to render: %(choices)s "
                      "(default: all)",
-            )
-            command.add_argument(
-                "--workers", type=int, default=None, metavar="N",
-                help="store directories only: scan shards with N "
-                     "supervised worker processes (default serial)",
             )
             command.add_argument(
                 "--batch-rows", type=int, default=None, metavar="ROWS",
@@ -478,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--full", action="store_true",
         help="render the full paper report out-of-core (streaming "
              "sketches, bounded memory) instead of the summary",
-    )
-    store_analyze.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="with --full: scan shards with N supervised worker "
-             "processes (default serial)",
     )
 
     store_export = store_sub.add_parser(
@@ -796,7 +785,7 @@ def _command_generate(args: argparse.Namespace) -> int:
 def _report_from_store(args: argparse.Namespace) -> int:
     """``repro report <store-dir>``: the out-of-core streaming path.
 
-    Renders straight from the columnar store through mergeable sketches
+    Renders straight from the columnar store through streaming sketches
     — no trace is materialized, so peak memory stays bounded by one
     read chunk regardless of store size.
     """
@@ -810,7 +799,7 @@ def _report_from_store(args: argparse.Namespace) -> int:
     batch_rows = (
         DEFAULT_BATCH_ROWS if args.batch_rows is None else args.batch_rows
     )
-    result = run_store_report(store, workers=args.workers, batch_rows=batch_rows)
+    result = run_store_report(store, batch_rows=batch_rows)
     if result.degraded is not None:
         print(
             f"warning: degraded read: skipped "
@@ -1297,9 +1286,7 @@ def _command_store(args: argparse.Namespace) -> int:
                     "error: --full renders the whole-store report and "
                     "does not compose with --since/--until/--systems"
                 )
-            result = run_store_report(
-                store, workers=args.workers, batch_rows=batch_rows
-            )
+            result = run_store_report(store, batch_rows=batch_rows)
             if args.json:
                 print(_json.dumps(
                     result.to_dict(), indent=2, sort_keys=True

@@ -547,7 +547,7 @@ def run_paper_report(trace: FailureTrace, degraded_read=None) -> PaperReport:
     cannot cope is a data gap, not a report bug.
 
     A store's report without materializing the trace — one
-    bounded-memory streaming pass through mergeable sketches — is
+    bounded-memory streaming pass through sketches — is
     :func:`repro.report.streaming.run_store_report`.
     """
     accumulator, builders = _fold(trace)

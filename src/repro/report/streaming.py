@@ -6,10 +6,8 @@ formatters of :mod:`repro.report.paper`.  Two entry points fill the
 accumulator:
 
 * :func:`run_store_report` — one bounded-memory streaming pass over
-  :meth:`~repro.store.reader.ColumnarStore.iter_batches` (optionally
-  sharded across supervised worker processes and merged
-  associatively); no :class:`~repro.records.trace.FailureTrace` is
-  ever materialized.
+  :meth:`~repro.store.reader.ColumnarStore.iter_batches`, in process;
+  no :class:`~repro.records.trace.FailureTrace` is ever materialized.
 * :func:`~repro.report.paper.run_paper_report` — an in-memory trace,
   folded as one chunk.
 
@@ -17,9 +15,9 @@ Both entry points fold the same rows into the same state, so a store's
 report equals ``run_paper_report(store.to_trace())``: all ten sections
 are byte-identical while every repair sample (overall, per cause, per
 system) and every Figure 6 panel holds at most
-:data:`~repro.stats.sketch.EXACT_LIMIT` values, in any chunking or
-worker count, and Figure 6 in any row order.  Past the limit both entry points read medians,
-fits and CDFs off the log-bucket histogram, within
+:data:`~repro.stats.sketch.EXACT_LIMIT` values, in any chunking, and
+Figure 6 in any row order.  Past the limit both entry points read
+medians, fits and CDFs off the log-bucket histogram, within
 :data:`~repro.stats.sketch.QUANTILE_RELATIVE_ERROR` of the exact ones,
 and mark the section ``approximate``; Figure 6 then needs its starts in
 time order.  Float sums (Figure 1's downtime, the means) follow chunk
@@ -187,13 +185,12 @@ def run_store_report(
     *,
     deadline: Optional[Deadline] = None,
     on_deadline: str = "raise",
-    workers: Optional[int] = None,
     batch_rows: int = DEFAULT_BATCH_ROWS,
 ) -> StoreReport:
     """Render the whole paper report out-of-core from ``store``.
 
     One streaming scan (see :func:`repro.analysis.outofcore.scan_store`
-    for the serial/parallel/deadline semantics), then per-section
+    for the deadline semantics), then per-section
     rendering through :func:`~repro.report.paper.run_sections`, the
     same error isolation as :func:`~repro.report.paper.run_paper_report`:
     a :class:`DegenerateSampleError` degrades the section, anything else
@@ -206,7 +203,6 @@ def run_store_report(
         PaperAccumulator,
         deadline=deadline,
         on_deadline=on_deadline,
-        workers=workers,
         batch_rows=batch_rows,
     )
     degraded_read = bool(store.degraded)

@@ -17,9 +17,9 @@ special functions (``gammaln``, ``digamma``, ``erf`` and inverses):
 * :mod:`~repro.stats.hazard` — the hazard direction of a fitted
   distribution (the decreasing-hazard finding is one of the paper's
   headline results).
-* :mod:`~repro.stats.sketch` — mergeable bounded-memory accumulators
-  (moments, log-bucket quantile histogram, grouped counts/sums, and
-  samples kept exactly up to a fixed size) for out-of-core analysis.
+* :mod:`~repro.stats.sketch` — bounded-memory accumulators (moments,
+  log-bucket quantile histogram, and samples kept exactly up to a
+  fixed size) for out-of-core analysis.
 * :mod:`~repro.stats.streamfit` — the same MLE fits computed from
   sketches instead of materialized samples.
 """

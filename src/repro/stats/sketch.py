@@ -1,24 +1,24 @@
-"""Mergeable, bounded-memory statistics ("sketches").
+"""Bounded-memory statistics ("sketches").
 
 The full paper report needs means, C², medians, ECDFs, per-key counts
 and per-month rates over traces that never fit in memory.  Each class
 here is an *accumulator*: it observes column chunks (NumPy arrays, as
 yielded by :meth:`repro.store.reader.ColumnarStore.iter_batches`) in
-O(chunk) time and bounded state, and any two accumulators over
-disjoint row sets **merge associatively** into the accumulator over
-their union.  That single property is what makes the out-of-core
-report work: shards are scanned independently (serially or via
-``supervised_map``) and their sketches folded together.
+O(chunk) time and bounded state.  One law makes the out-of-core report
+work: observing a sample's chunks in order equals observing their
+concatenation once, whatever the chunk sizes — exactly for counts,
+extrema, histograms and held values, and to float summation order for
+the moments.
 
 Exact vs approximate
 --------------------
 * :class:`MomentSketch` — count, sum, mean, M2 (population variance),
   min, max.  Counts/min/max are exact; the float moments use Chan's
-  parallel-update formulas, so they equal a single-pass NumPy result
-  up to last-ulp summation-order differences.
+  parallel-update formulas chunk by chunk, so they equal a single-pass
+  NumPy result up to last-ulp summation-order differences.
 * :class:`LogBucketSketch` — a fixed-log-bucket histogram reusing the
-  ``repro.obs`` metrics convention (edges at ``10**(k/bpd)``),
-  generalized from 4 to a configurable number of buckets per decade.
+  ``repro.obs`` metrics convention (edges at ``10**(k/bpd)``), at
+  :data:`BUCKETS_PER_DECADE` buckets per decade instead of 4.
   Quantiles read from it carry a *pinned* relative error bound,
   :data:`QUANTILE_RELATIVE_ERROR` — the half-bucket geometric width.
 * :class:`SampleSketch` — the composite a duration study needs: raw
@@ -29,25 +29,22 @@ Exact vs approximate
   (:mod:`repro.stats.streamfit`, the report's CDF plots) use that
   exact sample; past the limit it drops them and the readers fall back
   to the moments and the histogram.  It builds those only once it
-  passes the limit, or when they are read or merged, chunk by chunk
-  in observation order, so they hold the floats an eager build would.
+  passes the limit, or when they are read, chunk by chunk in
+  observation order, so they hold the floats an eager build would.
 
 The sorted copy: :attr:`SampleSketch.ordered` is sorted on its first
-read and kept until the sketch next observes or merges, so a fit's KS
+read and kept until the sketch next observes, so a fit's KS
 statistics and the CDF plot share one sort.  It is at most one more
 array the size of the held values (2 MiB at :data:`EXACT_LIMIT`), and
 none past the limit.  A summary sorts for itself and keeps nothing, so
 a sample that is only summarized (Table 2's per-cause repairs, Figure
 7's per-system ones) never holds a second copy.
-
-All sketches are plain-attribute objects, picklable across the
-``supervised_map`` process boundary.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,20 +60,20 @@ __all__ = [
     "EXACT_LIMIT",
 ]
 
-#: Default bucket resolution of :class:`LogBucketSketch`.  The obs
-#: metrics histograms use 4 buckets per decade; quantile reads need
-#: finer resolution, so the sketch defaults to 64 (a ~1.8% relative
-#: error bound) while keeping the same edge convention.
+#: Bucket resolution of :class:`LogBucketSketch`.  The obs metrics
+#: histograms use 4 buckets per decade; quantile reads need finer
+#: resolution, so the sketch uses 64 (a ~1.8% relative error bound)
+#: while keeping the same edge convention.
 BUCKETS_PER_DECADE = 64
 
-#: Decade span of the default bucket grid: 1e-6 .. 1e9 covers
+#: Decade span of the bucket grid: 1e-6 .. 1e9 covers
 #: sub-second interarrivals through multi-decade spans of seconds.
 _MIN_DECADE = -6
 _MAX_DECADE = 9
 
-#: Pinned relative error of a quantile read from the default sketch:
-#: a value is off by at most half a bucket geometrically, i.e. a
-#: factor of ``10**(1/(2*bpd))``.
+#: Pinned relative error of a quantile read from the sketch: a value is
+#: off by at most half a bucket geometrically, i.e. a factor of
+#: ``10**(1/(2*bpd))``.
 QUANTILE_RELATIVE_ERROR = 10.0 ** (1.0 / (2.0 * BUCKETS_PER_DECADE)) - 1.0
 
 #: Largest count at which a :class:`HeldValues` keeps the values it was
@@ -86,36 +83,28 @@ QUANTILE_RELATIVE_ERROR = 10.0 ** (1.0 / (2.0 * BUCKETS_PER_DECADE)) - 1.0
 #: one too.
 EXACT_LIMIT = 1 << 18
 
-_EDGES_CACHE: Dict[int, np.ndarray] = {}
-
-
-def _bucket_edges(buckets_per_decade: int) -> np.ndarray:
-    """Bucket edges ``10**(k/bpd)``, mirroring ``repro.obs.registry``.
-
-    The metrics registry uses ``[10.0 ** (k / 4.0) for k in
-    range(-24, 37)]``; this is the same grid at configurable
-    resolution and a wider decade span.
-    """
-    edges = _EDGES_CACHE.get(buckets_per_decade)
-    if edges is None:
-        exponents = np.arange(
-            _MIN_DECADE * buckets_per_decade,
-            _MAX_DECADE * buckets_per_decade + 1,
-            dtype=float,
-        )
-        edges = 10.0 ** (exponents / buckets_per_decade)
-        edges.flags.writeable = False
-        _EDGES_CACHE[buckets_per_decade] = edges
-    return edges
+#: Bucket edges ``10**(k/bpd)`` (read-only), mirroring
+#: ``repro.obs.registry``: the metrics registry uses ``[10.0 ** (k /
+#: 4.0) for k in range(-24, 37)]``, and this is the same grid at
+#: :data:`BUCKETS_PER_DECADE` and a wider decade span.
+_EDGES = 10.0 ** (
+    np.arange(
+        _MIN_DECADE * BUCKETS_PER_DECADE,
+        _MAX_DECADE * BUCKETS_PER_DECADE + 1,
+        dtype=float,
+    )
+    / BUCKETS_PER_DECADE
+)
+_EDGES.flags.writeable = False
 
 
 class MomentSketch:
-    """Mergeable count / sum / mean / M2 / min / max accumulator.
+    """Count / sum / mean / M2 / min / max accumulator.
 
     Means and variances follow the package-wide population (``ddof=0``)
-    convention.  ``merge`` uses Chan's parallel combination of the
-    central second moments, so the merged sketch agrees with a
-    single-pass accumulation up to float summation order.
+    convention.  Each chunk joins the state by Chan's parallel
+    combination of the central second moments, so a chunked fold agrees
+    with a single-pass accumulation up to float summation order.
     """
 
     __slots__ = ("count", "total", "mean", "m2", "minimum", "maximum")
@@ -140,13 +129,6 @@ class MomentSketch:
         chunk_m2 = float(np.var(values)) * n  # ddof=0: MLE convention
         self._combine(n, float(np.sum(values)), chunk_mean, chunk_m2,
                       float(np.min(values)), float(np.max(values)))
-
-    def merge(self, other: "MomentSketch") -> None:
-        """Fold another sketch (over disjoint rows) into this one."""
-        if other.count == 0:
-            return
-        self._combine(other.count, other.total, other.mean, other.m2,
-                      other.minimum, other.maximum)
 
     def _combine(self, n: int, total: float, mean: float, m2: float,
                  minimum: float, maximum: float) -> None:
@@ -189,7 +171,7 @@ class MomentSketch:
 
 
 class LogBucketSketch:
-    """Mergeable fixed-log-bucket histogram with quantile/ECDF reads.
+    """Fixed-log-bucket histogram with quantile/ECDF reads.
 
     Buckets follow the ``repro.obs`` convention (``bisect_right`` over
     the edge table): bucket *i* (for ``1 <= i <= len(edges)``) holds
@@ -199,33 +181,17 @@ class LogBucketSketch:
     tracked alongside, so quantile reads clip into the observed range.
     """
 
-    __slots__ = ("buckets_per_decade", "counts", "minimum", "maximum")
+    __slots__ = ("counts", "minimum", "maximum")
 
-    def __init__(self, buckets_per_decade: int = BUCKETS_PER_DECADE) -> None:
-        if buckets_per_decade < 1:
-            raise ValueError(
-                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
-            )
-        self.buckets_per_decade = int(buckets_per_decade)
-        self.counts = np.zeros(
-            _bucket_edges(self.buckets_per_decade).size + 1, dtype=np.int64
-        )
+    def __init__(self) -> None:
+        self.counts = np.zeros(_EDGES.size + 1, dtype=np.int64)
         self.minimum = math.inf
         self.maximum = -math.inf
-
-    @property
-    def edges(self) -> np.ndarray:
-        return _bucket_edges(self.buckets_per_decade)
 
     @property
     def count(self) -> int:
         """Total observations."""
         return int(self.counts.sum())
-
-    @property
-    def relative_error(self) -> float:
-        """Pinned relative error bound of quantile reads."""
-        return 10.0 ** (1.0 / (2.0 * self.buckets_per_decade)) - 1.0
 
     def observe(self, values: np.ndarray) -> None:
         """Fold a chunk of non-negative observations into the sketch."""
@@ -236,32 +202,19 @@ class LogBucketSketch:
             raise ValueError("sketch observed non-finite values")
         if np.any(values < 0):
             raise ValueError("log-bucket sketch requires non-negative values")
-        edges = self.edges
         # side="right" is bisect_right — the obs histogram bucketing:
         # [edges[i-1], edges[i]) maps to index i.
-        indices = np.searchsorted(edges, values, side="right")
+        indices = np.searchsorted(_EDGES, values, side="right")
         self.counts += np.bincount(indices, minlength=self.counts.size)
         self.minimum = min(self.minimum, float(np.min(values)))
         self.maximum = max(self.maximum, float(np.max(values)))
 
-    def merge(self, other: "LogBucketSketch") -> None:
-        """Fold another sketch (same resolution) into this one."""
-        if other.buckets_per_decade != self.buckets_per_decade:
-            raise ValueError(
-                "cannot merge sketches with different resolutions: "
-                f"{self.buckets_per_decade} != {other.buckets_per_decade}"
-            )
-        self.counts += other.counts
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
     def _bucket_values(self) -> np.ndarray:
         """Representative value per bucket (geometric midpoints)."""
-        edges = self.edges
         values = np.empty(self.counts.size, dtype=float)
-        values[0] = edges[0]
-        values[1:-1] = np.sqrt(edges[:-1] * edges[1:])
-        values[-1] = edges[-1]
+        values[0] = _EDGES[0]
+        values[1:-1] = np.sqrt(_EDGES[:-1] * _EDGES[1:])
+        values[-1] = _EDGES[-1]
         if math.isfinite(self.minimum):
             np.clip(values, self.minimum, self.maximum, out=values)
         return values
@@ -271,7 +224,7 @@ class LogBucketSketch:
 
         The weighted sample these pairs describe stands in for the
         original data in ECDF/KS computations: each original value is
-        represented within :attr:`relative_error`.
+        represented within :data:`QUANTILE_RELATIVE_ERROR`.
         """
         occupied = np.nonzero(self.counts)[0]
         return self._bucket_values()[occupied], self.counts[occupied]
@@ -305,23 +258,19 @@ class LogBucketSketch:
 
     @property
     def median(self) -> float:
-        """The sketched median (relative error ≤ :attr:`relative_error`)."""
+        """The sketched median (within :data:`QUANTILE_RELATIVE_ERROR`)."""
         return self.quantile(0.5)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LogBucketSketch(n={self.count}, "
-            f"bpd={self.buckets_per_decade})"
-        )
+        return f"LogBucketSketch(n={self.count})"
 
 
 class HeldValues:
     """A stream's values in observation order, kept up to the limit.
 
     Once their count passes :data:`EXACT_LIMIT` the values are dropped
-    for good.  :meth:`add` and :meth:`extend` return the chunks they did
-    not keep, in order, so a caller that must see every value can go on
-    without them.
+    for good.  :meth:`add` returns the chunks it did not keep, in order,
+    so a caller that must see every value can go on without them.
     """
 
     __slots__ = ("count", "_chunks")
@@ -347,22 +296,14 @@ class HeldValues:
 
     def add(self, values: np.ndarray) -> List[np.ndarray]:
         """Count ``values``, keeping a copy while within the limit."""
-        kept = [values.copy()] if self.held else None
-        return self._admit(int(values.size), kept, [values])
-
-    def extend(self, other: "HeldValues") -> List[np.ndarray]:
-        """Add the values of ``other``, a stream that came after this one."""
-        return self._admit(other.count, other._chunks, other._chunks or [])
-
-    def _admit(self, count, kept, passed) -> List[np.ndarray]:
-        self.count += count
+        self.count += int(values.size)
         if self._chunks is None:
-            return passed
-        if kept is not None and self.count <= EXACT_LIMIT:
-            self._chunks.extend(kept)
+            return [values]
+        if self.count <= EXACT_LIMIT:
+            self._chunks.append(values.copy())
             return []
         dropped, self._chunks = self._chunks, None
-        return dropped + passed
+        return dropped + [values]
 
 
 class SampleSketch:
@@ -380,15 +321,14 @@ class SampleSketch:
       (quantiles, ECDF, Weibull profile sums).
 
     While :attr:`count` is at most :data:`EXACT_LIMIT` it also keeps
-    the observed values in observation order (:attr:`values`); merging
-    appends the other sketch's values after its own.
+    the observed values in observation order (:attr:`values`).
 
     Every reader uses the kept values while there are any, so the
     moments and the histogram are built only from the chunks
-    :class:`HeldValues` hands back past the limit.  Reading them, and
-    :meth:`merge` on both sketches, first summarizes the kept chunks
-    not yet summarized, one at a time in observation order, so every
-    float equals the one an eager build gives.
+    :class:`HeldValues` hands back past the limit.  Reading them first
+    summarizes the kept chunks not yet summarized, one at a time in
+    observation order, so every float equals the one an eager build
+    gives.
 
     ``clamp_epsilon`` matches the analysis that consumes the sketch:
     1.0 s for interarrival gaps, 0.1 min for repair times.
@@ -398,11 +338,7 @@ class SampleSketch:
                  "_log_clamped", "_histogram", "_held", "_pending",
                  "_ordered")
 
-    def __init__(
-        self,
-        clamp_epsilon: float = 1.0,
-        buckets_per_decade: int = BUCKETS_PER_DECADE,
-    ) -> None:
+    def __init__(self, clamp_epsilon: float = 1.0) -> None:
         if clamp_epsilon <= 0:
             raise ValueError(
                 f"clamp_epsilon must be positive, got {clamp_epsilon}"
@@ -412,7 +348,7 @@ class SampleSketch:
         self._raw = MomentSketch()
         self._clamped = MomentSketch()
         self._log_clamped = MomentSketch()
-        self._histogram = LogBucketSketch(buckets_per_decade)
+        self._histogram = LogBucketSketch()
         self._held = HeldValues()
         #: Sizes of the last kept chunks, in order, not yet summarized.
         self._pending: List[int] = []
@@ -451,7 +387,7 @@ class SampleSketch:
     @property
     def ordered(self) -> Optional[np.ndarray]:
         """The held values in ascending order (``None`` past the
-        limit), kept until the sketch next observes or merges."""
+        limit), kept until the sketch next observes."""
         if self._ordered is None:
             values = self.values
             if values is not None:
@@ -511,27 +447,6 @@ class SampleSketch:
             self._log_clamped.observe(np.log(clamped))
             self._histogram.observe(clamped)
         self._pending = []
-
-    def merge(self, other: "SampleSketch") -> None:
-        if other.clamp_epsilon != self.clamp_epsilon:
-            raise ValueError(
-                "cannot merge sample sketches with different clamp "
-                f"epsilons: {self.clamp_epsilon} != {other.clamp_epsilon}"
-            )
-        self.raw.merge(other.raw)
-        self.nonpositive += other.nonpositive
-        self.clamped.merge(other.clamped)
-        self.log_clamped.merge(other.log_clamped)
-        self.histogram.merge(other.histogram)
-        self._ordered = None
-        self._held.extend(other._held)
-
-    def copy(self) -> "SampleSketch":
-        clone = SampleSketch(
-            self.clamp_epsilon, self.histogram.buckets_per_decade
-        )
-        clone.merge(self)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,4 +1,4 @@
-"""Maximum-likelihood fitting from mergeable sketches.
+"""Maximum-likelihood fitting from sketches.
 
 The streaming counterpart of :mod:`repro.stats.fitting`: every fitter
 here consumes a :class:`~repro.stats.sketch.SampleSketch` (bounded

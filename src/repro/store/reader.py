@@ -431,28 +431,9 @@ class ColumnarStore:
             },
         )
 
-    def _admitted(
-        self,
-        predicate: Optional[Predicate],
-        shards: Optional[Sequence[int]] = None,
-    ) -> List[ShardInfo]:
-        """Shards surviving pushdown; updates counters and metrics.
-
-        ``shards`` restricts consideration to the given manifest
-        positions (in the given order) — the hook the parallel scanner
-        uses to hand each worker a contiguous slice of the manifest.
-        """
-        if shards is None:
-            candidates = list(self.manifest.shards)
-        else:
-            total = len(self.manifest.shards)
-            for index in shards:
-                if not 0 <= index < total:
-                    raise IndexError(
-                        f"shard index {index} out of range "
-                        f"(manifest has {total} shard(s))"
-                    )
-            candidates = [self.manifest.shards[index] for index in shards]
+    def _admitted(self, predicate: Optional[Predicate]) -> List[ShardInfo]:
+        """Shards surviving pushdown; updates counters and metrics."""
+        candidates = self.manifest.shards
         admitted: List[ShardInfo] = []
         for shard in candidates:
             if predicate is not None and not predicate.admits_shard(shard):
@@ -530,7 +511,6 @@ class ColumnarStore:
         predicate: Optional[Predicate] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
         deadline: Optional[Deadline] = None,
-        shards: Optional[Sequence[int]] = None,
     ) -> Iterator[ColumnBatch]:
         """Yield bounded column chunks, shard by shard.
 
@@ -539,11 +519,6 @@ class ColumnarStore:
         Chunks arrive in shard order — per-shard sorted, *not* globally
         merged (use :meth:`to_trace` or :meth:`iter_records` for global
         order).
-
-        ``shards`` restricts the scan to the given manifest positions,
-        preserving the given order.  The parallel report scanner uses
-        this to assign each worker a contiguous manifest slice whose
-        partial accumulators merge back in manifest order.
 
         ``deadline`` bounds the scan's wall time: the budget is checked
         at every chunk boundary and a blown budget raises
@@ -564,7 +539,7 @@ class ColumnarStore:
                 + (_PREDICATE_COLUMNS if predicate is not None else ())
             )
         )
-        for shard in self._healthy(self._admitted(predicate, shards)):
+        for shard in self._healthy(self._admitted(predicate)):
             cursor = self._cursor(shard)
             for offset in range(0, shard.rows, batch_rows):
                 if deadline is not None:

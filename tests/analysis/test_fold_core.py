@@ -1,9 +1,9 @@
-"""The fold core: what every store endpoint reads, merge == single pass.
+"""The fold core: what every store endpoint reads, chunked == single pass.
 
 :class:`~repro.analysis.outofcore.FoldCore` holds failures and downtime
 per (system, cause) from one bincount per table per chunk.  Counts,
 extrema and the row count must equal a per-row tally exactly, however
-the rows are chunked and merged; float sums agree to rounding.  System
+the rows are chunked; float sums agree to rounding.  System
 ids spread wider than a chunk has rows (a damaged column, say) are
 ranked rather than indexed, so the tables stay the size of the chunk.
 """
@@ -18,8 +18,6 @@ from repro.analysis.outofcore import FoldCore, scan_store
 from repro.records.codes import CAUSE_VOCAB
 from repro.records.columns import ColumnBatch
 from repro.store import ColumnarStore, Predicate, store_from_trace
-from repro.store.manifest import StoreError
-from repro.synth import TraceGenerator
 
 _N_CAUSES = len(CAUSE_VOCAB)
 
@@ -59,35 +57,24 @@ def _counts(core: FoldCore) -> dict:
     return {system: table.tolist() for system, table in core.counts.items()}
 
 
-class _DiskGoneAway(Predicate):
-    """A predicate whose row mask fails in the worker, as a read from a
-    vanished disk would."""
-
-    def mask(self, batch):
-        raise OSError("disk went away")
-
-
 class TestFoldCore:
     @settings(max_examples=100, deadline=None)
     @given(rows=rows, fraction=st.floats(0.0, 1.0))
     def test_merge_equals_single_pass(self, rows, fraction):
         cut = int(len(rows) * fraction)
         whole = _fold(rows)
-        left, right = _fold(rows[:cut]), _fold(rows[cut:])
-        left.merge_ordered(right)
         chunked = _fold(rows[:cut], rows[cut:])
-        for core in (left, chunked):
-            assert core.rows == whole.rows == len(rows)
-            assert _counts(core) == _counts(whole)
-            assert (core.repair_min, core.repair_max) == (
-                whole.repair_min, whole.repair_max
-            )
-            assert (core.start_min, core.start_max) == (
-                whole.start_min, whole.start_max
-            )
-            assert core.repair_total == pytest.approx(whole.repair_total)
-            for system, downtime in whole.downtime.items():
-                assert core.downtime[system] == pytest.approx(downtime)
+        assert chunked.rows == whole.rows == len(rows)
+        assert _counts(chunked) == _counts(whole)
+        assert (chunked.repair_min, chunked.repair_max) == (
+            whole.repair_min, whole.repair_max
+        )
+        assert (chunked.start_min, chunked.start_max) == (
+            whole.start_min, whole.start_max
+        )
+        assert chunked.repair_total == pytest.approx(whole.repair_total)
+        for system, downtime in whole.downtime.items():
+            assert chunked.downtime[system] == pytest.approx(downtime)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=rows)
@@ -129,58 +116,20 @@ class TestScanStore:
     def test_parallel_scan_applies_the_predicate(self, tmp_path, small_trace):
         store_from_trace(small_trace, tmp_path / "store", shard_rows=100)
         store = ColumnarStore(tmp_path / "store")
-        # A window start inside system 13's first shard, so the workers
+        # A window start inside system 13's first shard, so the scan
         # must mask rows, not just prune shards.
         starts = small_trace.filter_systems([13]).columns["start_time"]
         t_min = float(starts[len(starts) // 3])
         predicate = Predicate.build(systems=[13], t_min=t_min)
-        serial, _ = scan_store(store, FoldCore, predicate=predicate)
-        parallel, partial = scan_store(
-            store, FoldCore, predicate=predicate, workers=2
-        )
-        assert serial.rows == int((starts >= t_min).sum()) > 0
+        folded, partial = scan_store(store, FoldCore, predicate=predicate)
         assert partial is None
-        assert parallel.rows == serial.rows
-        assert _counts(parallel) == _counts(serial)
-        assert list(parallel.counts) == [13]
-
-    def test_parallel_scan_failure_names_shards_and_error(
-        self, tmp_path, small_trace
-    ):
-        store_from_trace(small_trace, tmp_path / "store", shard_rows=100)
-        store = ColumnarStore(tmp_path / "store")
-        predicate = _DiskGoneAway(systems=frozenset({2, 13}))
-        with pytest.raises(StoreError) as caught:
-            scan_store(store, FoldCore, predicate=predicate, workers=2)
-        message = str(caught.value)
-        assert "group-" not in message
-        assert store.manifest.shards[0].name in message
-        assert "after 3 attempt(s): OSError: disk went away" in message
-
-    def test_one_admitted_shard_scans_without_a_pool(
-        self, tmp_path, monkeypatch
-    ):
-        trace = TraceGenerator(seed=5).generate([2, 13, 20])
-        store_from_trace(trace, tmp_path / "store")
-        store = ColumnarStore(tmp_path / "store")
-        predicate = Predicate.build(systems=[20])
-        assert len(store._admitted(predicate)) == 1
-        serial, _ = scan_store(store, FoldCore, predicate=predicate)
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-group scan built a process pool")
-
-        monkeypatch.setattr(
-            "repro.resilience.supervisor.ProcessPoolExecutor", no_pool
+        assert store.scan.shards_pruned > 0
+        assert store.scan.rows_matched < store.scan.rows_scanned
+        admitted = small_trace.filter(
+            lambda record: record.system_id == 13 and record.start_time >= t_min
         )
-        parallel, _ = scan_store(
-            store, FoldCore, predicate=predicate, workers=2
-        )
-        assert parallel.rows == serial.rows > 0
-        assert _counts(parallel) == _counts(serial)
-        assert parallel.downtime.keys() == serial.downtime.keys()
-        for system, table in serial.downtime.items():
-            assert parallel.downtime[system].tolist() == table.tolist()
-        assert (parallel.repair_total, parallel.start_min) == (
-            serial.repair_total, serial.start_min
-        )
+        want = FoldCore()
+        want.observe(admitted.columns)
+        assert folded.rows == want.rows == int((starts >= t_min).sum()) > 0
+        assert _counts(folded) == _counts(want)
+        assert list(folded.counts) == [13]

@@ -5,11 +5,11 @@ them; past it, Table 2, Figure 6 and Figure 7 read the moment sketches
 and log-bucket histograms.  This freezes the bytes of the ``/v1/report``
 body (``run_store_report(...).to_dict()``) with the limit patched to 0
 (no sample kept) and to 100 (system 2's samples kept, the rest
-summarized), for a serial scan, chunks that split every shard, a
-two-worker scan that merges partial sketches, and the in-memory report
-of the store's trace.  At each limit all four bodies are one file: they
-are byte-identical to each other, and any change to how a spilled
-sample summarizes or merges shows up as a diff here.
+summarized), for a scan at the default chunk size, chunks that split
+every shard, and the in-memory report of the store's trace.  At each
+limit all three bodies are one file: they are byte-identical to each
+other, and any change to how a spilled sample summarizes shows up as a
+diff here.
 
 To regenerate after an intentional change::
 
@@ -37,13 +37,12 @@ GOLDEN_SEED = 7
 GOLDEN_DIR = Path(__file__).parent / "golden"
 #: System 2 (83 rows) stays under a limit of 100; 5, 19 and 20 do not.
 SYSTEMS = (2, 5, 19, 20)
-#: Small shards, so a two-worker scan splits system 20 between workers.
+#: Small shards, so system 20's gap streams cross shard boundaries.
 SHARD_ROWS = 1500
 
 SCANS = {
-    "serial": {},
+    "default": {},
     "batch_rows=997": {"batch_rows": 997},
-    "workers=2": {"workers": 2},
 }
 
 
@@ -78,7 +77,7 @@ def test_past_limit_bodies_match_golden(store_root, monkeypatch, limit):
     golden = GOLDEN_DIR / f"report_limit{limit}_seed{GOLDEN_SEED}.json"
     if os.environ.get("REPRO_REGEN_GOLDEN"):
         assert len(set(bodies.values())) == 1, "the scans disagree"
-        atomic_write_bytes(golden, bodies["serial"])
+        atomic_write_bytes(golden, bodies["default"])
         pytest.skip(f"regenerated {golden}")
     assert golden.exists(), (
         f"missing golden file {golden}; regenerate with REPRO_REGEN_GOLDEN=1"

@@ -5,17 +5,17 @@ The store report folds chunks into the same
 report folds its trace into as one chunk.  While every sample holds at
 most :data:`~repro.stats.sketch.EXACT_LIMIT` values — true of the
 whole 22-system trace — all ten sections must be *byte-identical* to
-``run_paper_report(store.to_trace())``, whatever the chunk size, worker
-count or shard layout, and a store grown by an append answers as the
-one-pass import of the same rows does.
+``run_paper_report(store.to_trace())``, whatever the chunk size or
+shard layout, and a store grown by an append answers as the one-pass
+import of the same rows does.
 
 Past the limit, fig6, table2 and fig7 read medians, fits and CDFs off
 the log-bucket histogram; with the limit patched to 0 they must agree
 within the sketch's pinned relative error, with the same fit rankings.
 
-The suite also proves the two operational properties: a parallel scan
-merges to the same answer as a serial one, and a blown deadline yields
-an honestly-flagged partial report instead of a hang or a crash.
+The suite also proves the operational property that a blown deadline
+yields an honestly-flagged partial report instead of a hang or a
+crash.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.records.trace import FailureTrace
 from repro.report import run_paper_report, run_store_report
 from repro.report.paper import SECTIONS
 from repro.resilience.deadline import Deadline
-from repro.stats.sketch import LogBucketSketch
+from repro.stats.sketch import QUANTILE_RELATIVE_ERROR
 from repro.store import ColumnarStore, StoreWriter, store_from_trace
 from repro.store.analytics import summarize_store
 from repro.store.federate import append_trace
@@ -41,12 +41,12 @@ from repro.synth import TraceGenerator
 
 EPSILON_SECTIONS = ("fig6", "table2", "fig7")
 #: Store reports that must all equal the in-memory one: default
-#: chunks, chunks that split every shard, and a two-worker scan.
-SCANS = ({}, {"batch_rows": 997}, {"workers": 2})
+#: chunks, and chunks that split every shard.
+SCANS = ({}, {"batch_rows": 997})
 
 # Pinned sketch resolution (64 buckets/decade): ~1.8% relative error.
 # Printed values are also rounded, so allow one trailing-digit ULP.
-QUANTILE_REL = LogBucketSketch().relative_error * 2
+QUANTILE_REL = QUANTILE_RELATIVE_ERROR * 2
 _FLOAT = re.compile(r"-?\d+\.?\d*(?:[eE][+-]?\d+)?")
 
 
@@ -219,24 +219,6 @@ class TestNoMaterialization:
         assert result.report.ok, result.report.diagnostics()
 
 
-class TestParallelScan:
-    def test_parallel_merge_equals_serial(self, store, streaming):
-        parallel = run_store_report(store, workers=3)
-        for serial_section, parallel_section in zip(
-            streaming.report.sections, parallel.report.sections
-        ):
-            assert parallel_section.status == serial_section.status
-            assert parallel_section.text == serial_section.text
-
-    def test_parallel_merge_equals_serial_past_the_limit(self, store, sketched):
-        patch = _limited(0)
-        try:
-            parallel = run_store_report(store, workers=3)
-        finally:
-            patch.undo()
-        assert _outcomes(parallel.report) == _outcomes(sketched.report)
-
-
 class TestDeadlinePartial:
     def test_instant_deadline_yields_flagged_partial(self, store):
         result = run_store_report(
@@ -342,7 +324,7 @@ class TestEarliestWorkload:
         ]
         return store
 
-    @pytest.mark.parametrize("kwargs", [{}, {"workers": 2}])
+    @pytest.mark.parametrize("kwargs", [{}, {"batch_rows": 997}])
     def test_store_fig3_equals_trace_fig3(self, appended, kwargs):
         want = _sections(run_paper_report(appended.to_trace()))["fig3"]
         got = _sections(run_store_report(appended, **kwargs).report)["fig3"]
@@ -354,8 +336,8 @@ class TestAppendedEqualsImport:
     """An append re-cuts every system it touches, so a store grown by
     one holds the one-pass import's layout at the default
     ``shard_rows``: its summary and report bodies are the import's byte
-    for byte, scan counters included, at any chunk size and worker
-    count, within ``EXACT_LIMIT`` and past it."""
+    for byte, scan counters included, at any chunk size, within
+    ``EXACT_LIMIT`` and past it."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):

@@ -1,11 +1,10 @@
-"""Mergeable-sketch laws: merge == single pass, for every sketch type.
+"""Sketch laws: chunked == single pass, for every sketch type.
 
-The out-of-core report's correctness rests on one algebraic property:
-folding a sample chunk-by-chunk (in any grouping) and merging the
-partial sketches must equal accumulating the whole sample at once.
-Hypothesis drives arbitrary samples and split points through each
-sketch; integer-state sketches must agree exactly, float moments to
-rounding.  A :class:`SampleSketch` within :data:`EXACT_LIMIT` must also
+The out-of-core report's correctness rests on one property: folding a
+sample chunk by chunk, at any split, must equal accumulating the whole
+sample at once.  Hypothesis drives arbitrary samples and split points
+through each sketch; integer-state sketches must agree exactly, float
+moments to rounding.  A :class:`SampleSketch` within :data:`EXACT_LIMIT` must also
 hold exactly the values observed, and its readers must return what the
 array functions return for them; it builds moments and a histogram only
 past the limit, and they must equal, bit for bit, those built as each
@@ -27,6 +26,7 @@ from repro.stats.empirical import EmpiricalDistribution
 from repro.stats.errors import DegenerateSampleError
 from repro.stats.fitting import fit_all
 from repro.stats.sketch import (
+    QUANTILE_RELATIVE_ERROR,
     HeldValues,
     LogBucketSketch,
     MomentSketch,
@@ -67,14 +67,12 @@ class TestMomentSketch:
     @given(values=samples, fraction=st.floats(0.0, 1.0))
     def test_merge_equals_single_pass(self, values, fraction):
         left, right = _split(values, fraction)
-        a = MomentSketch()
-        a.observe(np.asarray(left))
-        b = MomentSketch()
-        b.observe(np.asarray(right))
-        a.merge(b)
+        chunked = MomentSketch()
+        chunked.observe(np.asarray(left))
+        chunked.observe(np.asarray(right))
         whole = MomentSketch()
         whole.observe(np.asarray(values))
-        _assert_moments_equal(a, whole)
+        _assert_moments_equal(chunked, whole)
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(finite, min_size=1, max_size=40), seed=st.integers(0, 2**16))
@@ -86,15 +84,6 @@ class TestMomentSketch:
         b = MomentSketch()
         b.observe(np.asarray(shuffled))
         _assert_moments_equal(a, b)
-
-    @settings(max_examples=50, deadline=None)
-    @given(values=samples)
-    def test_empty_merge_is_identity(self, values):
-        a = MomentSketch()
-        a.observe(np.asarray(values))
-        before = _moment_fields(a)
-        a.merge(MomentSketch())
-        assert _moment_fields(a) == before
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(finite, min_size=2, max_size=60))
@@ -122,16 +111,14 @@ class TestLogBucketSketch:
     @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
     def test_merge_equals_single_pass_exactly(self, values, fraction):
         left, right = _split(values, fraction)
-        a = LogBucketSketch()
-        a.observe(np.asarray(left))
-        b = LogBucketSketch()
-        b.observe(np.asarray(right))
-        a.merge(b)
+        chunked = LogBucketSketch()
+        chunked.observe(np.asarray(left))
+        chunked.observe(np.asarray(right))
         whole = LogBucketSketch()
         whole.observe(np.asarray(values))
-        assert np.array_equal(a.counts, whole.counts)
-        assert a.minimum == whole.minimum
-        assert a.maximum == whole.maximum
+        assert np.array_equal(chunked.counts, whole.counts)
+        assert chunked.minimum == whole.minimum
+        assert chunked.maximum == whole.maximum
 
     @settings(max_examples=50, deadline=None)
     @given(values=st.lists(
@@ -144,7 +131,7 @@ class TestLogBucketSketch:
         sketch.observe(np.asarray(values))
         exact = float(np.percentile(np.asarray(values), 100.0 * q))
         got = sketch.quantile(q)
-        assert got == pytest.approx(exact, rel=sketch.relative_error * 2 + 1e-12)
+        assert got == pytest.approx(exact, rel=QUANTILE_RELATIVE_ERROR * 2 + 1e-12)
 
     def test_empty_quantile_raises(self):
         with pytest.raises(DegenerateSampleError):
@@ -154,8 +141,6 @@ class TestLogBucketSketch:
         sketch = LogBucketSketch()
         with pytest.raises(ValueError):
             sketch.observe(np.asarray([-1.0]))
-        with pytest.raises(ValueError):
-            sketch.merge(LogBucketSketch(buckets_per_decade=8))
 
 
 class TestSampleSketch:
@@ -163,18 +148,16 @@ class TestSampleSketch:
     @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
     def test_merge_equals_single_pass(self, values, fraction):
         left, right = _split(values, fraction)
-        a = SampleSketch(clamp_epsilon=0.1)
-        a.observe(np.asarray(left))
-        b = SampleSketch(clamp_epsilon=0.1)
-        b.observe(np.asarray(right))
-        a.merge(b)
+        chunked = SampleSketch(clamp_epsilon=0.1)
+        chunked.observe(np.asarray(left))
+        chunked.observe(np.asarray(right))
         whole = SampleSketch(clamp_epsilon=0.1)
         whole.observe(np.asarray(values))
-        assert a.count == whole.count == len(values)
-        assert a.nonpositive == whole.nonpositive
-        assert np.array_equal(a.histogram.counts, whole.histogram.counts)
-        _assert_moments_equal(a.raw, whole.raw)
-        _assert_moments_equal(a.log_clamped, whole.log_clamped)
+        assert chunked.count == whole.count == len(values)
+        assert chunked.nonpositive == whole.nonpositive
+        assert np.array_equal(chunked.histogram.counts, whole.histogram.counts)
+        _assert_moments_equal(chunked.raw, whole.raw)
+        _assert_moments_equal(chunked.log_clamped, whole.log_clamped)
 
     @settings(max_examples=50, deadline=None)
     @given(values=nonneg_samples)
@@ -218,15 +201,13 @@ class TestExactSample:
     @given(values=nonneg_samples, fraction=st.floats(0.0, 1.0))
     def test_holds_values_in_order_up_to_the_limit(self, values, fraction):
         left, right = _split(values, fraction)
-        a = SampleSketch(clamp_epsilon=0.1)
-        a.observe(np.asarray(left))
-        b = SampleSketch(clamp_epsilon=0.1)
-        b.observe(np.asarray(right))
-        a.merge(b)
-        whole = SampleSketch(clamp_epsilon=0.1)
+        halves = SampleSketch(clamp_epsilon=0.1)
+        halves.observe(np.asarray(left))
+        halves.observe(np.asarray(right))
+        singles = SampleSketch(clamp_epsilon=0.1)
         for value in values:
-            whole.observe(np.asarray([value]))
-        for sketch in (a, whole, whole.copy()):
+            singles.observe(np.asarray([value]))
+        for sketch in (halves, singles):
             if len(values) <= 40:
                 assert sketch.values.tolist() == values
             else:
@@ -247,7 +228,7 @@ class TestExactSample:
         assert summary.count == 41
         assert summary.median == pytest.approx(
             float(np.median(np.append(values, 1.0))),
-            rel=sketch.histogram.relative_error * 2,
+            rel=QUANTILE_RELATIVE_ERROR * 2,
         )
 
     @settings(max_examples=150, deadline=None)
@@ -301,11 +282,6 @@ class _Eager:
         log_clamped.observe(np.log(floored))
         self.histogram.observe(floored)
 
-    def merge(self, other):
-        for mine, theirs in zip(self.moments, other.moments):
-            mine.merge(theirs)
-        self.histogram.merge(other.histogram)
-
     def fields(self) -> tuple:
         return _fields(self.moments, self.histogram)
 
@@ -332,7 +308,8 @@ chunk_lists = st.lists(
 class TestSummarizedPastTheLimit:
     """A sample sketch builds moments and a histogram only for values it
     no longer keeps, and its reads are the floats that building them as
-    each chunk arrived gives, bit for bit."""
+    each chunk arrived gives, bit for bit — also when a read between
+    chunks summarizes the ones observed so far."""
 
     @settings(max_examples=100, deadline=None)
     @given(left=chunk_lists, right=chunk_lists, later=chunk_lists,
@@ -340,20 +317,20 @@ class TestSummarizedPastTheLimit:
     def test_reads_equal_the_eager_sketches(self, left, right, later, limit):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sketch_module, "EXACT_LIMIT", limit)
-            assert _read(_sketched(left)) == _Eager(left).fields()
-            merged = _sketched(left)
-            merged.merge(_sketched(right))
+            sketch = _sketched(left)
             expected = _Eager(left)
-            expected.merge(_Eager(right))
-            for chunk in later:
-                merged.observe(chunk)
+            assert _read(sketch) == expected.fields()
+            for chunk in right:
+                sketch.observe(chunk)
                 expected.observe(chunk)
-            clone = merged.copy()
-            assert _read(merged) == expected.fields()
-            assert _read(clone) == expected.fields()
+            assert _read(sketch) == expected.fields()
+            for chunk in later:
+                sketch.observe(chunk)
+                expected.observe(chunk)
+            assert _read(sketch) == expected.fields()
             total = sum(chunk.size for chunk in left + right + later)
-            assert merged.count == clone.count == total
-            assert merged.exact == clone.exact == (total <= limit)
+            assert sketch.count == total
+            assert sketch.exact == (total <= limit)
 
     def test_a_below_limit_report_builds_none(self, full_trace, monkeypatch):
         calls = []
@@ -403,20 +380,3 @@ class TestHeldValues:
         assert held.values is None and not held.held
         assert self._lists(held.add(np.arange(2.0))) == [[0.0, 1.0]]
         assert held.count == 9
-
-    def test_extend_appends_a_later_stream(self):
-        left, right = HeldValues(), HeldValues()
-        left.add(np.arange(3.0))
-        right.add(np.arange(3.0, 5.0))
-        assert left.extend(right) == []
-        assert left.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert self._lists(left.extend(right)) == [
-            [0.0, 1.0, 2.0, 3.0, 4.0], [3.0, 4.0],
-        ]
-        dropped = HeldValues()
-        dropped.add(np.arange(6.0))
-        fresh = HeldValues()
-        fresh.add(np.arange(2.0))
-        # The later stream's values are gone: only the kept ones return.
-        assert self._lists(fresh.extend(dropped)) == [[0.0, 1.0]]
-        assert fresh.count == 8 and fresh.values is None

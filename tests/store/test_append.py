@@ -18,9 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.analysis.outofcore as outofcore
 import repro.store.federate as federate
-from repro.analysis.outofcore import FoldCore, scan_store
 from repro.faults.fsfaults import FsFaults, fsfaults_env
 from repro.records.columns import sort_rows
 from repro.records.system import HardwareType
@@ -358,28 +356,3 @@ class TestCrashDrills:
         listed = len(ColumnarStore(root).manifest.shards) * len(COLUMN_NAMES)
         assert len(shard_files(root)) == listed
         assert verify_store(root, deep=True) == []
-
-
-def test_append_between_plan_and_workers(tmp_path, halves, monkeypatch):
-    """A parallel scan folds the generation it planned, or raises."""
-    first, second = halves
-    root = tmp_path / "st"
-    store_from_trace(first, root, shard_rows=SHARD_ROWS)
-    store = ColumnarStore(root)
-    planned, _ = scan_store(store, FoldCore)
-    supervised_map = outofcore.supervised_map
-
-    def append_first(*args, **kwargs):
-        append_trace(root, second, shard_rows=SHARD_ROWS)
-        return supervised_map(*args, **kwargs)
-
-    monkeypatch.setattr(outofcore, "supervised_map", append_first)
-    try:
-        folded, _ = scan_store(store, FoldCore, workers=2)
-    except StoreError as error:
-        assert "changed during a parallel scan" in str(error)
-    else:
-        assert folded.rows == planned.rows
-        assert folded.failures_by_system() == planned.failures_by_system()
-    assert len(ColumnarStore(root)) == len(first) + len(second)
-

@@ -7,6 +7,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.report import run_store_report
+from repro.store import ColumnarStore
 
 
 @pytest.fixture(scope="module")
@@ -290,3 +292,29 @@ class TestStoreAsTraceInput:
         capsys.readouterr()
         assert main(["validate", str(csv_path)]) == 0
         assert capsys.readouterr().out == store_out
+
+
+class TestAnalyzeFull:
+    """``store analyze --full --json`` prints the store report's body
+    and exits 0 exactly when every section rendered ok."""
+
+    @pytest.fixture(scope="class")
+    def paper_store(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cli-full") / "st"
+        assert main([
+            "generate", "--seed", "1", "--systems", "5,19,20",
+            "--store", "columnar", "--out", str(root),
+        ]) == 0
+        return root
+
+    @pytest.mark.parametrize(
+        "fixture, ok", [("store_dir", False), ("paper_store", True)]
+    )
+    def test_json_is_the_store_report(self, fixture, ok, request, capsys):
+        root = request.getfixturevalue(fixture)
+        capsys.readouterr()
+        code = main(["store", "analyze", str(root), "--full", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == run_store_report(ColumnarStore(root)).to_dict()
+        assert payload["ok"] is ok
+        assert code == (0 if ok else 1)
